@@ -152,6 +152,11 @@ def _triangulation_entry(entry) -> dict:
     }
 
 
+def _certificates(poly) -> list:
+    """Certifying lifting heights per vertex; null where the LP decided."""
+    return [None if c is None else list(c.heights) for c in poly.certificates]
+
+
 def cmd_triangulations(cfg: RunConfig) -> tuple[dict, int]:
     analysis = _analyze(cfg)
     report = _common(cfg) | {
@@ -185,6 +190,7 @@ def cmd_polytope(cfg: RunConfig) -> tuple[dict, int]:
         "ambient_dim": poly.ambient_dim,
         "affine_dim": poly.affine_dim,
         "vertices": [list(v) for v in poly.vertices],
+        "vertex_certificates": _certificates(poly),
         "generators": [
             {"vector": list(g.vector), "triangulations": list(g.triangulation_ids)}
             for g in poly.generators
@@ -226,6 +232,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         "triangulations": [_triangulation_entry(e) for e in analysis.enumeration],
         "chow_vertices": [list(v) for v in analysis.chow.vertices],
         "hurwitz_vertices": [list(v) for v in analysis.hurwitz.vertices],
+        "chow_vertex_certificates": _certificates(analysis.chow),
+        "hurwitz_vertex_certificates": _certificates(analysis.hurwitz),
         "deg_chow": analysis.degrees.chow,
         "deg_hurwitz": analysis.degrees.hurwitz,
         "checks": checks,

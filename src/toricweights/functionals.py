@@ -92,7 +92,8 @@ def _cell_affine_value(config, cell, values, pt) -> Fraction:
     matrix = [list(config.points[i]) + [1] for i in cell]
     rhs = [values[i] for i in cell]
     sol = solve_linear(matrix, rhs)
-    assert sol is not None, "cell values are not affine on the cell"
+    if sol is None:
+        raise RuntimeError("cell values are not affine on the cell")
     return sum(c * x for c, x in zip(sol, pt)) + sol[-1]
 
 

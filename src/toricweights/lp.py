@@ -235,5 +235,6 @@ def feasible_strict(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     if value <= 0:
         return None
     witness = tuple(point[j] - point[d + j] for j in range(d))
-    assert system.holds(witness), "simplex returned an invalid witness"
+    if not system.holds(witness):
+        raise RuntimeError("simplex returned an invalid witness")
     return witness

@@ -92,15 +92,19 @@ def in_convex_hull(point: Sequence, points: Sequence[Sequence]) -> bool:
     return nonnegative_feasible(rows, rhs) is not None
 
 
-def extreme_point_indices(points: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the points that are vertices of the convex hull.
+def extreme_point_indices(
+    points: Sequence[Sequence[int]], indices: Optional[Sequence[int]] = None
+) -> list[int]:
+    """Indices of the points that are vertices of the convex hull, tested
+    among ``indices`` (default: all points) in the order given.
 
     Per-point exact LP: a point is extreme iff it is not a convex combination
     of the others.
     """
     pts = [tuple(p) for p in points]
     out = []
-    for i, p in enumerate(pts):
+    for i in range(len(pts)) if indices is None else indices:
+        p = pts[i]
         others = [q for j, q in enumerate(pts) if j != i]
         if not others:
             out.append(i)
@@ -165,7 +169,8 @@ def _face_functional(face_points, opposite_point):
     matrix.append(list(opposite_point) + [1])
     rhs = [0] * len(face_points) + [1]
     sol = solve_linear(matrix, rhs)
-    assert sol is not None
+    if sol is None:
+        raise RuntimeError("face functional has no solution")
     return sol
 
 

@@ -212,7 +212,8 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     for wall, (s1, s2) in sorted(tri.interior_walls.items()):
         opposite = next(i for i in s2 if i not in wall)
         coeffs = affine_combination([config.points[i] for i in s1], config.points[opposite])
-        assert coeffs is not None
+        if coeffs is None:
+            raise RuntimeError(f"wall {wall}: point {opposite} is outside the affine hull of {s1}")
         row = [Fraction(0)] * npts
         for i, c in zip(s1, coeffs):
             row[i] += c
@@ -357,7 +358,8 @@ def _try_flip(tri: Triangulation, removed: tuple[int, ...], inserted: tuple[int,
         elif link != this_link:
             return None
         to_remove.update(owners)
-    assert link is not None
+    if link is None:
+        raise RuntimeError("flip has an empty removed side")
     new_cells = [s for s in tri.simplices if s not in to_remove]
     for k in inserted:
         coface = circuit - {k}

@@ -2,8 +2,13 @@
 
 The Chow polytope is the convex hull of the GKZ vectors of all regular
 triangulations (the secondary polytope); the Hurwitz polytope is the convex
-hull of the Hurwitz vectors.  Vertices are extracted from the generators by
-exact LP separation.  The verification suite asserts, with exact arithmetic:
+hull of the Hurwitz vectors.  Each vertex is certified by the regularity
+witness of one of its source triangulations: the witness lambda lies in the
+open secondary cone of T, so gkz_T (and, by the Hurwitz support identity,
+hurwitz_T) minimises <., lambda>, and a strict integer inequality against
+every other generator proves it a vertex.  Only generators that no witness
+pins this way are decided by the exact hull-membership LP.  The
+verification suite asserts, with exact arithmetic:
 
   * (gkz, g)      == (n+1)! * integral_q(g)
   * (boundary, g) == n!     * integral_boundary(g)
@@ -49,11 +54,42 @@ class Generator:
 
 @dataclass(frozen=True)
 class WeightPolytope:
+    """``certificates[k]`` is the lifting that pins ``vertices[k]`` as the
+    unique minimiser of <., lambda> over the generators, or None when the
+    hull-membership LP decided that vertex."""
+
     kind: str
     ambient_dim: int
     generators: tuple[Generator, ...]
     vertices: tuple[tuple[int, ...], ...]
     affine_dim: int
+    certificates: tuple[Optional[Lifting], ...]
+
+
+def _pins(vectors: Sequence[Sequence[int]], i: int, lam: Sequence[int]) -> bool:
+    """Whether <vectors[i], lam> < <h, lam> for every other vector h, in
+    integers.  The unique minimiser of a linear functional over a finite set
+    is a vertex of its convex hull."""
+    values = [sum(x * y for x, y in zip(v, lam)) for v in vectors]
+    return all(val > values[i] for j, val in enumerate(values) if j != i)
+
+
+def certified_vertices(
+    vectors: Sequence[Sequence[int]], candidates: Sequence[Sequence[Lifting]]
+) -> list[tuple[int, Optional[Lifting]]]:
+    """(index, certificate) for each vertex of conv(vectors), in index order.
+
+    The certificate is the first lifting in ``candidates[i]`` that pins
+    ``vectors[i]``.  Vectors that none pins (a tie, or a non-vertex) go to
+    the exact LP test against all other vectors, and a vertex found that way
+    has certificate None.
+    """
+    certs = [
+        next((lam for lam in cands if _pins(vectors, i, lam.heights)), None)
+        for i, cands in enumerate(candidates)
+    ]
+    decided = set(extreme_point_indices(vectors, [i for i, c in enumerate(certs) if c is None]))
+    return [(i, c) for i, c in enumerate(certs) if c is not None or i in decided]
 
 
 def build(kind: str, enumeration: Enumeration) -> WeightPolytope:
@@ -71,11 +107,14 @@ def build(kind: str, enumeration: Enumeration) -> WeightPolytope:
         Generator(vec, tuple(sorted(ids))) for vec, ids in sorted(grouped.items())
     )
     vectors = [g.vector for g in generators]
-    extreme = extreme_point_indices(vectors)
-    vertices = tuple(vectors[i] for i in extreme)
+    witness = {entry.id: entry.certificate.witness for entry in enumeration}
+    candidates = [[witness[t] for t in g.triangulation_ids] for g in generators]
+    certified = certified_vertices(vectors, candidates)
+    vertices = tuple(vectors[i] for i, _ in certified)
+    certificates = tuple(cert for _, cert in certified)
     base = vectors[0]
     adim = rank([[x - b for x, b in zip(v, base)] for v in vectors[1:]]) if len(vectors) > 1 else 0
-    return WeightPolytope(kind, len(base), generators, vertices, adim)
+    return WeightPolytope(kind, len(base), generators, vertices, adim, certificates)
 
 
 def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:

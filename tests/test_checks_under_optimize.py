@@ -1,0 +1,53 @@
+"""Internal consistency checks raise RuntimeError, so they survive
+``python -O`` (which strips ``assert``)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import toricweights
+
+SCRIPT = r"""
+import json
+from fractions import Fraction
+
+from toricweights import functionals, lp, polytope, triangulation
+from toricweights.lp import LT, LinearSystem, constraint
+from toricweights.polytope import LatticePolytope, lattice_points
+from toricweights.triangulation import Triangulation, placing_triangulation
+
+def message(fn, *args):
+    try:
+        fn(*args)
+    except RuntimeError as e:
+        return str(e)
+    return None
+
+# (0,0),(0,1),(0,2),(1,0),(1,1),(2,0): the first three points are collinear.
+config = lattice_points(LatticePolytope.from_vertices([[0, 0], [2, 0], [0, 2]]))
+broken = Triangulation(config, [(0, 1, 2), (0, 1, 3)], validate=False)
+lp._solve_max = lambda rows, rhs, obj, nvars: (Fraction(1), [Fraction(1)] + [Fraction(0)] * (nvars - 1))
+print(json.dumps({
+    "debug": __debug__,
+    "cone_system": message(triangulation.cone_system, broken),
+    "try_flip": message(triangulation._try_flip, placing_triangulation(config), (), (0,)),
+    "face_functional": message(polytope._face_functional, [(0, 0)], (0, 0)),
+    "cell_affine_value": message(functionals._cell_affine_value, config, (0, 1, 2), {0: 0, 1: 1, 2: 0}, (0, 0)),
+    "feasible_strict": message(lp.feasible_strict, LinearSystem((constraint([1], LT, 0),))),
+}))
+"""
+
+
+def test_validation_raises_under_optimize():
+    src = str(Path(toricweights.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT], capture_output=True, text=True, env=env, check=True
+    )
+    result = json.loads(proc.stdout)
+    assert result.pop("debug") is False
+    assert result["feasible_strict"] == "simplex returned an invalid witness"
+    assert result["cell_affine_value"] == "cell values are not affine on the cell"
+    assert all(result.values()), result

@@ -106,6 +106,8 @@ def test_polytope_chow(capsys):
     assert code == EXIT_PASS
     assert sorted(tuple(v) for v in doc["vertices"]) == [(1, 2, 1), (2, 0, 2)]
     assert doc["affine_dim"] == 1
+    assert len(doc["vertex_certificates"]) == len(doc["vertices"])
+    assert all(c is not None and max(c) == 0 for c in doc["vertex_certificates"])
 
 
 def test_verify_segment(capsys):
@@ -116,6 +118,11 @@ def test_verify_segment(capsys):
     assert doc["all_pass"] is True
     assert sorted(tuple(v) for v in doc["chow_vertices"]) == [(1, 2, 1), (2, 0, 2)]
     assert sorted(tuple(v) for v in doc["hurwitz_vertices"]) == [(0, 2, 0), (1, 0, 1)]
+    witnesses = [t["witness"] for t in doc["triangulations"]]
+    for kind in ("chow", "hurwitz"):
+        certs = doc[f"{kind}_vertex_certificates"]
+        assert len(certs) == len(doc[f"{kind}_vertices"])
+        assert all(c in witnesses for c in certs)
 
 
 def test_verify_cap_exceeded(capsys):

@@ -143,6 +143,8 @@ def test_is_massive_rejects_wrong_dimension():
 def test_extreme_point_indices():
     pts = [(0, 0), (2, 0), (0, 2), (1, 1), (1, 0)]
     assert extreme_point_indices(pts) == [0, 1, 2]
+    # Only the listed points are tested, each against all the others.
+    assert extreme_point_indices(pts, [4, 2, 3]) == [2]
 
 
 @given(st.permutations(range(4)))

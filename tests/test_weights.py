@@ -1,9 +1,16 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from toricweights import polytope
+from toricweights.pipeline import analyze
+from toricweights.polytope import extreme_point_indices
 from toricweights.triangulation import Lifting, lower_hull_subdivision
 from toricweights.vectors import gkz_vector
 from toricweights.weights import (
     build,
+    certified_vertices,
     run_support_trials,
     support_min,
     verify_chow_support,
@@ -198,3 +205,69 @@ def test_blowup_of_projective_plane():
     assert values == {Fraction(1, 9)}
     rep = verify_identities(a, trials=10, seed=2)
     assert rep.passed, rep.failures[:3]
+
+
+DATA = Path(__file__).parent.parent / "data"
+HEXAGON = [[1, 0], [2, 0], [2, 1], [1, 2], [0, 2], [0, 1]]
+
+
+@pytest.fixture(scope="module", params=sorted(p.name for p in DATA.glob("*.json")) + ["hexagon"])
+def corpus_analysis(request):
+    if request.param == "hexagon":
+        return analyze(HEXAGON)
+    return analyze(json.loads((DATA / request.param).read_text())["vertices"])
+
+
+@pytest.mark.parametrize("kind", ["chow", "hurwitz"])
+def test_certified_vertices_equal_lp_vertices(corpus_analysis, kind):
+    poly = getattr(corpus_analysis, kind)
+    vectors = [g.vector for g in poly.generators]
+    assert poly.vertices == tuple(vectors[i] for i in extreme_point_indices(vectors))
+    assert len(poly.certificates) == len(poly.vertices)
+
+
+@pytest.mark.parametrize("kind", ["chow", "hurwitz"])
+def test_vertex_certificates_pin_their_vertex(corpus_analysis, kind):
+    # Checked in integers without the LP: the certificate is the witness of a
+    # source triangulation and <v, lam> is strictly below every other generator.
+    poly = getattr(corpus_analysis, kind)
+    witnesses = {e.id: e.certificate.witness for e in corpus_analysis.enumeration}
+    sources = {g.vector: g.triangulation_ids for g in poly.generators}
+    for vertex, cert in zip(poly.vertices, poly.certificates):
+        if cert is None:
+            continue
+        assert cert in {witnesses[t] for t in sources[vertex]}
+        own = sum(x * l for x, l in zip(vertex, cert.heights))
+        for g in poly.generators:
+            if g.vector != vertex:
+                assert own < sum(x * l for x, l in zip(g.vector, cert.heights))
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+    original = polytope.in_convex_hull
+
+    def counting(point, points):
+        calls.append(tuple(point))
+        return original(point, points)
+
+    monkeypatch.setattr(polytope, "in_convex_hull", counting)
+    return calls
+
+
+def test_certified_vertices_tie_goes_to_lp(lp_calls):
+    # lam = (0, -1) gives (0, 2) and (2, 2) the same minimum, so it pins neither.
+    vectors = [(0, 2), (2, 2), (1, 0)]
+    lam = Lifting((0, -1))
+    assert certified_vertices(vectors, [[lam], [lam], []]) == [(0, None), (1, None), (2, None)]
+    assert lp_calls == vectors
+
+
+def test_certified_vertices_non_extreme_point_goes_to_lp(lp_calls):
+    # (1, 0) between (0, 0) and (2, 0): lam = (-1, 0) pins only (2, 0), and the
+    # LP drops the midpoint.
+    vectors = [(0, 0), (2, 0), (1, 0)]
+    lam = Lifting((-1, 0))
+    assert certified_vertices(vectors, [[], [lam], [lam]]) == [(0, None), (1, lam)]
+    assert lp_calls == [(0, 0), (1, 0)]
