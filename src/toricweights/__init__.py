@@ -25,13 +25,7 @@ from .polytope import (
     Facet,
     LatticePolytope,
     PointConfiguration,
-    boundary_volume,
-    facets_from_vertices,
-    is_delzant,
-    is_massive,
     lattice_points,
-    normalized_volume,
-    volume,
 )
 from .triangulation import (
     Enumeration,

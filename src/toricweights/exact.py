@@ -86,28 +86,44 @@ def primitive(vector: IntVector) -> tuple[int, ...]:
     return tuple(int(x) // g for x in vector)
 
 
-def rank(matrix: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row ``r`` so that ``rows[r][c]``
+    is 1, then clear column ``c`` from every other row.  ``rows[r][c]`` must
+    be nonzero.  Row reduction here and the simplex tableau in ``lp`` both
+    pivot through this step."""
+    pr = rows[r]
+    pv = pr[c]
+    if pv != 1:
+        rows[r] = pr = [x / pv for x in pr]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Reduce ``rows`` in place, pivoting on the first ``ncols`` columns from
+    left to right on the first nonzero entry at or below the current row.
+    Returns the (row, column) pivot positions; the rows from
+    ``len(pivots)`` on are zero in the first ``ncols`` columns."""
+    pivots: list[tuple[int, int]] = []
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
+        pivot(rows, r, c)
+        pivots.append((r, c))
+        if len(pivots) == len(rows):
             break
-    return r
+    return pivots
+
+
+def rank(matrix: Sequence[Sequence]) -> int:
+    """Rank over the rationals, by exact Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    return len(_rref(rows, len(rows[0]))) if rows else 0
 
 
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -118,29 +134,12 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fr
     """
     rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
+    pivots = _rref(rows, ncols)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for ri, c in pivots:
-        x[c] = rows[ri][-1]
+    for r, c in pivots:
+        x[c] = rows[r][-1]
     return tuple(x)
 
 
@@ -148,31 +147,24 @@ def kernel_vector(matrix: Sequence[Sequence]) -> Optional[tuple[Fraction, ...]]:
     """A nonzero rational kernel vector of ``matrix``, or None if injective."""
     rows = [[Fraction(x) for x in row] for row in matrix]
     ncols = len(rows[0]) if rows else 0
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    free = next((c for c in range(ncols) if c not in pivots), None)
+    pivots = _rref(rows, ncols)
+    pivot_cols = {c for _, c in pivots}
+    free = next((c for c in range(ncols) if c not in pivot_cols), None)
     if free is None:
         return None
     x = [Fraction(0)] * ncols
     x[free] = Fraction(1)
-    for c, ri in pivots.items():
-        x[c] = -rows[ri][free]
+    for r, c in pivots:
+        x[c] = -rows[r][free]
     return tuple(x)
+
+
+def _homogenized(points: Sequence[Sequence], dim: int) -> list[list[Fraction]]:
+    """The points as columns, each with a 1 appended: its kernel holds the
+    affine dependences and its column space the affine hull."""
+    matrix = [[Fraction(p[j]) for p in points] for j in range(dim)]
+    matrix.append([Fraction(1)] * len(points))
+    return matrix
 
 
 def affine_combination(points: Sequence[Sequence], target: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -182,11 +174,8 @@ def affine_combination(points: Sequence[Sequence], target: Sequence) -> Optional
     coefficients are the barycentric coordinates when the points are affinely
     independent.
     """
-    dim = len(target)
-    matrix = [[Fraction(p[j]) for p in points] for j in range(dim)]
-    matrix.append([Fraction(1)] * len(points))
     rhs = [Fraction(t) for t in target] + [Fraction(1)]
-    return solve_linear(matrix, rhs)
+    return solve_linear(_homogenized(points, len(target)), rhs)
 
 
 def affine_dependence(points: Sequence[Sequence]) -> Optional[tuple[int, ...]]:
@@ -196,10 +185,7 @@ def affine_dependence(points: Sequence[Sequence]) -> Optional[tuple[int, ...]]:
     Unique up to sign when exactly one dependence exists; the sign is fixed so
     that the first nonzero coefficient is positive.
     """
-    dim = len(points[0])
-    matrix = [[Fraction(p[j]) for p in points] for j in range(dim)]
-    matrix.append([Fraction(1)] * len(points))
-    v = kernel_vector(matrix)
+    v = kernel_vector(_homogenized(points, len(points[0])))
     if v is None:
         return None
     scale = lcm(*(x.denominator for x in v))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .exact import pivot
+
 LE = "<="
 LT = "<"
 EQ = "=="
@@ -70,18 +72,6 @@ class _Unbounded(RuntimeError):
     pass
 
 
-def _pivot(tab, basis, row, col):
-    pr = tab[row]
-    pv = pr[col]
-    if pv != 1:
-        tab[row] = pr = [x / pv for x in pr]
-    for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [a - f * b for a, b in zip(r, pr)]
-    basis[row] = col
-
-
 def _optimize(tab, basis, cost):
     """Minimize cost @ x over the equality tableau; Bland's rule.
 
@@ -106,7 +96,8 @@ def _optimize(tab, basis, cost):
                     best = (ratio, i)
         if best is None:
             raise _Unbounded
-        _pivot(tab, basis, best[1], col)
+        pivot(tab, best[1], col)
+        basis[best[1]] = col
         f = red[col]
         if f != 0:
             red = [a - f * b for a, b in zip(red, tab[best[1]])]
@@ -143,7 +134,8 @@ def _solve_max(rows, rhs, obj_col, nvars):
                 del tab[i]
                 del basis[i]
             else:
-                _pivot(tab, basis, i, col)
+                pivot(tab, i, col)
+                basis[i] = col
     tab = [row[:nvars] + [row[-1]] for row in tab]
 
     # Phase 2: maximize the objective column.

@@ -282,12 +282,6 @@ def _volume_of_cells(points: Sequence[Point], cells: Sequence[tuple[int, ...]]) 
     return total
 
 
-def facets_from_vertices(vertices: Sequence[Sequence[int]]) -> LatticePolytope:
-    """H-representation with primitive inward normals; the vertex list is
-    reduced to the extreme points."""
-    return LatticePolytope.from_vertices(vertices)
-
-
 class PointConfiguration:
     """The lattice points of a polytope, in lexicographic order.
 
@@ -363,22 +357,3 @@ def lattice_points(polytope: LatticePolytope) -> PointConfiguration:
     ]
     return PointConfiguration(polytope, sorted(pts))
 
-
-def normalized_volume(config: PointConfiguration, indices: Sequence[int]) -> int:
-    return config.normalized_volume(indices)
-
-
-def is_massive(config: PointConfiguration, indices: Sequence[int]) -> bool:
-    return config.is_massive(indices)
-
-
-def volume(polytope: LatticePolytope) -> int:
-    return polytope.volume
-
-
-def boundary_volume(polytope: LatticePolytope) -> int:
-    return polytope.boundary_volume
-
-
-def is_delzant(polytope: LatticePolytope) -> DelzantReport:
-    return polytope.delzant

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from toricweights.exact import (
     det,
     kernel_vector,
     lattice_index,
+    pivot,
     primitive,
     rank,
     solve_linear,
@@ -156,3 +158,63 @@ def test_rank():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([]) == 0
+
+
+@st.composite
+def int_matrix(draw):
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-6, max_value=6)
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def minor_rank(m):
+    """Largest k with a nonzero k x k minor: an oracle for rank that shares
+    no code with the elimination kernel."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                if det([[m[i][j] for j in cols] for i in rows]) != 0:
+                    return k
+    return 0
+
+
+def matvec(m, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in m]
+
+
+@given(int_matrix())
+def test_rank_matches_minor_oracle(m):
+    assert rank(m) == minor_rank(m)
+
+
+@given(int_matrix())
+def test_kernel_vector_exactly_when_rank_deficient(m):
+    v = kernel_vector(m)
+    if rank(m) == len(m[0]):
+        assert v is None
+    else:
+        assert v is not None and any(v)
+        assert matvec(m, v) == [0] * len(m)
+
+
+@given(int_matrix(), st.data())
+def test_solve_linear_exactly_when_consistent(m, data):
+    b = data.draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=len(m), max_size=len(m)))
+    x = solve_linear(m, b)
+    if rank([row + [bi] for row, bi in zip(m, b)]) == rank(m):
+        assert x is not None and matvec(m, x) == b
+    else:
+        assert x is None
+
+
+@given(int_matrix(), st.data())
+def test_pivot_leaves_unit_column(m, data):
+    nonzero = [(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x != 0]
+    if not nonzero:
+        return
+    r, c = data.draw(st.sampled_from(nonzero))
+    rows = [[Fraction(x) for x in row] for row in m]
+    pivot(rows, r, c)
+    assert [row[c] for row in rows] == [int(i == r) for i in range(len(rows))]
+    assert rank(rows) == rank(m)

@@ -17,7 +17,7 @@ from toricweights.functionals import (
     pairing,
     pl_from_lifting,
 )
-from toricweights.polytope import facets_from_vertices
+from toricweights.polytope import LatticePolytope
 from toricweights.triangulation import Lifting, Triangulation
 from toricweights.vectors import boundary_vector, gkz_vector, hurwitz_vector
 
@@ -149,14 +149,14 @@ def test_pairing_examples():
 
 
 def test_degrees_examples():
-    assert degrees(facets_from_vertices(SEGMENT2)) == degrees(facets_from_vertices(SEGMENT2))
-    d = degrees(facets_from_vertices(SEGMENT2))
+    assert degrees(LatticePolytope.from_vertices(SEGMENT2)) == degrees(LatticePolytope.from_vertices(SEGMENT2))
+    d = degrees(LatticePolytope.from_vertices(SEGMENT2))
     assert (d.chow, d.hurwitz) == (2, 2)
-    d = degrees(facets_from_vertices(SQUARE))
+    d = degrees(LatticePolytope.from_vertices(SQUARE))
     assert (d.chow, d.hurwitz) == (2, 2)
-    d = degrees(facets_from_vertices(DOUBLE_SIMPLEX))
+    d = degrees(LatticePolytope.from_vertices(DOUBLE_SIMPLEX))
     assert (d.chow, d.hurwitz) == (4, 6)
-    d = degrees(facets_from_vertices(UNIT_SIMPLEX))
+    d = degrees(LatticePolytope.from_vertices(UNIT_SIMPLEX))
     assert (d.chow, d.hurwitz) == (1, 0)
 
 

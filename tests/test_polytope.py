@@ -6,7 +6,6 @@ from conftest import CUBE, DOUBLE_SIMPLEX, NON_DELZANT, SEGMENT2, SQUARE, UNIT_S
 from toricweights.polytope import (
     LatticePolytope,
     extreme_point_indices,
-    facets_from_vertices,
     lattice_points,
     placing_cells,
 )
@@ -18,30 +17,30 @@ def facet_set(q):
 
 
 def test_facets_unit_square():
-    q = facets_from_vertices(SQUARE)
+    q = LatticePolytope.from_vertices(SQUARE)
     assert facet_set(q) == {((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)}
 
 
 def test_facets_double_simplex():
-    q = facets_from_vertices(DOUBLE_SIMPLEX)
+    q = LatticePolytope.from_vertices(DOUBLE_SIMPLEX)
     assert facet_set(q) == {((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)}
 
 
 def test_facets_segment():
-    q = facets_from_vertices(SEGMENT2)
+    q = LatticePolytope.from_vertices(SEGMENT2)
     assert facet_set(q) == {((1,), 0), ((-1,), 2)}
 
 
 def test_facets_reduce_to_extreme_vertices():
-    q = facets_from_vertices([[0], [1], [2]])
+    q = LatticePolytope.from_vertices([[0], [1], [2]])
     assert q.vertices == ((0,), (2,))
 
 
 def test_degenerate_input_rejected():
     with pytest.raises(ValueError, match="full-dimensional"):
-        facets_from_vertices([[0, 0], [1, 1], [2, 2]])
+        LatticePolytope.from_vertices([[0, 0], [1, 1], [2, 2]])
     with pytest.raises(ValueError, match="full-dimensional"):
-        facets_from_vertices([[0, 0], [1, 0]])
+        LatticePolytope.from_vertices([[0, 0], [1, 0]])
 
 
 def test_lattice_points_segment():
@@ -61,19 +60,19 @@ def test_lattice_points_double_simplex():
 
 
 def test_delzant_square():
-    assert facets_from_vertices(SQUARE).delzant.ok
+    assert LatticePolytope.from_vertices(SQUARE).delzant.ok
 
 
 def test_delzant_double_simplex():
-    assert facets_from_vertices(DOUBLE_SIMPLEX).delzant.ok
+    assert LatticePolytope.from_vertices(DOUBLE_SIMPLEX).delzant.ok
 
 
 def test_delzant_cube():
-    assert facets_from_vertices(CUBE).delzant.ok
+    assert LatticePolytope.from_vertices(CUBE).delzant.ok
 
 
 def test_non_delzant_triangle_report():
-    rep = facets_from_vertices(NON_DELZANT).delzant
+    rep = LatticePolytope.from_vertices(NON_DELZANT).delzant
     assert not rep.ok
     bad = {r.vertex: r for r in rep.vertices if not r.ok}
     assert set(bad) == {(0, 1)}
@@ -112,7 +111,7 @@ def test_normalized_volume_rejects_dependent():
     [(SEGMENT2, 2, 2), (SQUARE, 2, 4), (DOUBLE_SIMPLEX, 4, 6), (CUBE, 6, 12)],
 )
 def test_volumes(vertices, vol, bvol):
-    q = facets_from_vertices(vertices)
+    q = LatticePolytope.from_vertices(vertices)
     assert q.volume == vol
     assert q.boundary_volume == bvol
 

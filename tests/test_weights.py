@@ -1,14 +1,16 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from toricweights import polytope
+from toricweights import functionals, polytope, weights
 from toricweights.pipeline import analyze
 from toricweights.polytope import extreme_point_indices
 from toricweights.triangulation import Lifting, lower_hull_subdivision
 from toricweights.vectors import gkz_vector
 from toricweights.weights import (
+    CHOW,
     build,
     certified_vertices,
     run_support_trials,
@@ -156,6 +158,35 @@ def test_support_trials_pass(segment, square):
         rep = run_support_trials(analysis, count=25, seed=1)
         assert rep.passed, rep.failures[:3]
         assert rep.applicable == 25
+
+
+def test_support_trials_compute_one_lower_hull_per_lifting(segment, monkeypatch):
+    calls = []
+
+    def counting(config, lifting):
+        calls.append(lifting)
+        return lower_hull_subdivision(config, lifting)
+
+    monkeypatch.setattr(weights, "lower_hull_subdivision", counting)
+    monkeypatch.setattr(functionals, "lower_hull_subdivision", counting)
+    rep = run_support_trials(segment, count=20, seed=1)
+    assert len(calls) == rep.attempts == 20
+
+
+def test_support_trials_report_chow_and_aubin_failures(segment):
+    # Shifting the Chow polytope by (1, 1, 1) moves min <x, lam> by
+    # sum(lam), which is negative for every lifting but the flat one.
+    shifted = tuple(tuple(x + 1 for x in v) for v in segment.chow.vertices)
+    broken = dataclasses.replace(segment, chow=dataclasses.replace(segment.chow, vertices=shifted))
+    rep = run_support_trials(broken, count=20, seed=1)
+    assert rep.failures
+    assert all(f.kind == CHOW for f in rep.failures)
+    assert all(f.minimum - f.pairing_value == sum(f.lifting.heights) != 0 for f in rep.failures)
+    # Per lifting: the Chow support failure (with its argmin), then the Aubin one.
+    support, aubin = rep.failures[0::2], rep.failures[1::2]
+    assert [f.lifting for f in support] == [f.lifting for f in aubin]
+    assert all(f.argmin for f in support)
+    assert not any(f.argmin for f in aubin)
 
 
 def test_lower_hull_triangulations_are_regular_members(double_simplex):
