@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra primitives.
 
 Everything in this package runs over Python ints and ``fractions.Fraction``;
-no floating point enters any computation.  ``Fraction`` already stores values
-in lowest terms with a positive denominator, which is exactly the rational
-scalar the rest of the package relies on.
+no floating point enters any computation.  Elimination (``pivot``, and the
+simplex tableau in ``lp``) holds each matrix row as integer numerators over
+one positive denominator in lowest terms, so its inner loops multiply ints;
+results leave as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -86,26 +87,49 @@ def primitive(vector: IntVector) -> tuple[int, ...]:
     return tuple(int(x) // g for x in vector)
 
 
-def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """One Gauss-Jordan step in place: scale row ``r`` so that ``rows[r][c]``
-    is 1, then clear column ``c`` from every other row.  ``rows[r][c]`` must
-    be nonzero.  Row reduction here and the simplex tableau in ``lp`` both
-    pivot through this step."""
+def integer_row(values: Sequence) -> tuple[list[int], int]:
+    """Rational values as integer numerators over their least common positive
+    denominator, hence in lowest terms.  Ints and Fractions are read as they
+    are; anything else goes through ``Fraction``."""
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in vals))
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def pivot(rows: list[list[int]], dens: list[int], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place on the matrix with rows
+    ``rows[i] / dens[i]`` (integer numerators, positive denominators): scale
+    row ``r`` so that its entry in column ``c`` is 1, then clear column ``c``
+    from every other row.  ``rows[r][c]`` must be nonzero.  Updated rows are
+    put back in lowest terms.  Row reduction here and the simplex tableau in
+    ``lp`` both pivot through this step."""
     pr = rows[r]
-    pv = pr[c]
-    if pv != 1:
-        rows[r] = pr = [x / pv for x in pr]
+    g = gcd(*pr) if pr[c] > 0 else -gcd(*pr)  # divides pr[c]; makes it positive
+    if g != 1:
+        rows[r] = pr = [x // g for x in pr]
+    dens[r] = pv = pr[c]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, pr)]
+        f = row[c]
+        if f == 0 or i == r:
+            continue
+        new = [a * pv - f * b for a, b in zip(row, pr)]
+        den = dens[i] * pv
+        g = gcd(den, *new)
+        if g != 1:
+            new = [x // g for x in new]
+            den //= g
+        rows[i] = new
+        dens[i] = den
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
-    """Reduce ``rows`` in place, pivoting on the first ``ncols`` columns from
-    left to right on the first nonzero entry at or below the current row.
-    Returns the (row, column) pivot positions; the rows from
-    ``len(pivots)`` on are zero in the first ``ncols`` columns."""
+def _rref(matrix: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+    """Reduced row echelon form of ``matrix`` as (numerators, denominators,
+    pivots), pivoting on the first ``ncols`` columns from left to right on
+    the first nonzero entry at or below the current row.  ``pivots`` holds
+    the (row, column) pivot positions; the rows from ``len(pivots)`` on are
+    zero in the first ``ncols`` columns."""
+    split = [integer_row(values) for values in matrix]
+    rows, dens = [nums for nums, _ in split], [den for _, den in split]
     pivots: list[tuple[int, int]] = []
     for c in range(ncols):
         r = len(pivots)
@@ -113,17 +137,17 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pivot(rows, r, c)
+        dens[r], dens[piv] = dens[piv], dens[r]
+        pivot(rows, dens, r, c)
         pivots.append((r, c))
         if len(pivots) == len(rows):
             break
-    return pivots
+    return rows, dens, pivots
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
     """Rank over the rationals, by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    return len(_rref(rows, len(rows[0]))) if rows else 0
+    return len(_rref(matrix, len(matrix[0]))[2]) if matrix else 0
 
 
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -132,22 +156,20 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fr
     Free variables are set to zero, so the solution is unique exactly when the
     columns are independent.
     """
-    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    pivots = _rref(rows, ncols)
+    rows, dens, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], ncols)
     if any(row[-1] != 0 for row in rows[len(pivots):]):
         return None
     x = [Fraction(0)] * ncols
     for r, c in pivots:
-        x[c] = rows[r][-1]
+        x[c] = Fraction(rows[r][-1], dens[r])
     return tuple(x)
 
 
 def kernel_vector(matrix: Sequence[Sequence]) -> Optional[tuple[Fraction, ...]]:
     """A nonzero rational kernel vector of ``matrix``, or None if injective."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    pivots = _rref(rows, ncols)
+    ncols = len(matrix[0]) if matrix else 0
+    rows, dens, pivots = _rref(matrix, ncols)
     pivot_cols = {c for _, c in pivots}
     free = next((c for c in range(ncols) if c not in pivot_cols), None)
     if free is None:
@@ -155,15 +177,15 @@ def kernel_vector(matrix: Sequence[Sequence]) -> Optional[tuple[Fraction, ...]]:
     x = [Fraction(0)] * ncols
     x[free] = Fraction(1)
     for r, c in pivots:
-        x[c] = -rows[r][free]
+        x[c] = Fraction(-rows[r][free], dens[r])
     return tuple(x)
 
 
-def _homogenized(points: Sequence[Sequence], dim: int) -> list[list[Fraction]]:
+def _homogenized(points: Sequence[Sequence], dim: int) -> list[list]:
     """The points as columns, each with a 1 appended: its kernel holds the
     affine dependences and its column space the affine hull."""
-    matrix = [[Fraction(p[j]) for p in points] for j in range(dim)]
-    matrix.append([Fraction(1)] * len(points))
+    matrix = [[p[j] for p in points] for j in range(dim)]
+    matrix.append([1] * len(points))
     return matrix
 
 
@@ -174,7 +196,7 @@ def affine_combination(points: Sequence[Sequence], target: Sequence) -> Optional
     coefficients are the barycentric coordinates when the points are affinely
     independent.
     """
-    rhs = [Fraction(t) for t in target] + [Fraction(1)]
+    rhs = list(target) + [1]
     return solve_linear(_homogenized(points, len(target)), rhs)
 
 
@@ -188,10 +210,7 @@ def affine_dependence(points: Sequence[Sequence]) -> Optional[tuple[int, ...]]:
     v = kernel_vector(_homogenized(points, len(points[0])))
     if v is None:
         return None
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
-    ints = list(primitive(ints))
-    first = next(x for x in ints if x != 0)
-    if first < 0:
+    ints = integer_row(v)[0]  # primitive, since v has an entry equal to 1
+    if next(x for x in ints if x != 0) < 0:
         ints = [-x for x in ints]
     return tuple(ints)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -44,7 +45,7 @@ class PLFunction:
             raise ValueError(f"missing values at used points {missing}")
         return cls(tri.config, tri.simplices, vals, True)
 
-    @property
+    @cached_property
     def triangulation(self) -> Triangulation:
         if not self.simplicial:
             raise ValueError("function is carried on a non-simplicial subdivision")
@@ -145,9 +146,13 @@ def aubin_l(g: PLFunction) -> Fraction:
 
 
 def donaldson_f(g: PLFunction) -> Fraction:
-    q = g.config.polytope
-    n = q.dim
-    return integral_boundary(g) - n * Fraction(q.boundary_volume, q.volume) * integral_q(g)
+    return donaldson_from_integrals(g.config.polytope, integral_boundary(g), integral_q(g))
+
+
+def donaldson_from_integrals(q: LatticePolytope, boundary_integral: Fraction, volume_integral: Fraction) -> Fraction:
+    """The Donaldson functional of a function with the given integrals over
+    the boundary and over the polytope ``q``."""
+    return boundary_integral - q.dim * Fraction(q.boundary_volume, q.volume) * volume_integral
 
 
 def pairing(x: Sequence, g: Sequence) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import pivot
+from .exact import integer_row, pivot
 
 LE = "<="
 LT = "<"
@@ -72,35 +72,38 @@ class _Unbounded(RuntimeError):
     pass
 
 
-def _optimize(tab, basis, cost):
-    """Minimize cost @ x over the equality tableau; Bland's rule.
+def _optimize(tab, dens, basis):
+    """Minimize the cost row over the equality tableau; Bland's rule.
 
-    ``tab`` rows are [a_0 ... a_{k-1} | b] with b >= 0 at start; ``basis`` maps
-    row index to its basic column.  Returns the reduced-cost row.
+    Row ``i`` is ``tab[i] / dens[i]`` (see ``exact.pivot``): rows
+    [a_0 ... a_{k-1} | b] with b >= 0 at start, then the cost row
+    [c_0 ... c_{k-1} | 0].  ``basis`` maps each constraint row to its basic
+    column.  Pivots update the cost row too, which ends as the reduced costs
+    with -(optimum) in its last slot.
     """
-    k = len(cost)
-    red = list(cost) + [Fraction(0)]
+    k = len(tab[0]) - 1
+    cost = len(basis)
     for i, b in enumerate(basis):
-        if red[b] != 0:
-            f = red[b]
-            red = [a - f * c for a, c in zip(red, tab[i])]
+        if tab[cost][b] != 0:
+            pivot(tab, dens, i, b)
     while True:
-        col = next((j for j in range(k) if red[j] < 0), None)
+        col = next((j for j in range(k) if tab[cost][j] < 0), None)
         if col is None:
-            return red
+            return
+        # Ratios b_i / a_i (a row's denominator cancels), cross-multiplied.
         best = None
-        for i, row in enumerate(tab):
-            if row[col] > 0:
-                ratio = row[-1] / row[col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+        for i in range(cost):
+            a = tab[i][col]
+            if a > 0:
+                if best is not None:
+                    lhs, rhs = tab[i][-1] * tab[best][col], tab[best][-1] * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[best]):
+                        continue
+                best = i
         if best is None:
             raise _Unbounded
-        pivot(tab, best[1], col)
-        basis[best[1]] = col
-        f = red[col]
-        if f != 0:
-            red = [a - f * b for a, b in zip(red, tab[best[1]])]
+        pivot(tab, dens, best, col)
+        basis[best] = col
 
 
 def _solve_max(rows, rhs, obj_col, nvars):
@@ -109,43 +112,44 @@ def _solve_max(rows, rhs, obj_col, nvars):
     Returns (optimum, point) or None when the system is infeasible.
     """
     m = len(rows)
-    tab = []
+    tab, dens = [], []
     for i in range(m):
-        r = list(rows[i]) + [rhs[i]]
-        if r[-1] < 0:
-            r = [-x for x in r]
-        tab.append(r)
-
-    # Phase 1: artificial variable per row, minimize their sum.
-    for i in range(m):
-        row = tab[i][:-1] + [Fraction(0)] * m + [tab[i][-1]]
-        row[nvars + i] = Fraction(1)
-        tab[i] = row
+        nums, den = integer_row(list(rows[i]) + [rhs[i]])
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
+        # Phase 1: artificial variable per row, minimize their sum.
+        tab.append(nums[:-1] + [den if j == i else 0 for j in range(m)] + nums[-1:])
+        dens.append(den)
     basis = [nvars + i for i in range(m)]
-    cost = [Fraction(0)] * nvars + [Fraction(1)] * m
-    red = _optimize(tab, basis, cost)
-    if -red[-1] != 0:
+    tab.append([0] * nvars + [1] * m + [0])
+    dens.append(1)
+    _optimize(tab, dens, basis)
+    if tab.pop()[-1] != 0:
         return None
+    dens.pop()
     # Drive remaining artificials out of the basis, drop redundant rows.
     for i in range(len(tab) - 1, -1, -1):
         if basis[i] >= nvars:
             col = next((j for j in range(nvars) if tab[i][j] != 0), None)
             if col is None:
                 del tab[i]
+                del dens[i]
                 del basis[i]
             else:
-                pivot(tab, i, col)
+                pivot(tab, dens, i, col)
                 basis[i] = col
-    tab = [row[:nvars] + [row[-1]] for row in tab]
+    tab = [row[:nvars] + row[-1:] for row in tab]
 
     # Phase 2: maximize the objective column.
-    cost = [Fraction(0)] * nvars
-    cost[obj_col] = Fraction(-1)
-    red = _optimize(tab, basis, cost)
-    value = red[-1]  # equals -min(-x) accumulated in the rhs slot
+    cost = [0] * (nvars + 1)
+    cost[obj_col] = -1
+    tab.append(cost)
+    dens.append(1)
+    _optimize(tab, dens, basis)
+    value = Fraction(tab[-1][-1], dens[-1])  # equals -min(-x) accumulated in the rhs slot
     point = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
-        point[b] = tab[i][-1]
+        point[b] = Fraction(tab[i][-1], dens[i])
     return value, point
 
 

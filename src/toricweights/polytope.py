@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .exact import (
     affine_combination,
+    affine_dependence,
     det,
     lattice_index,
     primitive,
@@ -293,6 +294,8 @@ class PointConfiguration:
         self.points: tuple[Point, ...] = tuple(tuple(p) for p in points)
         self.index: dict[Point, int] = {p: i for i, p in enumerate(self.points)}
         self._volumes: dict[tuple[int, ...], int] = {}
+        self._circuits: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        self._in_facet: dict[tuple[int, ...], bool] = {}
 
     @property
     def dim(self) -> int:
@@ -339,8 +342,29 @@ class PointConfiguration:
         ids = tuple(sorted(indices))
         if len(ids) != self.dim or not self.affinely_independent(ids):
             raise ValueError(f"is_massive expects an {self.dim - 1}-simplex ({self.dim} independent vertices)")
-        pts = [self.points[i] for i in ids]
-        return any(all(f.value(p) == 0 for p in pts) for f in self.polytope.facets)
+        return self._lies_in_facet(ids)
+
+    def _lies_in_facet(self, ids: tuple[int, ...]) -> bool:
+        """Whether the points at the sorted indices ``ids`` all lie on one
+        facet of the polytope; memoised, with no independence check."""
+        if ids not in self._in_facet:
+            pts = [self.points[i] for i in ids]
+            self._in_facet[ids] = any(all(f.value(p) == 0 for p in pts) for f in self.polytope.facets)
+        return self._in_facet[ids]
+
+    def circuit(self, indices: Sequence[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The circuit (plus, minus) on the given points: the indices with
+        positive and with negative coefficient in their affine dependence, or
+        None when the points are affinely independent.  Memoised: circuits
+        are a property of the configuration, shared by all triangulations."""
+        ids = tuple(sorted(indices))
+        if ids not in self._circuits:
+            dep = affine_dependence([self.points[i] for i in ids])
+            self._circuits[ids] = None if dep is None else (
+                tuple(i for i, c in zip(ids, dep) if c > 0),
+                tuple(i for i, c in zip(ids, dep) if c < 0),
+            )
+        return self._circuits[ids]
 
     def vertex_indices(self) -> tuple[int, ...]:
         return tuple(self.index[v] for v in self.polytope.vertices)

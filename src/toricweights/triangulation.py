@@ -16,7 +16,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exact import affine_combination, affine_dependence
+from .exact import affine_combination
 from .lp import LT, LinearSystem, constraint, feasible_strict
 from .polytope import PointConfiguration, extreme_point_indices, hull_facets, placing_cells
 
@@ -59,7 +59,8 @@ class Triangulation:
         for wall, owners in self.walls.items():
             if len(owners) > 2:
                 raise ValueError(f"wall {wall} shared by {len(owners)} simplices")
-            if len(owners) == 1 and not self.config.is_massive(wall):
+            # Every cell has nonzero volume, so its walls are independent.
+            if len(owners) == 1 and not self.config._lies_in_facet(wall):
                 raise ValueError(f"wall {wall} is unmatched and not on the boundary")
 
     @cached_property
@@ -223,15 +224,12 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     for k in range(npts):
         if k in used:
             continue
-        home = next(
-            s
-            for s in tri.simplices
-            if all(
-                c >= 0
-                for c in affine_combination([config.points[i] for i in s], config.points[k])
-            )
-        )
-        coeffs = affine_combination([config.points[i] for i in home], config.points[k])
+        for home in tri.simplices:
+            coeffs = affine_combination([config.points[i] for i in home], config.points[k])
+            if all(c >= 0 for c in coeffs):
+                break
+        else:
+            raise RuntimeError(f"point {k} lies in no cell")
         row = [Fraction(0)] * npts
         for i, c in zip(home, coeffs):
             row[i] += c
@@ -308,17 +306,8 @@ def flips(tri: Triangulation) -> list[Flip]:
     config = tri.config
     candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
-    def circuit_of(indices: Sequence[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        ids = tuple(sorted(indices))
-        dep = affine_dependence([config.points[i] for i in ids])
-        if dep is None:
-            return None
-        plus = tuple(i for i, c in zip(ids, dep) if c > 0)
-        minus = tuple(i for i, c in zip(ids, dep) if c < 0)
-        return (plus, minus)
-
     for wall, (s1, s2) in tri.interior_walls.items():
-        z = circuit_of(set(s1) | set(s2))
+        z = config.circuit(set(s1) | set(s2))
         if z is not None:
             candidates.add(z)
     npts = len(config)
@@ -327,7 +316,7 @@ def flips(tri: Triangulation) -> list[Flip]:
         for p in range(npts):
             if p in inside:
                 continue
-            z = circuit_of(s + (p,))
+            z = config.circuit(s + (p,))
             if z is not None:
                 candidates.add(z)
 

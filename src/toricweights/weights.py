@@ -32,7 +32,7 @@ from .functionals import (
     PLFunction,
     aubin_l,
     char_pairing,
-    donaldson_f,
+    donaldson_from_integrals,
     integral_boundary,
     integral_q,
     pairing,
@@ -235,13 +235,15 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
                 for i in tri.used_points
             }
             g = PLFunction.on_triangulation(tri, values)
-            check(tid, trial, "volume pairing", char_pairing(gkz, g), factorial(n + 1) * integral_q(g))
-            check(tid, trial, "boundary pairing", char_pairing(bd, g), factorial(n) * integral_boundary(g))
+            volume_integral = integral_q(g)
+            boundary_integral = integral_boundary(g)
+            check(tid, trial, "volume pairing", char_pairing(gkz, g), factorial(n + 1) * volume_integral)
+            check(tid, trial, "boundary pairing", char_pairing(bd, g), factorial(n) * boundary_integral)
             check(
                 tid,
                 trial,
                 "donaldson pairing",
-                factorial(n + 1) * q.volume * donaldson_f(g),
+                factorial(n + 1) * q.volume * donaldson_from_integrals(q, boundary_integral, volume_integral),
                 char_pairing(mixed, g),
             )
     return report

@@ -1,4 +1,5 @@
-"""Independent brute-force triangulation oracle for tiny configurations.
+"""Independent oracles: brute-force triangulations of tiny configurations,
+and the Fraction-tableau simplex that ``lp`` is checked against.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -12,9 +13,10 @@ flip search it is used to cross-check.
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 from itertools import combinations
 
-from toricweights.lp import nonnegative_feasible
+from toricweights.lp import _Unbounded, nonnegative_feasible
 from toricweights.polytope import PointConfiguration
 from toricweights.triangulation import canonical_simplices
 
@@ -139,3 +141,101 @@ def all_triangulations(config: PointConfiguration, time_budget: float | None = N
         if 0 in seed:
             extend(frozenset([seed]), config.normalized_volume(seed))
     return results
+
+
+# --- Rational simplex on a Fraction tableau ---------------------------------
+#
+# The two-phase simplex as it stood before the tableau was held as integer
+# numerators over a per-row denominator: ``pivot``, ``_optimize`` and
+# ``_solve_max`` below are that code verbatim, so ``lp._solve_max`` can be
+# checked against it for equal optima, equal points and equal unboundedness.
+
+
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place on Fraction rows: scale row ``r`` so
+    that ``rows[r][c]`` is 1, then clear column ``c`` from every other row."""
+    pr = rows[r]
+    pv = pr[c]
+    if pv != 1:
+        rows[r] = pr = [x / pv for x in pr]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
+def _optimize(tab, basis, cost):
+    """Minimize cost @ x over the equality tableau; Bland's rule.
+
+    ``tab`` rows are [a_0 ... a_{k-1} | b] with b >= 0 at start; ``basis`` maps
+    row index to its basic column.  Returns the reduced-cost row.
+    """
+    k = len(cost)
+    red = list(cost) + [Fraction(0)]
+    for i, b in enumerate(basis):
+        if red[b] != 0:
+            f = red[b]
+            red = [a - f * c for a, c in zip(red, tab[i])]
+    while True:
+        col = next((j for j in range(k) if red[j] < 0), None)
+        if col is None:
+            return red
+        best = None
+        for i, row in enumerate(tab):
+            if row[col] > 0:
+                ratio = row[-1] / row[col]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            raise _Unbounded
+        pivot(tab, best[1], col)
+        basis[best[1]] = col
+        f = red[col]
+        if f != 0:
+            red = [a - f * b for a, b in zip(red, tab[best[1]])]
+
+
+def _solve_max(rows, rhs, obj_col, nvars):
+    """Maximize x[obj_col] over {rows @ x = rhs, x >= 0}.
+
+    Returns (optimum, point) or None when the system is infeasible.
+    """
+    m = len(rows)
+    tab = []
+    for i in range(m):
+        r = list(rows[i]) + [rhs[i]]
+        if r[-1] < 0:
+            r = [-x for x in r]
+        tab.append(r)
+
+    # Phase 1: artificial variable per row, minimize their sum.
+    for i in range(m):
+        row = tab[i][:-1] + [Fraction(0)] * m + [tab[i][-1]]
+        row[nvars + i] = Fraction(1)
+        tab[i] = row
+    basis = [nvars + i for i in range(m)]
+    cost = [Fraction(0)] * nvars + [Fraction(1)] * m
+    red = _optimize(tab, basis, cost)
+    if -red[-1] != 0:
+        return None
+    # Drive remaining artificials out of the basis, drop redundant rows.
+    for i in range(len(tab) - 1, -1, -1):
+        if basis[i] >= nvars:
+            col = next((j for j in range(nvars) if tab[i][j] != 0), None)
+            if col is None:
+                del tab[i]
+                del basis[i]
+            else:
+                pivot(tab, i, col)
+                basis[i] = col
+    tab = [row[:nvars] + [row[-1]] for row in tab]
+
+    # Phase 2: maximize the objective column.
+    cost = [Fraction(0)] * nvars
+    cost[obj_col] = Fraction(-1)
+    red = _optimize(tab, basis, cost)
+    value = red[-1]  # equals -min(-x) accumulated in the rhs slot
+    point = [Fraction(0)] * nvars
+    for i, b in enumerate(basis):
+        point[b] = tab[i][-1]
+    return value, point

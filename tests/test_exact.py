@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from toricweights.exact import (
     affine_combination,
     affine_dependence,
     det,
+    integer_row,
     kernel_vector,
     lattice_index,
     pivot,
@@ -160,17 +162,26 @@ def test_rank():
     assert rank([]) == 0
 
 
+# Entries mix plain ints (read without building a Fraction) and Fractions
+# a/b, so that the kernel's denominators are exercised.
+rational_entry = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)),
+)
+
+
 @st.composite
-def int_matrix(draw):
+def rational_matrix(draw):
     nrows = draw(st.integers(min_value=1, max_value=4))
     ncols = draw(st.integers(min_value=1, max_value=5))
-    entry = st.integers(min_value=-6, max_value=6)
-    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    return [[draw(rational_entry) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def minor_rank(m):
     """Largest k with a nonzero k x k minor: an oracle for rank that shares
-    no code with the elimination kernel."""
+    no code with the elimination kernel.  Each row is first scaled to
+    integers, which leaves every minor's vanishing unchanged."""
+    m = [[int(x * lcm(*(Fraction(y).denominator for y in row))) for x in row] for row in m]
     for k in range(min(len(m), len(m[0])), 0, -1):
         for rows in combinations(range(len(m)), k):
             for cols in combinations(range(len(m[0])), k):
@@ -183,12 +194,12 @@ def matvec(m, x):
     return [sum(a * b for a, b in zip(row, x)) for row in m]
 
 
-@given(int_matrix())
+@given(rational_matrix())
 def test_rank_matches_minor_oracle(m):
     assert rank(m) == minor_rank(m)
 
 
-@given(int_matrix())
+@given(rational_matrix())
 def test_kernel_vector_exactly_when_rank_deficient(m):
     v = kernel_vector(m)
     if rank(m) == len(m[0]):
@@ -198,9 +209,9 @@ def test_kernel_vector_exactly_when_rank_deficient(m):
         assert matvec(m, v) == [0] * len(m)
 
 
-@given(int_matrix(), st.data())
+@given(rational_matrix(), st.data())
 def test_solve_linear_exactly_when_consistent(m, data):
-    b = data.draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=len(m), max_size=len(m)))
+    b = data.draw(st.lists(rational_entry, min_size=len(m), max_size=len(m)))
     x = solve_linear(m, b)
     if rank([row + [bi] for row, bi in zip(m, b)]) == rank(m):
         assert x is not None and matvec(m, x) == b
@@ -208,13 +219,42 @@ def test_solve_linear_exactly_when_consistent(m, data):
         assert x is None
 
 
-@given(int_matrix(), st.data())
+def split(m):
+    """Rows as integer numerators and positive denominators for ``pivot``."""
+    rows, dens = [], []
+    for row in m:
+        nums, den = integer_row(row)
+        rows.append(nums)
+        dens.append(den)
+    return rows, dens
+
+
+@given(rational_matrix(), st.data())
 def test_pivot_leaves_unit_column(m, data):
     nonzero = [(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x != 0]
     if not nonzero:
         return
     r, c = data.draw(st.sampled_from(nonzero))
-    rows = [[Fraction(x) for x in row] for row in m]
-    pivot(rows, r, c)
-    assert [row[c] for row in rows] == [int(i == r) for i in range(len(rows))]
-    assert rank(rows) == rank(m)
+    rows, dens = split(m)
+    pivot(rows, dens, r, c)
+    values = [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
+    assert [row[c] for row in values] == [int(i == r) for i in range(len(rows))]
+    assert rank(values) == rank(m)
+
+
+@given(rational_matrix(), st.data())
+def test_rows_stay_in_lowest_terms(m, data):
+    rows, dens = split(m)
+    for _ in range(3):
+        nonzero = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x != 0]
+        if not nonzero:
+            break
+        pivot(rows, dens, *data.draw(st.sampled_from(nonzero)))
+    for row, den in zip(rows, dens):
+        assert den > 0 and gcd(den, *row) == 1
+
+
+def test_integer_row():
+    assert integer_row([2, -3, 0]) == ([2, -3, 0], 1)
+    assert integer_row([Fraction(1, 2), Fraction(-2, 3), 1]) == ([3, -4, 6], 6)
+    assert integer_row(["1/4", 2]) == ([1, 8], 4)

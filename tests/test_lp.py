@@ -1,9 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from toricweights import lp
 from toricweights.lp import (
     EQ,
     LE,
@@ -117,3 +120,61 @@ def test_nonnegative_feasible_strict_column():
     rows = [[0, 2, 0], [0, 0, 2], [1, 1, 1]]
     assert nonnegative_feasible(rows, [0, 0, 1], strict_cols=(1,)) is None
     assert nonnegative_feasible(rows, [0, 0, 1], strict_cols=(0,)) is not None
+
+
+# Differential tests against the Fraction-tableau simplex in ``oracles``:
+# same optimum, same point, same verdict, on rational data.
+
+rational = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
+
+
+@st.composite
+def equality_system(draw):
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=6))
+    rows = [[draw(rational) for _ in range(nvars)] for _ in range(m)]
+    rhs = [draw(rational) for _ in range(m)]
+    return rows, rhs, draw(st.integers(min_value=0, max_value=nvars - 1)), nvars
+
+
+@st.composite
+def rational_system(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=6))
+    cons = []
+    for _ in range(m):
+        coeffs = [draw(rational) for _ in range(dim)]
+        cons.append(constraint(coeffs, draw(st.sampled_from([LE, LT, EQ])), draw(rational)))
+    return LinearSystem(tuple(cons))
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except lp._Unbounded:
+        return "unbounded"
+
+
+def with_oracle(fn, *args):
+    with mock.patch.object(lp, "_solve_max", oracles._solve_max):
+        return fn(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(equality_system())
+def test_solve_max_matches_fraction_oracle(system):
+    assert outcome(lp._solve_max, *system) == outcome(oracles._solve_max, *system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_system())
+def test_feasible_strict_matches_fraction_oracle(system):
+    assert feasible_strict(system) == with_oracle(feasible_strict, system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(equality_system(), st.data())
+def test_nonnegative_feasible_matches_fraction_oracle(system, data):
+    rows, rhs, _, nvars = system
+    strict = data.draw(st.lists(st.integers(min_value=0, max_value=nvars - 1), unique=True, max_size=nvars))
+    assert nonnegative_feasible(rows, rhs, strict) == with_oracle(nonnegative_feasible, rows, rhs, strict)

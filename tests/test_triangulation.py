@@ -1,11 +1,14 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DOUBLE_SIMPLEX, SEGMENT2, SQUARE, config_of
+from conftest import CUBE, DOUBLE_SIMPLEX, SEGMENT2, SQUARE, config_of
 from oracles import all_triangulations
+from toricweights import polytope
 from toricweights.lp import feasible_strict
 from toricweights.triangulation import (
     EnumerationCapExceeded,
@@ -329,3 +332,67 @@ def test_three_by_three_grid_has_only_regular_triangulations():
     assert len(brute) == 387
     assert all(is_regular(Triangulation(cfg, c)).regular for c in brute)
     assert enumerate_regular(cfg).canonical_forms() == brute
+
+
+GRID3X3 = [[0, 0], [2, 0], [0, 2], [2, 2]]
+HEXAGON = [[0, 0], [1, 0], [0, 1], [2, 1], [1, 2], [2, 2]]
+
+# sha256 of the JSON list of [simplices, witness heights] over the entries of
+# the enumeration, recorded with the Fraction-tableau simplex.  Witnesses are
+# printed in machine output, so a changed pivot sequence must show here.
+WITNESS_DIGESTS = [
+    (GRID3X3, 387, "b4b98251ccf5682c45ef04105896b8487f4086eb7faeacee600f3582a5ba69e7"),
+    (CUBE, 74, "5dda495c6b74a2ca2a434268e033925388b6a083ad375d5ea54e273c94cd5890"),
+    (HEXAGON, 32, "3e7909d633542dcfa59a3389439eace5a745d7a6a2715c1b15f1b17ced66e0c5"),
+]
+
+
+@pytest.mark.parametrize("vertices,count,digest", WITNESS_DIGESTS)
+def test_witnesses_are_pinned(vertices, count, digest):
+    enum = enumerate_regular(config_of(vertices))
+    doc = [[e.triangulation.simplices, e.certificate.witness.heights] for e in enum]
+    assert len(doc) == count
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+def test_circuits_computed_once_per_point_set(monkeypatch):
+    cfg = config_of(GRID3X3)
+    seen = []
+    original = polytope.affine_dependence
+
+    def counting(points):
+        seen.append(tuple(map(tuple, points)))
+        return original(points)
+
+    monkeypatch.setattr(polytope, "affine_dependence", counting)
+    assert len(enumerate_regular(cfg)) == 387
+    assert len(seen) == len(set(seen)) == 126
+
+
+def test_validation_makes_no_rank_call(monkeypatch):
+    # Nonzero cell volumes already imply that every wall is independent.
+    cfg = config_of(CUBE)
+    cells = placing_triangulation(cfg).simplices
+    calls = []
+    original = polytope.rank
+    monkeypatch.setattr(polytope, "rank", lambda m: calls.append(m) or original(m))
+    tri = Triangulation(cfg, cells)
+    assert tri.massive_walls and calls == []
+    assert cfg.is_massive(tri.massive_walls[0])
+    assert len(calls) == 1
+
+
+def test_is_massive_rejects_dependent_wall():
+    # Three collinear points on a facet: the facet test alone would accept
+    # them, the public check must still refuse a dependent wall.
+    cfg = config_of([[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    wall = [cfg.index[(0, 0, 0)], cfg.index[(1, 0, 0)], cfg.index[(2, 0, 0)]]
+    assert cfg._lies_in_facet(tuple(wall))
+    with pytest.raises(ValueError, match="independent"):
+        cfg.is_massive(wall)
+
+
+def test_cone_system_rejects_uncovered_point():
+    cfg = config_of(SEGMENT2)
+    with pytest.raises(RuntimeError, match="lies in no cell"):
+        cone_system(Triangulation(cfg, [(0, 1)], validate=False))

@@ -153,6 +153,26 @@ def test_verify_identities_passes(segment, square, double_simplex):
         assert rep.checks > 0
 
 
+def test_identity_integrals_computed_once_per_trial_function(double_simplex, monkeypatch):
+    calls = {"integral_q": 0, "integral_boundary": 0}
+    for name in calls:
+        original = getattr(functionals, name)
+
+        def counting(g, name=name, original=original):
+            calls[name] += 1
+            return original(g)
+
+        monkeypatch.setattr(weights, name, counting)
+        monkeypatch.setattr(functionals, name, counting)
+    ntri = len(double_simplex.enumeration)
+    rep = verify_identities(double_simplex, trials=5, seed=3)
+    assert rep.passed
+    assert calls == {"integral_q": 5 * ntri, "integral_boundary": 5 * ntri}
+    # Three sums per triangulation, the affine T-independence from the second
+    # one on, and three pairings per trial function.
+    assert rep.checks == ntri * (3 + 3 * 5) + ntri - 1
+
+
 def test_support_trials_pass(segment, square):
     for analysis in (segment, square):
         rep = run_support_trials(analysis, count=25, seed=1)
