@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,23 +30,6 @@ EXIT_CAP = 3
 
 class InputError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str
-    seed: int = 0
-    trials: int = 20
-    max_triangulations: int = 1_000_000
-    time_budget: Optional[float] = None
-    format: str = "human"
-    skip_delzant_check: bool = False
-    kind: Optional[str] = None
-
-    @property
-    def caps(self) -> EnumerationCaps:
-        return EnumerationCaps(self.max_triangulations, self.time_budget)
 
 
 def frac_str(value) -> str:
@@ -77,30 +59,30 @@ def load_vertices(path: str) -> list[list[int]]:
     return vertices
 
 
-def _common(cfg: RunConfig) -> dict:
+def _common(args: argparse.Namespace) -> dict:
     return {
-        "command": cfg.command,
-        "input": cfg.input,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
+        "command": args.command,
+        "input": args.input,
+        "seed": args.seed,
+        "trials": args.trials,
         "caps": {
-            "max_triangulations": cfg.max_triangulations,
-            "time_budget": cfg.time_budget,
+            "max_triangulations": args.max_triangulations,
+            "time_budget": args.time_budget,
         },
     }
 
 
-def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
-    vertices = load_vertices(cfg.input)
+def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
+    vertices = load_vertices(args.input)
     try:
         q = LatticePolytope.from_vertices(vertices)
     except ValueError as e:
-        raise InputError(f"{cfg.input}: {e}") from None
+        raise InputError(f"{args.input}: {e}") from None
     deg = degrees(q)
     warnings = []
     delzant = None
     delzant_report = None
-    if not cfg.skip_delzant_check:
+    if not args.skip_delzant_check:
         rep = q.delzant
         delzant = rep.ok
         delzant_report = [
@@ -117,7 +99,7 @@ def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
             warnings.append(f"not Delzant: smoothness fails at vertices {bad}")
     if q.volume < 2:
         warnings.append("degree (normalized volume) below 2; weight-polytope theory assumes degree >= 2")
-    report = _common(cfg) | {
+    report = _common(args) | {
         "polytope": {
             "dim": q.dim,
             "vertices": [list(v) for v in q.vertices],
@@ -135,12 +117,12 @@ def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def _analyze(cfg: RunConfig) -> Analysis:
-    vertices = load_vertices(cfg.input)
+def _analyze(args: argparse.Namespace) -> Analysis:
+    vertices = load_vertices(args.input)
     try:
-        return analyze(vertices, caps=cfg.caps)
+        return analyze(vertices, caps=EnumerationCaps(args.max_triangulations, args.time_budget))
     except ValueError as e:
-        raise InputError(f"{cfg.input}: {e}") from None
+        raise InputError(f"{args.input}: {e}") from None
 
 
 def _triangulation_entry(entry) -> dict:
@@ -157,9 +139,9 @@ def _certificates(poly) -> list:
     return [None if c is None else list(c.heights) for c in poly.certificates]
 
 
-def cmd_triangulations(cfg: RunConfig) -> tuple[dict, int]:
-    analysis = _analyze(cfg)
-    report = _common(cfg) | {
+def cmd_triangulations(args: argparse.Namespace) -> tuple[dict, int]:
+    analysis = _analyze(args)
+    report = _common(args) | {
         "count": len(analysis.enumeration),
         "triangulations": [_triangulation_entry(e) for e in analysis.enumeration],
         "warnings": analysis.warnings,
@@ -167,9 +149,9 @@ def cmd_triangulations(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def cmd_vectors(cfg: RunConfig) -> tuple[dict, int]:
-    analysis = _analyze(cfg)
-    fn = {"gkz": gkz_vector, "boundary": boundary_vector, "hurwitz": hurwitz_vector}[cfg.kind or "gkz"]
+def cmd_vectors(args: argparse.Namespace) -> tuple[dict, int]:
+    analysis = _analyze(args)
+    fn = {"gkz": gkz_vector, "boundary": boundary_vector, "hurwitz": hurwitz_vector}[args.kind]
     rows = [
         {
             "id": e.id,
@@ -178,14 +160,14 @@ def cmd_vectors(cfg: RunConfig) -> tuple[dict, int]:
         }
         for e in analysis.enumeration
     ]
-    report = _common(cfg) | {"kind": cfg.kind or "gkz", "vectors": rows, "warnings": analysis.warnings}
+    report = _common(args) | {"kind": args.kind, "vectors": rows, "warnings": analysis.warnings}
     return report, EXIT_PASS
 
 
-def cmd_polytope(cfg: RunConfig) -> tuple[dict, int]:
-    analysis = _analyze(cfg)
-    poly = analysis.chow if (cfg.kind or "chow") == "chow" else analysis.hurwitz
-    report = _common(cfg) | {
+def cmd_polytope(args: argparse.Namespace) -> tuple[dict, int]:
+    analysis = _analyze(args)
+    poly = analysis.chow if args.kind == "chow" else analysis.hurwitz
+    report = _common(args) | {
         "kind": poly.kind,
         "ambient_dim": poly.ambient_dim,
         "affine_dim": poly.affine_dim,
@@ -200,10 +182,10 @@ def cmd_polytope(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    analysis = _analyze(cfg)
-    identities = verify_identities(analysis, trials=cfg.trials, seed=cfg.seed)
-    supports = run_support_trials(analysis, count=cfg.trials, seed=cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    analysis = _analyze(args)
+    identities = verify_identities(analysis, trials=args.trials, seed=args.seed)
+    supports = run_support_trials(analysis, count=args.trials, seed=args.seed)
     checks = [
         {
             "name": "identities",
@@ -227,7 +209,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         },
     ]
     all_pass = identities.passed and supports.passed
-    report = _common(cfg) | {
+    report = _common(args) | {
         "count": len(analysis.enumeration),
         "triangulations": [_triangulation_entry(e) for e in analysis.enumeration],
         "chow_vertices": [list(v) for v in analysis.chow.vertices],
@@ -292,26 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input=args.input,
-        seed=args.seed,
-        trials=args.trials,
-        max_triangulations=args.max_triangulations,
-        time_budget=args.time_budget,
-        format=args.format,
-        skip_delzant_check=args.skip_delzant_check,
-        kind=getattr(args, "kind", None),
-    )
     try:
-        report, code = COMMANDS[cfg.command](cfg)
+        report, code = COMMANDS[args.command](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except EnumerationCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    if cfg.format == "machine":
+    if args.format == "machine":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         _print_human(report)

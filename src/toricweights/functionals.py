@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from operator import mul
 from typing import Mapping, Sequence
 
 from .exact import affine_combination, solve_linear
@@ -43,7 +44,9 @@ class PLFunction:
         missing = [i for i in tri.used_points if i not in vals]
         if missing:
             raise ValueError(f"missing values at used points {missing}")
-        return cls(tri.config, tri.simplices, vals, True)
+        g = cls(tri.config, tri.simplices, vals, True)
+        vars(g)["triangulation"] = tri  # the cached property: reuse tri and its walls
+        return g
 
     @cached_property
     def triangulation(self) -> Triangulation:
@@ -155,13 +158,17 @@ def donaldson_from_integrals(q: LatticePolytope, boundary_integral: Fraction, vo
     return boundary_integral - q.dim * Fraction(q.boundary_volume, q.volume) * volume_integral
 
 
-def pairing(x: Sequence, g: Sequence) -> Fraction:
-    """Dot product of a characteristic (or any) vector with values on the
-    configuration."""
+def pairing(x: Sequence, g: Sequence) -> int | Fraction:
+    """Exact dot product of a characteristic (or any) vector with values on
+    the configuration.  Entries must be ints or Fractions; they are
+    multiplied as they are, so the value is an int when all entries are."""
     xs = getattr(x, "entries", x)
     if len(xs) != len(g):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(g)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(xs, g)), Fraction(0))
+    total = sum(map(mul, xs, g))
+    if not isinstance(total, (int, Fraction)):
+        raise TypeError("pairing needs int or Fraction entries")
+    return total
 
 
 def char_pairing(vec, g: PLFunction) -> Fraction:

@@ -294,7 +294,7 @@ class PointConfiguration:
         self.points: tuple[Point, ...] = tuple(tuple(p) for p in points)
         self.index: dict[Point, int] = {p: i for i, p in enumerate(self.points)}
         self._volumes: dict[tuple[int, ...], int] = {}
-        self._circuits: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        self._dependences: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
         self._in_facet: dict[tuple[int, ...], bool] = {}
 
     @property
@@ -352,19 +352,25 @@ class PointConfiguration:
             self._in_facet[ids] = any(all(f.value(p) == 0 for p in pts) for f in self.polytope.facets)
         return self._in_facet[ids]
 
+    def dependence(self, ids: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """The affine dependence of the points at the sorted indices ``ids``
+        (coefficients aligned with ``ids``, as ``exact.affine_dependence``
+        gives them), or None when they are affinely independent.  Memoised:
+        dependences are a property of the configuration, shared by every
+        triangulation's circuits and regularity inequalities."""
+        if ids not in self._dependences:
+            self._dependences[ids] = affine_dependence([self.points[i] for i in ids])
+        return self._dependences[ids]
+
     def circuit(self, indices: Sequence[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The circuit (plus, minus) on the given points: the indices with
         positive and with negative coefficient in their affine dependence, or
-        None when the points are affinely independent.  Memoised: circuits
-        are a property of the configuration, shared by all triangulations."""
+        None when the points are affinely independent."""
         ids = tuple(sorted(indices))
-        if ids not in self._circuits:
-            dep = affine_dependence([self.points[i] for i in ids])
-            self._circuits[ids] = None if dep is None else (
-                tuple(i for i, c in zip(ids, dep) if c > 0),
-                tuple(i for i, c in zip(ids, dep) if c < 0),
-            )
-        return self._circuits[ids]
+        dep = self.dependence(ids)
+        if dep is None:
+            return None
+        return tuple(i for i, c in zip(ids, dep) if c > 0), tuple(i for i, c in zip(ids, dep) if c < 0)
 
     def vertex_indices(self) -> tuple[int, ...]:
         return tuple(self.index[v] for v in self.polytope.vertices)

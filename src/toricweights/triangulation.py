@@ -16,7 +16,6 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exact import affine_combination
 from .lp import LT, LinearSystem, constraint, feasible_strict
 from .polytope import PointConfiguration, extreme_point_indices, hull_facets, placing_cells
 
@@ -188,68 +187,79 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
 
 @dataclass(frozen=True)
 class RegularityCertificate:
-    """Witness lifting strictly inside the cone of liftings inducing T, or the
-    irreducible infeasible subsystem when no such lifting exists."""
+    """Witness lifting strictly inside the cone of liftings inducing T, or,
+    when no such lifting exists, the cone system, whose irreducible
+    infeasible subsystem is computed on first read."""
 
     witness: Optional[Lifting]
-    infeasible_subsystem: Optional[LinearSystem] = None
+    system: Optional[LinearSystem] = None
 
     @property
     def regular(self) -> bool:
         return self.witness is not None
+
+    @cached_property
+    def infeasible_subsystem(self) -> Optional[LinearSystem]:
+        return None if self.regular else _irreducible_infeasible(self.system)
+
+
+def _cone_row(config: PointConfiguration, cell: tuple[int, ...], k: int) -> list[Fraction]:
+    """The affine dependence of ``cell`` and point ``k``, scaled to -1 at k:
+    the barycentric coordinates of k on the cell's vertices and -1 at k.  A
+    lifting makes it negative exactly when k is lifted strictly above the
+    affine interpolation of the heights on the cell."""
+    ids = tuple(sorted(cell + (k,)))
+    dep = config.dependence(ids)
+    at_k = 0 if dep is None else dep[ids.index(k)]
+    if at_k == 0:
+        raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
+    row = [Fraction(0)] * len(config)
+    for i, c in zip(ids, dep):
+        row[i] = Fraction(c, -at_k)
+    return row
 
 
 def cone_system(tri: Triangulation) -> LinearSystem:
     """Strict inequalities on liftings cutting out the open cone of liftings
     whose lower hull induces exactly this triangulation.
 
-    One fold inequality per interior wall (strict convexity of the induced
-    piecewise-linear function across the wall), and one inequality per unused
-    point (it must be lifted strictly above the hull).
+    Every row is a ``_cone_row`` of the configuration's memoised affine
+    dependences: one fold inequality per interior wall (the point of the
+    second cell opposite the wall lies strictly above the first cell's
+    affine piece), and one per unused point (strictly above its home cell,
+    the first cell, in order, that contains it).
     """
     config = tri.config
-    npts = len(config)
-    cons = []
-    for wall, (s1, s2) in sorted(tri.interior_walls.items()):
-        opposite = next(i for i in s2 if i not in wall)
-        coeffs = affine_combination([config.points[i] for i in s1], config.points[opposite])
-        if coeffs is None:
-            raise RuntimeError(f"wall {wall}: point {opposite} is outside the affine hull of {s1}")
-        row = [Fraction(0)] * npts
-        for i, c in zip(s1, coeffs):
-            row[i] += c
-        row[opposite] -= 1
-        cons.append(constraint(row, LT, 0))
+    rows = [
+        _cone_row(config, s1, next(i for i in s2 if i not in wall))
+        for wall, (s1, s2) in tri.interior_walls.items()
+    ]
     used = set(tri.used_points)
-    for k in range(npts):
+    for k in range(len(config)):
         if k in used:
             continue
         for home in tri.simplices:
-            coeffs = affine_combination([config.points[i] for i in home], config.points[k])
-            if all(c >= 0 for c in coeffs):
+            row = _cone_row(config, home, k)
+            if all(row[i] >= 0 for i in home):
                 break
         else:
             raise RuntimeError(f"point {k} lies in no cell")
-        row = [Fraction(0)] * npts
-        for i, c in zip(home, coeffs):
-            row[i] += c
-        row[k] -= 1
-        cons.append(constraint(row, LT, 0))
-    return LinearSystem(tuple(cons))
+        rows.append(row)
+    return LinearSystem(tuple(constraint(row, LT, 0) for row in rows))
 
 
 def is_regular(tri: Triangulation) -> RegularityCertificate:
     """Decide regularity by exact LP on the cone system.
 
-    Irregularity is a value, not an error: the certificate then carries an
-    irreducible infeasible subsystem found by a deletion filter.
+    Irregularity is a value, not an error: the certificate then keeps the
+    system, and reading its ``infeasible_subsystem`` runs a deletion filter.
     """
     system = cone_system(tri)
     if not system.constraints:
         return RegularityCertificate(Lifting((0,) * len(tri.config)))
     witness = feasible_strict(system)
     if witness is None:
-        return RegularityCertificate(None, _irreducible_infeasible(system))
+        return RegularityCertificate(None, system)
     return RegularityCertificate(Lifting.from_rationals(witness))
 
 
@@ -299,17 +309,13 @@ class Flip:
 def flips(tri: Triangulation) -> list[Flip]:
     """All supported bistellar flips of the triangulation.
 
-    Candidate circuits come from pairs of adjacent simplices (wall circuits)
-    and from (simplex, outside point) pairs, which also yields the flips that
-    insert an unused point.
+    Candidate circuits are those on a simplex plus one point outside it.
+    They include every wall circuit (two adjacent simplices are one of them
+    plus the other's opposite point) and the flips that insert an unused
+    point.
     """
     config = tri.config
     candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    for wall, (s1, s2) in tri.interior_walls.items():
-        z = config.circuit(set(s1) | set(s2))
-        if z is not None:
-            candidates.add(z)
     npts = len(config)
     for s in tri.simplices:
         inside = set(s)

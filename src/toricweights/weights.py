@@ -69,7 +69,7 @@ def _pins(vectors: Sequence[Sequence[int]], i: int, lam: Sequence[int]) -> bool:
     """Whether <vectors[i], lam> < <h, lam> for every other vector h, in
     integers.  The unique minimiser of a linear functional over a finite set
     is a vertex of its convex hull."""
-    values = [sum(x * y for x, y in zip(v, lam)) for v in vectors]
+    values = [pairing(v, lam) for v in vectors]
     return all(val > values[i] for j, val in enumerate(values) if j != i)
 
 

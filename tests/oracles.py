@@ -1,5 +1,6 @@
 """Independent oracles: brute-force triangulations of tiny configurations,
-and the Fraction-tableau simplex that ``lp`` is checked against.
+the Fraction-tableau simplex that ``lp`` is checked against, and the cone
+system built by one elimination per row.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -16,9 +17,10 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from toricweights.lp import _Unbounded, nonnegative_feasible
+from toricweights.exact import affine_combination
+from toricweights.lp import LT, LinearSystem, _Unbounded, constraint, nonnegative_feasible
 from toricweights.polytope import PointConfiguration
-from toricweights.triangulation import canonical_simplices
+from toricweights.triangulation import Triangulation, canonical_simplices
 
 
 class OracleTimeout(Exception):
@@ -239,3 +241,50 @@ def _solve_max(rows, rhs, obj_col, nvars):
     for i, b in enumerate(basis):
         point[b] = tab[i][-1]
     return value, point
+
+
+# --- Cone system by elimination ---------------------------------------------
+#
+# ``cone_system`` as it stood before its rows were read from the
+# configuration's memoised affine dependences: one ``affine_combination`` (an
+# exact solve) per row, verbatim, so ``triangulation.cone_system`` can be
+# checked against it for equal constraints.
+
+
+def cone_system(tri: Triangulation) -> LinearSystem:
+    """Strict inequalities on liftings cutting out the open cone of liftings
+    whose lower hull induces exactly this triangulation.
+
+    One fold inequality per interior wall (strict convexity of the induced
+    piecewise-linear function across the wall), and one inequality per unused
+    point (it must be lifted strictly above the hull).
+    """
+    config = tri.config
+    npts = len(config)
+    cons = []
+    for wall, (s1, s2) in sorted(tri.interior_walls.items()):
+        opposite = next(i for i in s2 if i not in wall)
+        coeffs = affine_combination([config.points[i] for i in s1], config.points[opposite])
+        if coeffs is None:
+            raise RuntimeError(f"wall {wall}: point {opposite} is outside the affine hull of {s1}")
+        row = [Fraction(0)] * npts
+        for i, c in zip(s1, coeffs):
+            row[i] += c
+        row[opposite] -= 1
+        cons.append(constraint(row, LT, 0))
+    used = set(tri.used_points)
+    for k in range(npts):
+        if k in used:
+            continue
+        for home in tri.simplices:
+            coeffs = affine_combination([config.points[i] for i in home], config.points[k])
+            if all(c >= 0 for c in coeffs):
+                break
+        else:
+            raise RuntimeError(f"point {k} lies in no cell")
+        row = [Fraction(0)] * npts
+        for i, c in zip(home, coeffs):
+            row[i] += c
+        row[k] -= 1
+        cons.append(constraint(row, LT, 0))
+    return LinearSystem(tuple(cons))

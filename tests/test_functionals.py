@@ -144,8 +144,12 @@ def test_pairing_examples():
     assert pairing((1, 2, 1), (0, -1, 0)) == -2
     assert pairing((0, 2, 0), (0, 0, 1)) == 0
     assert pairing((5, -7, 11), (0, 0, 0)) == 0
+    assert type(pairing((1, 2), (3, 4))) is int
+    assert pairing((1, 2), (Fraction(1, 2), Fraction(-1, 3))) == Fraction(-1, 6)
     with pytest.raises(ValueError):
         pairing((1, 2), (1, 2, 3))
+    with pytest.raises(TypeError):
+        pairing((1, 2), (0.5, 1))
 
 
 def test_degrees_examples():
@@ -178,6 +182,17 @@ def test_donaldson_affine_is_triangulation_independent(square, double_simplex):
             }
             assert len(set(values.values())) == 1
             assert set(values.values()) == {Fraction(0)}
+
+
+def test_on_triangulation_keeps_the_triangulation():
+    cfg = config_of(SQUARE)
+    tri = Triangulation(cfg, [(0, 1, 3), (0, 2, 3)])
+    values = {i: Fraction(i, 2) for i in range(4)}
+    g = PLFunction.on_triangulation(tri, values)
+    assert g.triangulation is tri
+    # Equality still compares the fields only.
+    assert g == PLFunction(cfg, tri.simplices, values, True)
+    assert PLFunction(cfg, tri.simplices, values, True).triangulation == tri
 
 
 def test_pl_serialization_round_trip():

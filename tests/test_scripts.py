@@ -1,12 +1,17 @@
 """Smoke runs of the experiment scripts in scripts/, which use the public
-API (``analyze``, ``verify_*_support``) but are not imported by any test."""
+API (``analyze``, ``verify_*_support``) but are not imported by any test,
+and a check that the benchmark's span tracer still finds what it wraps."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import toricweights
+from conftest import SQUARE, config_of
+from toricweights.triangulation import enumerate_regular
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -32,3 +37,37 @@ def test_survey_polytopes_one_row_per_data_file():
     lines = run_script("survey_polytopes.py")
     rows = [line.split()[0] for line in lines[2:] if not line.startswith(" ")]
     assert rows == sorted(path.stem for path in DATA.glob("*.json"))
+
+
+def load_tracing():
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_targets_resolve():
+    tracing = load_tracing()
+    for name, module, attr, _hook in tracing.TARGETS:
+        owner = importlib.import_module(f"toricweights.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name
+
+
+def test_tracer_sees_the_enumeration_layers():
+    # The tracer rebinds module globals, so a call through a captured
+    # reference would go unseen.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert len(enumerate_regular(config_of(SQUARE))) == 2
+    finally:
+        tracer.restore()
+    metrics = tracing.aggregate(tracer.spans, tracer.counters)
+    for name in ("flips", "is_regular", "cone_system"):
+        assert metrics[f"triangulation.{name}.calls"] > 0
+    assert metrics["lp.feasible_strict.calls"] == metrics["triangulation.is_regular.calls"]
+    assert metrics["exact.affine_dependence.calls"] == metrics["exact.affine_dependence.distinct"] > 0

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CUBE, DOUBLE_SIMPLEX, SEGMENT2, SQUARE, config_of
+import oracles
 from oracles import all_triangulations
-from toricweights import polytope
+from toricweights import exact, polytope, triangulation
 from toricweights.lp import feasible_strict
 from toricweights.triangulation import (
     EnumerationCapExceeded,
@@ -147,6 +149,21 @@ def spiral_triangulation():
         (o3, o1, i1), (o3, i1, i3),
     ]
     return cfg, Triangulation(cfg, cells)
+
+
+def test_irreducible_subsystem_is_computed_on_first_read(monkeypatch):
+    # Regularity needs one LP; the deletion filter runs only when the
+    # infeasible subsystem is read, and only once.
+    _, tri = spiral_triangulation()
+    calls = []
+    original = triangulation.feasible_strict
+    monkeypatch.setattr(triangulation, "feasible_strict", lambda system: calls.append(system) or original(system))
+    cert = is_regular(tri)
+    assert not cert.regular and len(calls) == 1
+    sub = cert.infeasible_subsystem
+    assert len(calls) > 1
+    filtered = len(calls)
+    assert cert.infeasible_subsystem is sub and len(calls) == filtered
 
 
 def test_known_irregular_triangulation():
@@ -336,6 +353,7 @@ def test_three_by_three_grid_has_only_regular_triangulations():
 
 GRID3X3 = [[0, 0], [2, 0], [0, 2], [2, 2]]
 HEXAGON = [[0, 0], [1, 0], [0, 1], [2, 1], [1, 2], [2, 2]]
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # sha256 of the JSON list of [simplices, witness heights] over the entries of
 # the enumeration, recorded with the Fraction-tableau simplex.  Witnesses are
@@ -396,3 +414,30 @@ def test_cone_system_rejects_uncovered_point():
     cfg = config_of(SEGMENT2)
     with pytest.raises(RuntimeError, match="lies in no cell"):
         cone_system(Triangulation(cfg, [(0, 1)], validate=False))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [json.loads(path.read_text())["vertices"] for path in sorted(DATA.glob("*.json"))] + [HEXAGON, GRID3X3],
+)
+def test_cone_system_matches_elimination_oracle(vertices):
+    # Rows read from the configuration's dependences equal the rows that one
+    # affine_combination per wall and unused point gives.
+    for entry in enumerate_regular(config_of(vertices)):
+        tri = entry.triangulation
+        assert cone_system(tri).constraints == oracles.cone_system(tri).constraints
+
+
+def test_cone_system_of_irregular_triangulation_matches_elimination_oracle():
+    _, tri = spiral_triangulation()
+    assert cone_system(tri).constraints == oracles.cone_system(tri).constraints
+
+
+def test_cone_system_does_no_elimination(monkeypatch):
+    enum = enumerate_regular(config_of(GRID3X3))
+    calls = []
+    original = exact.solve_linear
+    monkeypatch.setattr(exact, "solve_linear", lambda m, b: calls.append(m) or original(m, b))
+    for entry in enum:
+        cone_system(entry.triangulation)
+    assert calls == []

@@ -153,6 +153,16 @@ def test_verify_identities_passes(segment, square, double_simplex):
         assert rep.checks > 0
 
 
+def test_identities_build_no_triangulation_per_trial_function(monkeypatch):
+    # Trial functions carry the enumerated triangulation, walls included.
+    doc = json.loads((Path(__file__).resolve().parent.parent / "data" / "double_simplex.json").read_text())
+    analysis = analyze(doc["vertices"])
+    built = []
+    monkeypatch.setattr(functionals, "Triangulation", lambda *a, **k: built.append(a))
+    assert verify_identities(analysis, trials=5, seed=3).passed
+    assert built == []
+
+
 def test_identity_integrals_computed_once_per_trial_function(double_simplex, monkeypatch):
     calls = {"integral_q": 0, "integral_boundary": 0}
     for name in calls:
