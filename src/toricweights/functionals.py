@@ -31,16 +31,20 @@ from .triangulation import Lifting, Triangulation, lower_hull_subdivision
 @dataclass(frozen=True)
 class PLFunction:
     """Function that is affine on each cell of a subdivision, determined by
-    rational values at the cell vertices."""
+    rational values at the cell vertices.
+
+    ``values`` holds ints and Fractions as given, so that integer-valued
+    functions (the scaled trial functions of the identity suite) are
+    integrated and paired in integers."""
 
     config: PointConfiguration
     cells: tuple[tuple[int, ...], ...]
-    values: Mapping[int, Fraction]
+    values: Mapping[int, int | Fraction]
     simplicial: bool
 
     @classmethod
-    def on_triangulation(cls, tri: Triangulation, values: Mapping[int, Fraction]) -> "PLFunction":
-        vals = {int(k): Fraction(v) for k, v in values.items()}
+    def on_triangulation(cls, tri: Triangulation, values: Mapping[int, int | Fraction]) -> "PLFunction":
+        vals = {int(k): v if isinstance(v, (int, Fraction)) else Fraction(v) for k, v in values.items()}
         missing = [i for i in tri.used_points if i not in vals]
         if missing:
             raise ValueError(f"missing values at used points {missing}")
@@ -118,29 +122,21 @@ def pl_from_lifting(config: PointConfiguration, lifting: Lifting | Sequence[int]
 
 
 def integral_q(g: PLFunction) -> Fraction:
-    """Exact integral of g over the polytope (Lebesgue measure)."""
+    """Exact integral of g over the polytope (Lebesgue measure).  The sum of
+    vol * (sum of vertex values) is divided by (n+1)! once, so integer
+    values are summed in integers."""
     if not g.simplicial:
         raise ValueError("integral requires a simplicial carrier")
-    n = g.config.dim
-    fact = factorial(n + 1)
-    total = Fraction(0)
-    for cell in g.cells:
-        vol = g.config.normalized_volume(cell)
-        total += Fraction(vol, fact) * sum(g.values[i] for i in cell)
-    return total
+    total = sum(g.config.normalized_volume(cell) * sum(g.values[i] for i in cell) for cell in g.cells)
+    return Fraction(total, factorial(g.config.dim + 1))
 
 
 def integral_boundary(g: PLFunction) -> Fraction:
     """Exact integral of g over the boundary, against the lattice measure of
     each facet."""
-    tri = g.triangulation
-    n = g.config.dim
-    fact = factorial(n)
-    total = Fraction(0)
-    for wall in tri.massive_walls:
-        vol = g.config.normalized_volume(wall)
-        total += Fraction(vol, fact) * sum(g.values[i] for i in wall)
-    return total
+    walls = g.triangulation.massive_walls
+    total = sum(g.config.normalized_volume(wall) * sum(g.values[i] for i in wall) for wall in walls)
+    return Fraction(total, factorial(g.config.dim))
 
 
 def aubin_l(g: PLFunction) -> Fraction:
@@ -171,12 +167,12 @@ def pairing(x: Sequence, g: Sequence) -> int | Fraction:
     return total
 
 
-def char_pairing(vec, g: PLFunction) -> Fraction:
+def char_pairing(vec, g: PLFunction) -> int | Fraction:
     """Pairing of a characteristic vector with a PL function's vertex values;
     characteristic vectors vanish at unused points, so only carried values
-    enter."""
+    enter.  An int when the values are ints."""
     entries = getattr(vec, "entries", vec)
-    return sum((entries[i] * v for i, v in g.values.items()), Fraction(0))
+    return sum(entries[i] * v for i, v in g.values.items())
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import integer_row, pivot
@@ -43,7 +44,10 @@ class Constraint:
     rhs: Fraction
 
     def holds(self, point: Sequence) -> bool:
-        lhs = sum(c * Fraction(x) for c, x in zip(self.coeffs, point))
+        """Exact test at a point of ints and Fractions, multiplied as they are."""
+        lhs = sum(map(mul, self.coeffs, point))
+        if not isinstance(lhs, (int, Fraction)):
+            raise TypeError("holds needs int or Fraction coordinates")
         if self.rel == LE:
             return lhs <= self.rhs
         if self.rel == LT:

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .lp import LT, LinearSystem, constraint, feasible_strict
-from .polytope import PointConfiguration, extreme_point_indices, hull_facets, placing_cells
+from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
 Simplices = tuple[tuple[int, ...], ...]
 
@@ -154,32 +154,47 @@ class Subdivision:
 def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> Subdivision:
     """Subdivision induced by the lower hull of the lifted points (omega_k, h_k).
 
-    Lower facets are those whose inward normal has positive last coordinate
-    (equivalently, outward normal pointing down).  Cell vertex sets are the
-    extreme points of each facet; points lying on a facet without being
-    vertices of it are not part of the cell.
+    Each affinely independent (n+1)-subset sigma spans a non-vertical plane
+    through its lifted points; a point k lies strictly below it exactly when
+    ``<dependence(sigma + k), h>`` and the coefficient at k have opposite
+    signs (as in ``_cone_row``).  sigma spans a lower facet when no point lies
+    strictly below, and the facet's points are sigma plus the points on the
+    plane.  Cell vertex sets are the extreme points of each facet; points
+    lying on a facet without being vertices of it are not part of the cell.
+    Heights affine on the configuration give a single cell, the polytope's
+    vertices.  Everything is an integer test on the configuration's memoised
+    dependences, shared by every lifting.
     """
     if not isinstance(lifting, Lifting):
         lifting = Lifting.normalized(lifting)
     if len(lifting.heights) != len(config):
         raise ValueError("lifting length must match the configuration")
-    lifted = [p + (h,) for p, h in zip(config.points, lifting.heights)]
+    h = lifting.heights
     n = config.dim
-    try:
-        facets = hull_facets(lifted)
-    except ValueError:
-        # Heights affine on the configuration: single trivial cell.
-        cell = config.vertex_indices()
-        return Subdivision((tuple(sorted(cell)),), len(cell) == n + 1)
-    cells = []
-    for normal, _offset, on in facets:
-        if normal[-1] <= 0:
+    facets = set()
+    for sigma in combinations(range(len(config)), n + 1):
+        if config.dependence(sigma) is not None:
             continue
-        if len(on) == n + 1:
-            cells.append(tuple(sorted(on)))
+        on = list(sigma)
+        for k in range(len(config)):
+            if k in sigma:
+                continue
+            ids = tuple(sorted(sigma + (k,)))
+            dep = config.dependence(ids)
+            side = sum(c * h[i] for c, i in zip(dep, ids)) * dep[ids.index(k)]
+            if side < 0:
+                break
+            if side == 0:
+                on.append(k)
         else:
-            extreme = extreme_point_indices([lifted[i] for i in on])
-            cells.append(tuple(sorted(on[i] for i in extreme)))
+            facets.add(tuple(sorted(on)))
+    cells = []
+    for on in facets:
+        if len(on) == n + 1:
+            cells.append(on)
+        else:
+            extreme = extreme_point_indices([config.points[i] + (h[i],) for i in on])
+            cells.append(tuple(on[i] for i in extreme))
     cells.sort()
     simplicial = all(len(c) == n + 1 for c in cells)
     return Subdivision(tuple(cells), simplicial)

@@ -16,7 +16,10 @@ verification suite asserts, with exact arithmetic:
 
 for every enumerated triangulation and seeded random rational g, plus the
 support identities min <x,lam> over the polytopes against the lower-hull
-triangulation of lam.
+triangulation of lam.  Each trial g has values a/b with 1 <= b <= 6; the
+suite checks L*g, L = lcm(1..6), whose values are integers, so it runs in
+integer sums.  Every identity is linear in g, so it holds for L*g exactly
+when it holds for g; a failure is reported divided by L, in the units of g.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .exact import rank
@@ -43,6 +46,9 @@ from .vectors import boundary_vector, gkz_vector, hurwitz_vector
 
 CHOW = "chow"
 HURWITZ = "hurwitz"
+
+# Every trial denominator, rng.randrange(1, 7), divides the scale.
+_TRIAL_SCALE = lcm(*range(1, 7))
 
 
 @dataclass(frozen=True)
@@ -191,8 +197,9 @@ class IdentityReport:
 
 def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityReport:
     """Exact identity suite over every enumerated triangulation with seeded
-    random rational functions; also asserts the constant-sum invariants and
-    the T-independence of affine pairings."""
+    random rational functions, checked as their integer multiples by
+    ``_TRIAL_SCALE``; also asserts the constant-sum invariants and the
+    T-independence of affine pairings."""
     config = analysis.config
     q = config.polytope
     n = q.dim
@@ -203,12 +210,12 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     def check(tid, trial, name, lhs, rhs):
         report.checks += 1
         if lhs != rhs:
+            if trial is not None:  # the values of _TRIAL_SCALE * g, in units of g
+                lhs, rhs = Fraction(lhs, _TRIAL_SCALE), Fraction(rhs, _TRIAL_SCALE)
             report.failures.append(IdentityFailure(tid, trial, name, lhs, rhs))
 
-    affine_reference: Optional[list[tuple[Fraction, Fraction]]] = None
-    affine_fns = [[Fraction(1)] * len(config)] + [
-        [Fraction(p[j]) for p in config.points] for j in range(n)
-    ]
+    affine_reference: Optional[list[tuple[int, int]]] = None
+    affine_fns = [[1] * len(config)] + [[p[j] for p in config.points] for j in range(n)]
     for entry in analysis.enumeration:
         tri = entry.triangulation
         gkz = gkz_vector(tri)
@@ -231,7 +238,7 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
         )
         for trial in range(trials):
             values = {
-                i: Fraction(rng.randrange(-60, 61), rng.randrange(1, 7))
+                i: rng.randrange(-60, 61) * (_TRIAL_SCALE // rng.randrange(1, 7))
                 for i in tri.used_points
             }
             g = PLFunction.on_triangulation(tri, values)

@@ -1,6 +1,7 @@
 """Independent oracles: brute-force triangulations of tiny configurations,
-the Fraction-tableau simplex that ``lp`` is checked against, and the cone
-system built by one elimination per row.
+the Fraction-tableau simplex that ``lp`` is checked against, the cone
+system built by one elimination per row, and the lower hull found by
+exhaustive facet search.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -16,11 +17,12 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from toricweights.exact import affine_combination
 from toricweights.lp import LT, LinearSystem, _Unbounded, constraint, nonnegative_feasible
-from toricweights.polytope import PointConfiguration
-from toricweights.triangulation import Triangulation, canonical_simplices
+from toricweights.polytope import PointConfiguration, extreme_point_indices, hull_facets
+from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
 
 
 class OracleTimeout(Exception):
@@ -288,3 +290,47 @@ def cone_system(tri: Triangulation) -> LinearSystem:
         row[k] -= 1
         cons.append(constraint(row, LT, 0))
     return LinearSystem(tuple(cons))
+
+
+# --- Lower hull by facet search ---------------------------------------------
+#
+# ``lower_hull_subdivision`` as it stood before it read the side of each point
+# from the configuration's memoised affine dependences: every facet of the
+# lifted configuration from ``hull_facets``, verbatim, so
+# ``triangulation.lower_hull_subdivision`` can be checked against it for
+# equal subdivisions.
+
+
+def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> Subdivision:
+    """Subdivision induced by the lower hull of the lifted points (omega_k, h_k).
+
+    Lower facets are those whose inward normal has positive last coordinate
+    (equivalently, outward normal pointing down).  Cell vertex sets are the
+    extreme points of each facet; points lying on a facet without being
+    vertices of it are not part of the cell.
+    """
+    if not isinstance(lifting, Lifting):
+        lifting = Lifting.normalized(lifting)
+    if len(lifting.heights) != len(config):
+        raise ValueError("lifting length must match the configuration")
+    lifted = [p + (h,) for p, h in zip(config.points, lifting.heights)]
+    n = config.dim
+    try:
+        facets = hull_facets(lifted)
+    except ValueError:
+        # Heights affine on the configuration: single trivial cell.
+        cell = config.vertex_indices()
+        return Subdivision((tuple(sorted(cell)),), len(cell) == n + 1)
+    cells = []
+    for normal, _offset, on in facets:
+        if normal[-1] <= 0:
+            continue
+        if len(on) == n + 1:
+            cells.append(tuple(sorted(on)))
+        else:
+            extreme = extreme_point_indices([lifted[i] for i in on])
+            cells.append(tuple(sorted(on[i] for i in extreme)))
+    cells.sort()
+    simplicial = all(len(c) == n + 1 for c in cells)
+    return Subdivision(tuple(cells), simplicial)
+

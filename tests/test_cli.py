@@ -1,5 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from toricweights.cli import EXIT_CAP, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 
@@ -184,3 +187,31 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     code, doc = run_machine(capsys, "verify", "--input", str(DATA / "segment2.json"))
     assert code == EXIT_FAIL
     assert doc["all_pass"] is False
+
+
+# sha256 of `verify --input data/<name> --trials 30 --seed 0 --format machine`
+# run from the repository root (the output echoes the input path), recorded
+# with the Fraction identity suite and the facet-search lower hull.
+VERIFY_DIGESTS = {
+    "double_simplex.json": "d810c75c0fb1b867f04e8df38adf4e10200480125f387dcfa620400c5b832d4c",
+    "non_delzant_triangle.json": "91c48a62f74ddf490a399cdf97d8ac536af26cc309167c5f89150afb7c3ecbbd",
+    "octahedron.json": "765644e1b4d27818cff11f196bfda28078147853cf8a9349bc5a23773f30b8ea",
+    "segment2.json": "cf177d4a35d8bb9396a5660e18cb7a3a2f48864e82be9cf76ed862a0262ee5fc",
+    "segment3.json": "cc425c78a98b92772099da6af33786c5508a510064b8265b183e0b537de16bfd",
+    "unit_cube.json": "36917cc55a7c90287b5e5dd425f5ce3f5fa803a6728a26b8e5d9054b381bd412",
+    "unit_simplex.json": "b66703b2250d6a424e003cf152bb2cfcd74561481387bde74125120fb83a38e8",
+    "unit_square.json": "251e4c0ec3e74473724f3d176ba3e9e781784cf415ca347db5da2e36140c321c",
+}
+
+
+def test_every_data_file_is_pinned():
+    assert sorted(VERIFY_DIGESTS) == sorted(p.name for p in DATA.glob("*.json"))
+
+
+@pytest.mark.parametrize("name,digest", sorted(VERIFY_DIGESTS.items()))
+def test_verify_output_is_pinned(capsys, monkeypatch, name, digest):
+    monkeypatch.chdir(DATA.parent)
+    code, out = run(capsys, "verify", "--input", f"data/{name}", "--trials", "30", "--seed", "0",
+                    "--format", "machine")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -246,3 +246,22 @@ def test_pairing_identities_for_random_g(vals):
     n = cfg.dim
     assert char_pairing(gkz_vector(tri), g) == factorial(n + 1) * integral_q(g)
     assert char_pairing(boundary_vector(tri), g) == factorial(n) * integral_boundary(g)
+
+
+def test_on_triangulation_keeps_ints():
+    cfg = config_of(DOUBLE_SIMPLEX)
+    tri = Triangulation(cfg, [(0, 1, 3), (1, 3, 4), (1, 2, 4), (3, 4, 5)])
+    ints = {i: 3 * i - 7 for i in range(6)}
+    g = PLFunction.on_triangulation(tri, ints)
+    assert all(type(v) is int for v in g.values.values())
+    assert type(char_pairing(gkz_vector(tri), g)) is int
+    fractions = PLFunction.on_triangulation(tri, {i: Fraction(v) for i, v in ints.items()})
+    assert g == fractions
+    assert g.to_json() == fractions.to_json()
+    assert g.to_json()["values"][0] == "-7/1"
+    assert integral_q(g) == integral_q(fractions)
+    assert integral_boundary(g) == integral_boundary(fractions)
+    # Anything that is neither an int nor a Fraction is read as a Fraction.
+    mixed = PLFunction.on_triangulation(tri, {**ints, 0: Fraction(1, 2), 1: "2/3"})
+    assert mixed.values[0] == Fraction(1, 2) and mixed.values[1] == Fraction(2, 3)
+    assert type(mixed.values[1]) is Fraction

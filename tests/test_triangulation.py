@@ -441,3 +441,44 @@ def test_cone_system_does_no_elimination(monkeypatch):
     for entry in enum:
         cone_system(entry.triangulation)
     assert calls == []
+
+
+HULL_SHAPES = [json.loads(path.read_text())["vertices"] for path in sorted(DATA.glob("*.json"))] + [HEXAGON, GRID3X3]
+
+
+@pytest.mark.parametrize("vertices", HULL_SHAPES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lower_hull_matches_facet_search_oracle(vertices, data):
+    # Heights in [-1, 0] and [-2, 0] often give non-simplicial hulls; zero
+    # and affine heights give the single cell.
+    cfg = config_of(vertices)
+    low = data.draw(st.sampled_from((-1, -2, -30)))
+    heights = data.draw(st.lists(st.integers(low, 0), min_size=len(cfg), max_size=len(cfg)))
+    assert lower_hull_subdivision(cfg, heights) == oracles.lower_hull_subdivision(cfg, heights)
+
+
+@pytest.mark.parametrize("vertices", HULL_SHAPES)
+def test_lower_hull_of_affine_heights_is_one_cell(vertices):
+    cfg = config_of(vertices)
+    for heights in ([0] * len(cfg), [-sum(p) for p in cfg.points]):
+        sub = lower_hull_subdivision(cfg, heights)
+        assert sub == oracles.lower_hull_subdivision(cfg, heights)
+        assert sub.cells == (tuple(sorted(cfg.vertex_indices())),)
+
+
+def test_lower_hull_makes_no_hull_facets_call(monkeypatch):
+    cfg = config_of(GRID3X3)
+    heights = [0, -1, -3, -1, -4, -2, 0, -5, -1]
+    expected = oracles.lower_hull_subdivision(cfg, heights)
+    calls = []
+    original = polytope.hull_facets
+
+    def counting(points):
+        calls.append(points)
+        return original(points)
+
+    monkeypatch.setattr(polytope, "hull_facets", counting)
+    monkeypatch.setattr(triangulation, "hull_facets", counting, raising=False)
+    assert lower_hull_subdivision(cfg, heights) == expected
+    assert calls == []

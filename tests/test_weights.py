@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -332,3 +335,34 @@ def test_certified_vertices_non_extreme_point_goes_to_lp(lp_calls):
     lam = Lifting((-1, 0))
     assert certified_vertices(vectors, [[], [lam], [lam]]) == [(0, None), (1, lam)]
     assert lp_calls == [(0, 0), (1, 0)]
+
+
+def _failure_digest(report) -> str:
+    doc = [[f.triangulation_id, f.trial, f.name, str(f.lhs), str(f.rhs)] for f in report.failures]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_identity_suite_reports_a_linear_fault_in_units_of_g(monkeypatch):
+    # Doubling integral_q is linear in g, so every failure of the scaled
+    # suite, divided back by the scale, has the lhs and rhs that the
+    # Fraction suite reported (digest of the 84 failures recorded with it).
+    analysis = analyze(json.loads((DATA / "double_simplex.json").read_text())["vertices"])
+    original = weights.integral_q
+    monkeypatch.setattr(weights, "integral_q", lambda g: 2 * original(g))
+    report = verify_identities(analysis, trials=3, seed=0)
+    assert (report.checks, len(report.failures)) == (181, 84)
+    assert _failure_digest(report) == "9b85c0aefb9b9f279fbf1ebf5015cda665ceee57da97a5dcafc7056c0c60fbbf"
+
+
+def test_identity_suite_catches_a_non_linear_fault(monkeypatch):
+    # Adding a constant is not linear in g: the same 84 checks fail, but the
+    # reported values are those of the scaled function divided by the scale,
+    # so the constant shows up divided by it.
+    analysis = analyze(json.loads((DATA / "double_simplex.json").read_text())["vertices"])
+    original = weights.integral_boundary
+    monkeypatch.setattr(weights, "integral_boundary", lambda g: original(g) + Fraction(1, 7))
+    report = verify_identities(analysis, trials=3, seed=0)
+    assert (report.checks, len(report.failures)) == (181, 84)
+    boundary = [f for f in report.failures if f.name == "boundary pairing"]
+    assert boundary
+    assert all(f.rhs - f.lhs == factorial(2) * Fraction(1, 7) / weights._TRIAL_SCALE for f in boundary)
