@@ -26,33 +26,51 @@ _FLIP = {">=": LE, ">": LT}
 
 def constraint(coeffs: Sequence, rel: str, rhs) -> "Constraint":
     """Build a constraint; >= and > are normalized to <= and < by negation."""
-    cs = tuple(Fraction(c) for c in coeffs)
-    r = Fraction(rhs)
+    nums, den = integer_row([*coeffs, rhs])
     if rel in _FLIP:
-        cs = tuple(-c for c in cs)
-        r = -r
+        nums = [-x for x in nums]
         rel = _FLIP[rel]
     if rel not in (LE, LT, EQ):
         raise ValueError(f"unknown relation {rel!r}")
-    return Constraint(cs, rel, r)
+    return Constraint(tuple(nums), den, rel)
+
+
+def _exact_point(point: Sequence) -> tuple[list[int], int]:
+    if not all(isinstance(x, (int, Fraction)) for x in point):
+        raise TypeError("holds needs int or Fraction coordinates")
+    return integer_row(point)
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """The row ``[coeffs | rhs]`` as integer numerators ``nums`` over one positive
+    denominator ``den`` in lowest terms, so equal rational rows compare equal."""
+
+    nums: tuple[int, ...]
+    den: int
     rel: str
-    rhs: Fraction
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums[:-1])
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.nums[-1], self.den)
 
     def holds(self, point: Sequence) -> bool:
-        """Exact test at a point of ints and Fractions, multiplied as they are."""
-        lhs = sum(map(mul, self.coeffs, point))
-        if not isinstance(lhs, (int, Fraction)):
-            raise TypeError("holds needs int or Fraction coordinates")
+        """Exact test at a point of ints and Fractions."""
+        return self._holds_at(*_exact_point(point))
+
+    def _holds_at(self, nums: Sequence[int], den: int) -> bool:
+        # Both sides of the point's row nums / den, times self.den * den > 0.
+        lhs = sum(map(mul, self.nums[:-1], nums))
+        rhs = self.nums[-1] * den
         if self.rel == LE:
-            return lhs <= self.rhs
+            return lhs <= rhs
         if self.rel == LT:
-            return lhs < self.rhs
-        return lhs == self.rhs
+            return lhs < rhs
+        return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -60,16 +78,17 @@ class LinearSystem:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self):
-        dims = {len(c.coeffs) for c in self.constraints}
+        dims = {len(c.nums) for c in self.constraints}
         if len(dims) > 1:
             raise ValueError("constraints have inconsistent dimensions")
 
     @property
     def dim(self) -> int:
-        return len(self.constraints[0].coeffs) if self.constraints else 0
+        return len(self.constraints[0].nums) - 1 if self.constraints else 0
 
     def holds(self, point: Sequence) -> bool:
-        return all(c.holds(point) for c in self.constraints)
+        nums, den = _exact_point(point)
+        return all(c._holds_at(nums, den) for c in self.constraints)
 
 
 class _Unbounded(RuntimeError):
@@ -110,20 +129,20 @@ def _optimize(tab, dens, basis):
         basis[best] = col
 
 
-def _solve_max(rows, rhs, obj_col, nvars):
-    """Maximize x[obj_col] over {rows @ x = rhs, x >= 0}.
+def _solve_max(rows, dens, obj_col, nvars):
+    """Maximize x[obj_col] over {A @ x = b, x >= 0}, where row ``i`` of
+    ``[A | b]`` is ``rows[i] / dens[i]``: integer numerators over a positive
+    denominator, in lowest terms (as ``exact.integer_row`` gives them).
 
     Returns (optimum, point) or None when the system is infeasible.
     """
     m = len(rows)
-    tab, dens = [], []
-    for i in range(m):
-        nums, den = integer_row(list(rows[i]) + [rhs[i]])
+    tab, dens = [], list(dens)
+    for i, nums in enumerate(rows):
         if nums[-1] < 0:
             nums = [-x for x in nums]
         # Phase 1: artificial variable per row, minimize their sum.
-        tab.append(nums[:-1] + [den if j == i else 0 for j in range(m)] + nums[-1:])
-        dens.append(den)
+        tab.append(nums[:-1] + [dens[i] if j == i else 0 for j in range(m)] + nums[-1:])
     basis = [nvars + i for i in range(m)]
     tab.append([0] * nvars + [1] * m + [0])
     dens.append(1)
@@ -168,24 +187,19 @@ def nonnegative_feasible(
     # columns: a (m) | s | one slack per strict row | cap slack
     nvars = m + 1 + nstrict + 1
     s_col = m
-    eqs = []
-    b = []
-    for row, r in zip(rows, rhs):
-        eqs.append([Fraction(x) for x in row] + [Fraction(0)] * (nvars - m))
-        b.append(Fraction(r))
+    split = [integer_row([*row, *[0] * (nvars - m), r]) for row, r in zip(rows, rhs)]
+    eqs, dens = [nums for nums, _ in split], [den for _, den in split]
     for k, j in enumerate(strict_cols):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(-1)
-        row[s_col] = Fraction(1)
-        row[m + 1 + k] = Fraction(1)
+        row = [0] * (nvars + 1)
+        row[j] = -1
+        row[s_col] = row[m + 1 + k] = 1
         eqs.append(row)  # s - a_j + slack = 0, i.e. a_j >= s
-        b.append(Fraction(0))
-    cap = [Fraction(0)] * nvars
-    cap[s_col] = Fraction(1)
-    cap[nvars - 1] = Fraction(1)
+        dens.append(1)
+    cap = [0] * (nvars + 1)
+    cap[s_col] = cap[nvars - 1] = cap[nvars] = 1
     eqs.append(cap)
-    b.append(Fraction(1))
-    result = _solve_max(eqs, b, s_col, nvars)
+    dens.append(1)
+    result = _solve_max(eqs, dens, s_col, nvars)
     if result is None:
         return None
     value, point = result
@@ -207,28 +221,24 @@ def feasible_strict(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     nineq = sum(1 for c in cons if c.rel != EQ) + 1  # + slack cap row
     nvars = 2 * d + 1 + nineq
     s_col = 2 * d
-    rows = []
-    rhs = []
+    rows, dens = [], []
     slack_at = 2 * d + 1
     for c in cons:
-        row = [Fraction(0)] * nvars
-        for j, a in enumerate(c.coeffs):
-            row[j] = a
-            row[d + j] = -a
+        coeffs = c.nums[:-1]
+        row = [*coeffs, *(-a for a in coeffs)] + [0] * (nvars - 2 * d) + [c.nums[-1]]
         if c.rel == LT:
-            row[s_col] = Fraction(1)
+            row[s_col] = c.den
         if c.rel != EQ:
-            row[slack_at] = Fraction(1)
+            row[slack_at] = c.den
             slack_at += 1
         rows.append(row)
-        rhs.append(c.rhs)
-    cap = [Fraction(0)] * nvars
-    cap[s_col] = Fraction(1)
-    cap[slack_at] = Fraction(1)
+        dens.append(c.den)
+    cap = [0] * (nvars + 1)
+    cap[s_col] = cap[slack_at] = cap[nvars] = 1
     rows.append(cap)
-    rhs.append(Fraction(1))
+    dens.append(1)
 
-    result = _solve_max(rows, rhs, s_col, nvars)
+    result = _solve_max(rows, dens, s_col, nvars)
     if result is None:
         return None
     value, point = result

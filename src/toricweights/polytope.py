@@ -317,6 +317,8 @@ class PointConfiguration:
         """Lattice-normalized volume of the simplex on the given points, taken
         in the affine lattice of its span; 1 for a single point.  Raises on
         affinely dependent vertices."""
+        if type(indices) is tuple and (vol := self._volumes.get(indices)) is not None:
+            return vol  # memoised keys are sorted, without repeats
         key = tuple(sorted(indices))
         if len(set(key)) != len(key):
             raise ValueError("repeated vertex in simplex")

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .lp import LT, LinearSystem, constraint, feasible_strict
+from .lp import LT, Constraint, LinearSystem, feasible_strict
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
 Simplices = tuple[tuple[int, ...], ...]
@@ -218,20 +218,22 @@ class RegularityCertificate:
         return None if self.regular else _irreducible_infeasible(self.system)
 
 
-def _cone_row(config: PointConfiguration, cell: tuple[int, ...], k: int) -> list[Fraction]:
-    """The affine dependence of ``cell`` and point ``k``, scaled to -1 at k:
-    the barycentric coordinates of k on the cell's vertices and -1 at k.  A
-    lifting makes it negative exactly when k is lifted strictly above the
-    affine interpolation of the heights on the cell."""
+def _cone_row(config: PointConfiguration, cell: tuple[int, ...], k: int) -> Constraint:
+    """The strict inequality that lifts point ``k`` strictly above the affine
+    interpolation of the heights on ``cell``.  Its row is the affine dependence
+    of ``cell`` and ``k`` scaled to -1 at k (the barycentric coordinates of k
+    on the cell): the primitive dependence, negative at k, over |its value at
+    k|, hence in lowest terms."""
     ids = tuple(sorted(cell + (k,)))
     dep = config.dependence(ids)
     at_k = 0 if dep is None else dep[ids.index(k)]
     if at_k == 0:
         raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
-    row = [Fraction(0)] * len(config)
+    sign = -1 if at_k > 0 else 1
+    nums = [0] * (len(config) + 1)
     for i, c in zip(ids, dep):
-        row[i] = Fraction(c, -at_k)
-    return row
+        nums[i] = sign * c
+    return Constraint(tuple(nums), abs(at_k), LT)
 
 
 def cone_system(tri: Triangulation) -> LinearSystem:
@@ -255,12 +257,12 @@ def cone_system(tri: Triangulation) -> LinearSystem:
             continue
         for home in tri.simplices:
             row = _cone_row(config, home, k)
-            if all(row[i] >= 0 for i in home):
+            if all(row.nums[i] >= 0 for i in home):
                 break
         else:
             raise RuntimeError(f"point {k} lies in no cell")
         rows.append(row)
-    return LinearSystem(tuple(constraint(row, LT, 0) for row in rows))
+    return LinearSystem(tuple(rows))
 
 
 def is_regular(tri: Triangulation) -> RegularityCertificate:
@@ -308,17 +310,23 @@ class Flip:
     ``removed`` and ``inserted`` are the two parts of the circuit: the
     triangulation contains the pattern of cofaces Z minus {j} for j in
     ``removed``, joined with a common link; the flip installs the opposite
-    pattern.  Applying the resulting flip at the same circuit returns the
-    original triangulation.
+    pattern.  ``simplices`` is the result's canonical form, a key to check
+    before ``result`` builds and validates the triangulation on first read.
+    Applying the resulting flip at the same circuit returns the original.
     """
 
     removed: tuple[int, ...]
     inserted: tuple[int, ...]
-    result: Triangulation
+    simplices: Simplices
+    config: PointConfiguration = field(repr=False, compare=False)
 
     @property
     def circuit(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.removed, self.inserted)
+
+    @cached_property
+    def result(self) -> Triangulation:
+        return Triangulation(self.config, self.simplices)
 
 
 def flips(tri: Triangulation) -> list[Flip]:
@@ -332,7 +340,11 @@ def flips(tri: Triangulation) -> list[Flip]:
     config = tri.config
     candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     npts = len(config)
+    faces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for s in tri.simplices:
+        for size in range(1, len(s) + 1):
+            for f in combinations(s, size):
+                faces.setdefault(f, []).append(s)
         inside = set(s)
         for p in range(npts):
             if p in inside:
@@ -344,25 +356,25 @@ def flips(tri: Triangulation) -> list[Flip]:
     out = []
     for plus, minus in sorted(candidates):
         for removed, inserted in ((plus, minus), (minus, plus)):
-            result = _try_flip(tri, removed, inserted)
-            if result is not None:
-                out.append(Flip(removed, inserted, result))
+            simplices = _try_flip(tri.simplices, faces, removed, inserted)
+            if simplices is not None:
+                out.append(Flip(removed, inserted, simplices, config))
     return out
 
 
-def _try_flip(tri: Triangulation, removed: tuple[int, ...], inserted: tuple[int, ...]) -> Optional[Triangulation]:
-    """Apply the flip at the circuit (removed | inserted) if the triangulation
-    supports it: all cofaces on the removed side must appear with one common
-    link."""
-    circuit = set(removed) | set(inserted)
+def _try_flip(simplices: Simplices, faces: dict, removed: tuple[int, ...], inserted: tuple[int, ...]) -> Optional[Simplices]:
+    """The canonical simplices after the flip at the circuit (removed |
+    inserted) if the triangulation supports it: all cofaces on the removed
+    side, looked up in ``faces`` (face -> simplices), share one link."""
+    circuit = tuple(sorted(removed + inserted))
     link: Optional[frozenset[frozenset[int]]] = None
     to_remove: set[tuple[int, ...]] = set()
     for j in removed:
-        coface = circuit - {j}
-        owners = [s for s in tri.simplices if coface <= set(s)]
+        coface = tuple(i for i in circuit if i != j)
+        owners = faces.get(coface)
         if not owners:
             return None
-        this_link = frozenset(frozenset(set(s) - coface) for s in owners)
+        this_link = frozenset(frozenset(s).difference(coface) for s in owners)
         if link is None:
             link = this_link
         elif link != this_link:
@@ -370,12 +382,12 @@ def _try_flip(tri: Triangulation, removed: tuple[int, ...], inserted: tuple[int,
         to_remove.update(owners)
     if link is None:
         raise RuntimeError("flip has an empty removed side")
-    new_cells = [s for s in tri.simplices if s not in to_remove]
+    new_cells = [s for s in simplices if s not in to_remove]
     for k in inserted:
-        coface = circuit - {k}
+        coface = {i for i in circuit if i != k}
         for l in link:
-            new_cells.append(tuple(sorted(coface | l)))
-    return Triangulation(tri.config, new_cells)
+            new_cells.append(coface | l)
+    return canonical_simplices(new_cells)
 
 
 @dataclass
@@ -445,10 +457,10 @@ def enumerate_regular(
             raise EnumerationCapExceeded("time budget", len(found))
         tri = queue.popleft()
         for flip in flips(tri):
-            nb = flip.result
-            key = nb.simplices
+            key = flip.simplices
             if key in found or key in rejected:
                 continue
+            nb = flip.result
             cert = is_regular(nb)
             if cert.regular:
                 found[key] = (nb, cert)

@@ -1,7 +1,7 @@
 """Independent oracles: brute-force triangulations of tiny configurations,
 the Fraction-tableau simplex that ``lp`` is checked against, the cone
-system built by one elimination per row, and the lower hull found by
-exhaustive facet search.
+system built by one elimination per row, the lower hull found by
+exhaustive facet search, and the flips found by scanning every simplex.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -15,9 +15,10 @@ flip search it is used to cross-check.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from toricweights.exact import affine_combination
 from toricweights.lp import LT, LinearSystem, _Unbounded, constraint, nonnegative_feasible
@@ -334,3 +335,88 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
     simplicial = all(len(c) == n + 1 for c in cells)
     return Subdivision(tuple(cells), simplicial)
 
+
+# --- Flips by scanning every simplex ----------------------------------------
+#
+# ``Flip``, ``flips`` and ``_try_flip`` as they stood before flips carried
+# their result's key and looked cofaces up in a face index: every coface is
+# found by scanning all simplices and every result is built and validated,
+# verbatim, so ``triangulation.flips`` can be checked against it for equal
+# flips in equal order.
+
+
+@dataclass(frozen=True)
+class Flip:
+    """A bistellar flip across a circuit.
+
+    ``removed`` and ``inserted`` are the two parts of the circuit: the
+    triangulation contains the pattern of cofaces Z minus {j} for j in
+    ``removed``, joined with a common link; the flip installs the opposite
+    pattern.  Applying the resulting flip at the same circuit returns the
+    original triangulation.
+    """
+
+    removed: tuple[int, ...]
+    inserted: tuple[int, ...]
+    result: Triangulation
+
+    @property
+    def circuit(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return (self.removed, self.inserted)
+
+
+def flips(tri: Triangulation) -> list[Flip]:
+    """All supported bistellar flips of the triangulation.
+
+    Candidate circuits are those on a simplex plus one point outside it.
+    They include every wall circuit (two adjacent simplices are one of them
+    plus the other's opposite point) and the flips that insert an unused
+    point.
+    """
+    config = tri.config
+    candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    npts = len(config)
+    for s in tri.simplices:
+        inside = set(s)
+        for p in range(npts):
+            if p in inside:
+                continue
+            z = config.circuit(s + (p,))
+            if z is not None:
+                candidates.add(z)
+
+    out = []
+    for plus, minus in sorted(candidates):
+        for removed, inserted in ((plus, minus), (minus, plus)):
+            result = _try_flip(tri, removed, inserted)
+            if result is not None:
+                out.append(Flip(removed, inserted, result))
+    return out
+
+
+def _try_flip(tri: Triangulation, removed: tuple[int, ...], inserted: tuple[int, ...]) -> Optional[Triangulation]:
+    """Apply the flip at the circuit (removed | inserted) if the triangulation
+    supports it: all cofaces on the removed side must appear with one common
+    link."""
+    circuit = set(removed) | set(inserted)
+    link: Optional[frozenset[frozenset[int]]] = None
+    to_remove: set[tuple[int, ...]] = set()
+    for j in removed:
+        coface = circuit - {j}
+        owners = [s for s in tri.simplices if coface <= set(s)]
+        if not owners:
+            return None
+        this_link = frozenset(frozenset(set(s) - coface) for s in owners)
+        if link is None:
+            link = this_link
+        elif link != this_link:
+            return None
+        to_remove.update(owners)
+    if link is None:
+        raise RuntimeError("flip has an empty removed side")
+    new_cells = [s for s in tri.simplices if s not in to_remove]
+    for k in inserted:
+        coface = circuit - {k}
+        for l in link:
+            new_cells.append(tuple(sorted(coface | l)))
+    return Triangulation(tri.config, new_cells)

@@ -32,7 +32,7 @@ lp._solve_max = lambda rows, rhs, obj, nvars: (Fraction(1), [Fraction(1)] + [Fra
 print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
-    "try_flip": message(triangulation._try_flip, placing_triangulation(config), (), (0,)),
+    "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
     "face_functional": message(polytope._face_functional, [(0, 0)], (0, 0)),
     "cell_affine_value": message(functionals._cell_affine_value, config, (0, 1, 2), {0: 0, 1: 1, 2: 0}, (0, 0)),
     "feasible_strict": message(lp.feasible_strict, LinearSystem((constraint([1], LT, 0),))),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from toricweights import lp
+from toricweights.exact import integer_row
 from toricweights.lp import (
     EQ,
     LE,
@@ -155,15 +157,25 @@ def outcome(solve, *args):
         return "unbounded"
 
 
+def oracle_solve_max(rows, dens, obj_col, nvars):
+    """``oracles._solve_max`` on the same rational rows as ``lp._solve_max``
+    reads from integer numerators over denominators."""
+    fracs = [[Fraction(x, den) for x in nums] for nums, den in zip(rows, dens)]
+    return oracles._solve_max([r[:-1] for r in fracs], [r[-1] for r in fracs], obj_col, nvars)
+
+
 def with_oracle(fn, *args):
-    with mock.patch.object(lp, "_solve_max", oracles._solve_max):
+    with mock.patch.object(lp, "_solve_max", oracle_solve_max):
         return fn(*args)
 
 
 @settings(max_examples=300, deadline=None)
 @given(equality_system())
 def test_solve_max_matches_fraction_oracle(system):
-    assert outcome(lp._solve_max, *system) == outcome(oracles._solve_max, *system)
+    rows, rhs, obj_col, nvars = system
+    split = [integer_row(row + [b]) for row, b in zip(rows, rhs)]
+    integer = ([nums for nums, _ in split], [den for _, den in split], obj_col, nvars)
+    assert outcome(lp._solve_max, *integer) == outcome(oracles._solve_max, *system)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,3 +190,53 @@ def test_nonnegative_feasible_matches_fraction_oracle(system, data):
     rows, rhs, _, nvars = system
     strict = data.draw(st.lists(st.integers(min_value=0, max_value=nvars - 1), unique=True, max_size=nvars))
     assert nonnegative_feasible(rows, rhs, strict) == with_oracle(nonnegative_feasible, rows, rhs, strict)
+
+
+# ``Constraint`` holds its row as integer numerators over one denominator.
+
+RELATIONS = [LE, LT, EQ, ">=", ">"]
+
+
+def fraction_holds(coeffs, rel, rhs, point):
+    lhs = sum(Fraction(c) * x for c, x in zip(coeffs, point))
+    return {LE: lhs <= rhs, LT: lhs < rhs, EQ: lhs == rhs, ">=": lhs >= rhs, ">": lhs > rhs}[rel]
+
+
+@given(st.data())
+def test_holds_matches_fraction_evaluation(data):
+    dim = data.draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(st.lists(rational, min_size=dim, max_size=dim), st.sampled_from(RELATIONS), rational)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    point = data.draw(st.lists(st.one_of(rational, coeff), min_size=dim, max_size=dim))
+    cons = [constraint(coeffs, rel, rhs) for coeffs, rel, rhs in rows]
+    expected = [fraction_holds(coeffs, rel, rhs, point) for coeffs, rel, rhs in rows]
+    assert [c.holds(point) for c in cons] == expected
+    assert LinearSystem(tuple(cons)).holds(point) == all(expected)
+
+
+@given(st.lists(rational, min_size=1, max_size=4), st.sampled_from(RELATIONS), st.integers(min_value=2, max_value=5))
+def test_equal_rational_rows_give_equal_constraints(row, rel, k):
+    # The same values as unreduced strings "p*k/q*k": one row, one constraint,
+    # with numerators and denominator in lowest terms.
+    written = [f"{x.numerator * k}/{x.denominator * k}" for x in row]
+    c = constraint(row[:-1], rel, row[-1])
+    same = constraint(written[:-1], rel, written[-1])
+    assert c == same and hash(c) == hash(same)
+    assert c.den > 0 and gcd(c.den, *c.nums) == 1
+    sign = 1 if rel in (LE, LT, EQ) else -1
+    assert c.coeffs == tuple(sign * x for x in row[:-1]) and c.rhs == sign * row[-1]
+
+
+def test_constraint_rows_in_lowest_terms():
+    assert constraint([Fraction(2, 4)], LE, 1) == constraint([Fraction(1, 2)], LE, 1)
+    c = constraint([Fraction(2, 4), 3], LT, Fraction(1, 3))
+    assert (c.nums, c.den) == ((3, 18, 2), 6)
+    assert c.coeffs == (Fraction(1, 2), Fraction(3)) and c.rhs == Fraction(1, 3)
+
+
+def test_holds_rejects_float_coordinates():
+    c = constraint([1, 1], LE, 1)
+    with pytest.raises(TypeError):
+        c.holds((0.5, 0))
+    with pytest.raises(TypeError):
+        LinearSystem((c,)).holds((0, 0.5))

@@ -63,11 +63,14 @@ def test_tracer_sees_the_enumeration_layers():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert len(enumerate_regular(config_of(SQUARE))) == 2
+        enumeration = enumerate_regular(config_of(SQUARE))
     finally:
         tracer.restore()
+    assert len(enumeration) == 2
     metrics = tracing.aggregate(tracer.spans, tracer.counters)
     for name in ("flips", "is_regular", "cone_system"):
         assert metrics[f"triangulation.{name}.calls"] > 0
+    # flips runs on every triangulation found, and each of the two has a flip.
+    assert metrics["triangulation.flips.results"] >= len(enumeration)
     assert metrics["lp.feasible_strict.calls"] == metrics["triangulation.is_regular.calls"]
     assert metrics["exact.affine_dependence.calls"] == metrics["exact.affine_dependence.distinct"] > 0

@@ -482,3 +482,35 @@ def test_lower_hull_makes_no_hull_facets_call(monkeypatch):
     monkeypatch.setattr(triangulation, "hull_facets", counting, raising=False)
     assert lower_hull_subdivision(cfg, heights) == expected
     assert calls == []
+
+
+def flip_triples(fs):
+    return [(f.removed, f.inserted, f.result.simplices) for f in fs]
+
+
+@pytest.mark.parametrize("vertices", HULL_SHAPES)
+def test_flips_match_scanning_oracle(vertices):
+    # Key-first flips with a face index give the same flips, in the same
+    # order, with the same results as scanning every simplex per coface.
+    for entry in enumerate_regular(config_of(vertices)):
+        tri = entry.triangulation
+        assert flip_triples(flips(tri)) == flip_triples(oracles.flips(tri))
+
+
+def test_flips_of_irregular_triangulation_match_scanning_oracle():
+    _, tri = spiral_triangulation()
+    fs = flips(tri)
+    assert fs and flip_triples(fs) == flip_triples(oracles.flips(tri))
+    for f in fs:
+        assert flip_triples(flips(f.result)) == flip_triples(oracles.flips(f.result))
+
+
+def test_enumeration_validates_each_triangulation_once(monkeypatch):
+    # A flip result already found is discarded by its key, unbuilt: the 3x3
+    # grid validates its 387 triangulations once each (scanning every flip
+    # result validated 2,381).
+    validated = []
+    original = Triangulation._validate
+    monkeypatch.setattr(Triangulation, "_validate", lambda self: validated.append(self.simplices) or original(self))
+    assert len(enumerate_regular(config_of(GRID3X3))) == 387
+    assert len(validated) == len(set(validated)) == 387
