@@ -6,7 +6,7 @@ characteristic vectors, integrals and the Donaldson functional hold as strict
 equalities and double as the test oracles.
 """
 
-from .exact import Rational, det, lattice_index
+from .exact import det, lattice_index
 from .functionals import (
     Degrees,
     PLFunction,

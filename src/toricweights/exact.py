@@ -14,8 +14,6 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-Rational = Fraction
-
 IntVector = Sequence[int]
 IntMatrix = Sequence[Sequence[int]]
 

@@ -22,7 +22,6 @@ from .exact import (
     lattice_index,
     primitive,
     rank,
-    solve_linear,
 )
 from .lp import nonnegative_feasible
 
@@ -119,64 +118,36 @@ def placing_cells(points: Sequence[Point], order: Sequence[int]) -> list[tuple[i
     """Cells (index tuples) of the placing triangulation of ``points`` built
     by inserting the points in ``order``.
 
-    A point inside the current hull is skipped; a point outside it is coned
-    over the boundary faces it strictly sees; a point outside the current
-    affine hull is coned over every cell.
+    Each decision reads the new point's barycentric coordinates on the
+    current cells, each computed once.  Every cell spans the current affine
+    hull, so a point with no coordinates on the first cell lies outside that
+    hull and is coned over every cell.  A point with nonnegative coordinates
+    on some cell lies in the current hull and is skipped.  Any other point
+    is coned over the boundary faces it strictly sees: the boundary face
+    s minus {o} of its one cell s exactly when the point's coordinate at o
+    on s is negative.
     """
     pts = [tuple(p) for p in points]
     simplices: list[tuple[int, ...]] = []
-    basis: list[int] = []  # affine basis of the inserted points
     for idx in order:
         p = pts[idx]
         if not simplices:
             simplices = [(idx,)]
-            basis = [idx]
             continue
-        in_hull = affine_combination([pts[i] for i in basis], p) is not None
-        if not in_hull:
-            simplices = [tuple(sorted(s + (idx,))) for s in simplices]
-            basis.append(idx)
-            continue
-        inside = False
+        # Each face of a cell, with p's coordinate at the opposite vertex per owner.
+        faces: dict[tuple[int, ...], list[Fraction]] = {}
         for s in simplices:
             coeffs = affine_combination([pts[i] for i in s], p)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                inside = True
+            if coeffs is None:
+                simplices = [tuple(sorted(c + (idx,))) for c in simplices]
                 break
-        if inside:
-            continue
-        # Lateral extension: cone over boundary faces visible from p.
-        counts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for s in simplices:
-            for f in combinations(s, len(s) - 1):
-                counts.setdefault(f, []).append(s)
-        new = []
-        for face, owners in counts.items():
-            if len(owners) != 1:
-                continue
-            opposite = next(i for i in owners[0] if i not in face)
-            phi = _face_functional([pts[i] for i in face], pts[opposite])
-            if _evaluate_affine(phi, p) < 0:
-                new.append(tuple(sorted(face + (idx,))))
-        simplices.extend(new)
+            if min(coeffs) >= 0:
+                break
+            for k, c in enumerate(coeffs):
+                faces.setdefault(s[:k] + s[k + 1 :], []).append(c)
+        else:
+            simplices.extend(tuple(sorted(f + (idx,))) for f, cs in faces.items() if len(cs) == 1 and cs[0] < 0)
     return sorted(simplices)
-
-
-def _face_functional(face_points, opposite_point):
-    """Affine functional vanishing on the face and equal to 1 at the opposite
-    vertex (well-defined on the current affine hull)."""
-    d = len(opposite_point)
-    matrix = [list(q) + [1] for q in face_points]
-    matrix.append(list(opposite_point) + [1])
-    rhs = [0] * len(face_points) + [1]
-    sol = solve_linear(matrix, rhs)
-    if sol is None:
-        raise RuntimeError("face functional has no solution")
-    return sol
-
-
-def _evaluate_affine(phi, point) -> Fraction:
-    return sum(c * x for c, x in zip(phi, point)) + phi[-1]
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,6 @@ class Triangulation:
         faces = {f for s in self.simplices for f in combinations(s, k + 1)}
         return tuple(sorted(faces))
 
-    def volume(self, simplex: Sequence[int]) -> int:
-        return self.config.normalized_volume(simplex)
-
     def __eq__(self, other):
         return (
             isinstance(other, Triangulation)
@@ -332,13 +329,17 @@ class Flip:
 def flips(tri: Triangulation) -> list[Flip]:
     """All supported bistellar flips of the triangulation.
 
-    Candidate circuits are those on a simplex plus one point outside it.
+    Candidate circuits are those on a simplex plus one point p outside it.
     They include every wall circuit (two adjacent simplices are one of them
     plus the other's opposite point) and the flips that insert an unused
-    point.
+    point.  The simplex holds the coface Z minus {p} of such a circuit Z, so
+    p's side is the side a flip would remove.  No triangulation holds
+    cofaces from both sides: the hulls of both parts would be faces, and the
+    Radon point of Z lies in the relative interior of each.  So each circuit
+    is tried once, in that orientation.
     """
     config = tri.config
-    candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    candidates: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}  # circuit -> p in its plus side
     npts = len(config)
     faces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for s in tri.simplices:
@@ -351,14 +352,14 @@ def flips(tri: Triangulation) -> list[Flip]:
                 continue
             z = config.circuit(s + (p,))
             if z is not None:
-                candidates.add(z)
+                candidates[z] = p in z[0]
 
     out = []
-    for plus, minus in sorted(candidates):
-        for removed, inserted in ((plus, minus), (minus, plus)):
-            simplices = _try_flip(tri.simplices, faces, removed, inserted)
-            if simplices is not None:
-                out.append(Flip(removed, inserted, simplices, config))
+    for (plus, minus), plus_removed in sorted(candidates.items()):
+        removed, inserted = (plus, minus) if plus_removed else (minus, plus)
+        simplices = _try_flip(tri.simplices, faces, removed, inserted)
+        if simplices is not None:
+            out.append(Flip(removed, inserted, simplices, config))
     return out
 
 

@@ -35,7 +35,7 @@ class CharVector:
 def gkz_vector(tri: Triangulation) -> CharVector:
     entries = [0] * len(tri.config)
     for s in tri.simplices:
-        vol = tri.volume(s)
+        vol = tri.config.normalized_volume(s)
         for i in s:
             entries[i] += vol
     return CharVector(GKZ, tuple(entries))

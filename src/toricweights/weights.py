@@ -269,7 +269,7 @@ class SupportTrialReport:
         return not self.failures
 
 
-def run_support_trials(analysis, count: int = 20, seed: int = 0, max_attempts: Optional[int] = None) -> SupportTrialReport:
+def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrialReport:
     """Seeded random integral liftings with simplicial lower hull, each checked
     against both support identities (plus the Aubin identity for the Chow
     side: min <x,lam> == (n+1)! * integral of the lower envelope)."""
@@ -277,8 +277,7 @@ def run_support_trials(analysis, count: int = 20, seed: int = 0, max_attempts: O
     n1 = len(analysis.config)
     fact = factorial(analysis.config.dim + 1)
     report = SupportTrialReport(seed, count)
-    limit = max_attempts if max_attempts is not None else 200 * count
-    while report.applicable < count and report.attempts < limit:
+    while report.applicable < count and report.attempts < 200 * count:
         report.attempts += 1
         lam = Lifting.normalized([rng.randrange(-30, 1) for _ in range(n1)])
         sub = lower_hull_subdivision(analysis.config, lam)

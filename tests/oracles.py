@@ -1,7 +1,8 @@
 """Independent oracles: brute-force triangulations of tiny configurations,
 the Fraction-tableau simplex that ``lp`` is checked against, the cone
 system built by one elimination per row, the lower hull found by
-exhaustive facet search, and the flips found by scanning every simplex.
+exhaustive facet search, the flips found by scanning every simplex, and the
+placing triangulation by one face functional per boundary face.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -20,9 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from toricweights.exact import affine_combination
+from toricweights.exact import affine_combination, solve_linear
 from toricweights.lp import LT, LinearSystem, _Unbounded, constraint, nonnegative_feasible
-from toricweights.polytope import PointConfiguration, extreme_point_indices, hull_facets
+from toricweights.polytope import Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
 
 
@@ -420,3 +421,76 @@ def _try_flip(tri: Triangulation, removed: tuple[int, ...], inserted: tuple[int,
         for l in link:
             new_cells.append(tuple(sorted(coface | l)))
     return Triangulation(tri.config, new_cells)
+
+
+# --- Placing by face functionals --------------------------------------------
+#
+# ``placing_cells`` as it stood before it read every decision from the new
+# point's barycentric coordinates on the current cells: the affine hull is
+# tracked by an affine basis, and visibility of each boundary face is one
+# more exact solve for the functional vanishing on it, verbatim, so
+# ``polytope.placing_cells`` can be checked against it for equal cells.
+
+
+def placing_cells(points: Sequence[Point], order: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cells (index tuples) of the placing triangulation of ``points`` built
+    by inserting the points in ``order``.
+
+    A point inside the current hull is skipped; a point outside it is coned
+    over the boundary faces it strictly sees; a point outside the current
+    affine hull is coned over every cell.
+    """
+    pts = [tuple(p) for p in points]
+    simplices: list[tuple[int, ...]] = []
+    basis: list[int] = []  # affine basis of the inserted points
+    for idx in order:
+        p = pts[idx]
+        if not simplices:
+            simplices = [(idx,)]
+            basis = [idx]
+            continue
+        in_hull = affine_combination([pts[i] for i in basis], p) is not None
+        if not in_hull:
+            simplices = [tuple(sorted(s + (idx,))) for s in simplices]
+            basis.append(idx)
+            continue
+        inside = False
+        for s in simplices:
+            coeffs = affine_combination([pts[i] for i in s], p)
+            if coeffs is not None and all(c >= 0 for c in coeffs):
+                inside = True
+                break
+        if inside:
+            continue
+        # Lateral extension: cone over boundary faces visible from p.
+        counts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for s in simplices:
+            for f in combinations(s, len(s) - 1):
+                counts.setdefault(f, []).append(s)
+        new = []
+        for face, owners in counts.items():
+            if len(owners) != 1:
+                continue
+            opposite = next(i for i in owners[0] if i not in face)
+            phi = _face_functional([pts[i] for i in face], pts[opposite])
+            if _evaluate_affine(phi, p) < 0:
+                new.append(tuple(sorted(face + (idx,))))
+        simplices.extend(new)
+    return sorted(simplices)
+
+
+def _face_functional(face_points, opposite_point):
+    """Affine functional vanishing on the face and equal to 1 at the opposite
+    vertex (well-defined on the current affine hull)."""
+    d = len(opposite_point)
+    matrix = [list(q) + [1] for q in face_points]
+    matrix.append(list(opposite_point) + [1])
+    rhs = [0] * len(face_points) + [1]
+    sol = solve_linear(matrix, rhs)
+    if sol is None:
+        raise RuntimeError("face functional has no solution")
+    return sol
+
+
+def _evaluate_affine(phi, point) -> Fraction:
+    return sum(c * x for c, x in zip(phi, point)) + phi[-1]

@@ -13,7 +13,7 @@ SCRIPT = r"""
 import json
 from fractions import Fraction
 
-from toricweights import functionals, lp, polytope, triangulation
+from toricweights import functionals, lp, triangulation
 from toricweights.lp import LT, LinearSystem, constraint
 from toricweights.polytope import LatticePolytope, lattice_points
 from toricweights.triangulation import Triangulation, placing_triangulation
@@ -33,7 +33,6 @@ print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
-    "face_functional": message(polytope._face_functional, [(0, 0)], (0, 0)),
     "cell_affine_value": message(functionals._cell_affine_value, config, (0, 1, 2), {0: 0, 1: 1, 2: 0}, (0, 0)),
     "feasible_strict": message(lp.feasible_strict, LinearSystem((constraint([1], LT, 0),))),
 }))

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import CUBE, DOUBLE_SIMPLEX, SEGMENT2, SQUARE, config_of
@@ -484,6 +484,26 @@ def test_lower_hull_makes_no_hull_facets_call(monkeypatch):
     assert calls == []
 
 
+def placing_point_sets(vertices):
+    """The point sets that get placed: the lattice points (the enumeration
+    seed), the vertex set (``volume``) and each facet's vertex set
+    (``boundary_volume``, placings of lower dimension)."""
+    cfg = config_of(vertices)
+    q = cfg.polytope
+    return [cfg.points, q.vertices] + [q.facet_vertices(f) for f in q.facets]
+
+
+@pytest.mark.parametrize("vertices", HULL_SHAPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_placing_matches_face_functional_oracle(vertices, data):
+    # Visibility read from barycentric coordinates gives the cells that one
+    # face functional per boundary face gives, in any insertion order.
+    for points in placing_point_sets(vertices):
+        order = data.draw(st.permutations(range(len(points))))
+        assert polytope.placing_cells(points, order) == oracles.placing_cells(points, order)
+
+
 def flip_triples(fs):
     return [(f.removed, f.inserted, f.result.simplices) for f in fs]
 
@@ -514,3 +534,43 @@ def test_enumeration_validates_each_triangulation_once(monkeypatch):
     monkeypatch.setattr(Triangulation, "_validate", lambda self: validated.append(self.simplices) or original(self))
     assert len(enumerate_regular(config_of(GRID3X3))) == 387
     assert len(validated) == len(set(validated)) == 387
+
+
+def test_grid_enumeration_tries_each_candidate_circuit_once(monkeypatch):
+    # The removed side of a candidate circuit is the side of the point that
+    # found it, so each circuit is tried in one orientation: 10,164 calls on
+    # the 3x3 grid (trying both orientations made 20,328).
+    calls = []
+    original = triangulation._try_flip
+    monkeypatch.setattr(triangulation, "_try_flip", lambda *args: calls.append(args) or original(*args))
+    assert len(enumerate_regular(config_of(GRID3X3))) == 387
+    assert len(calls) == 10164
+
+
+def check_bfs_against_brute_force(vertices):
+    # Flip-BFS finds exactly the regular members of the brute-force set, and
+    # each witness lifts back to its triangulation.
+    try:
+        cfg = config_of(vertices)
+    except ValueError:  # not full-dimensional
+        reject()
+    assume(len(cfg) <= 8)
+    enum = enumerate_regular(cfg)
+    regular = {c for c in all_triangulations(cfg) if is_regular(Triangulation(cfg, c)).regular}
+    assert enum.canonical_forms() == regular
+    for entry in enum:
+        sub = lower_hull_subdivision(cfg, entry.certificate.witness)
+        assert sub.is_triangulation and sub.cells == entry.triangulation.simplices
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=6, unique=True))
+def test_flip_bfs_matches_brute_force_on_random_polygons(vertices):
+    check_bfs_against_brute_force(vertices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1)), min_size=4, max_size=6, unique=True))
+def test_flip_bfs_matches_brute_force_on_random_3d_polytopes(vertices):
+    # Centred on the origin, so some draws (the octahedron) have an interior point.
+    check_bfs_against_brute_force(vertices)
