@@ -53,7 +53,7 @@ def load_vertices(path: str) -> list[list[int]]:
     if (
         not isinstance(vertices, list)
         or not vertices
-        or not all(isinstance(v, list) and v and all(isinstance(x, int) for x in v) for v in vertices)
+        or not all(isinstance(v, list) and v and all(type(x) is int for x in v) for v in vertices)
     ):
         raise InputError(f"{path}: vertices must be a nonempty list of integer vectors")
     return vertices
@@ -275,6 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("trials", "max_triangulations", "time_budget"):
+            if not (getattr(args, name) or 0) >= 0:  # negative or NaN; None is no budget
+                raise InputError(f"--{name.replace('_', '-')} must be nonnegative, got {getattr(args, name)}")
         report, code = COMMANDS[args.command](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

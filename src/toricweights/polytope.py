@@ -330,20 +330,10 @@ class PointConfiguration:
         (coefficients aligned with ``ids``, as ``exact.affine_dependence``
         gives them), or None when they are affinely independent.  Memoised:
         dependences are a property of the configuration, shared by every
-        triangulation's circuits and regularity inequalities."""
+        triangulation's regularity inequalities and flip circuits."""
         if ids not in self._dependences:
             self._dependences[ids] = affine_dependence([self.points[i] for i in ids])
         return self._dependences[ids]
-
-    def circuit(self, indices: Sequence[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The circuit (plus, minus) on the given points: the indices with
-        positive and with negative coefficient in their affine dependence, or
-        None when the points are affinely independent."""
-        ids = tuple(sorted(indices))
-        dep = self.dependence(ids)
-        if dep is None:
-            return None
-        return tuple(i for i, c in zip(ids, dep) if c > 0), tuple(i for i, c in zip(ids, dep) if c < 0)
 
     def vertex_indices(self) -> tuple[int, ...]:
         return tuple(self.index[v] for v in self.polytope.vertices)

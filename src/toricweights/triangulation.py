@@ -16,7 +16,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .lp import LT, Constraint, LinearSystem, feasible_strict
+from .lp import LT, Constraint, LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
 Simplices = tuple[tuple[int, ...], ...]
@@ -201,7 +201,7 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
 class RegularityCertificate:
     """Witness lifting strictly inside the cone of liftings inducing T, or,
     when no such lifting exists, the cone system, whose irreducible
-    infeasible subsystem is computed on first read."""
+    infeasible subsystem is read off a Gordan certificate on first read."""
 
     witness: Optional[Lifting]
     system: Optional[LinearSystem] = None
@@ -266,7 +266,7 @@ def is_regular(tri: Triangulation) -> RegularityCertificate:
     """Decide regularity by exact LP on the cone system.
 
     Irregularity is a value, not an error: the certificate then keeps the
-    system, and reading its ``infeasible_subsystem`` runs a deletion filter.
+    system, and reading its ``infeasible_subsystem`` solves one Gordan LP.
     """
     system = cone_system(tri)
     if not system.constraints:
@@ -278,15 +278,16 @@ def is_regular(tri: Triangulation) -> RegularityCertificate:
 
 
 def _irreducible_infeasible(system: LinearSystem) -> LinearSystem:
-    cons = list(system.constraints)
-    i = 0
-    while i < len(cons):
-        trial = cons[:i] + cons[i + 1 :]
-        if trial and feasible_strict(LinearSystem(tuple(trial))) is None:
-            cons = trial
-        else:
-            i += 1
-    return LinearSystem(tuple(cons))
+    """Gordan: A x < 0 has no solution exactly when some y >= 0, sum(y) = 1,
+    has y^T A = 0 (scaling rows keeps y's support, so numerators serve).  A
+    basic y has independent support columns, so no y has a smaller support:
+    its support is an irreducible infeasible subsystem (Gleeson-Ryan 1990)."""
+    cons = system.constraints
+    rows = [[c.nums[j] for c in cons] for j in range(system.dim)] + [[1] * len(cons)]
+    y = nonnegative_feasible(rows, [0] * system.dim + [1])
+    if y is None:
+        raise RuntimeError("infeasible cone system has no Gordan certificate")
+    return LinearSystem(tuple(c for c, v in zip(cons, y) if v))
 
 
 def placing_triangulation(config: PointConfiguration, order: Optional[Sequence[int]] = None) -> Triangulation:
@@ -327,39 +328,33 @@ class Flip:
 
 
 def flips(tri: Triangulation) -> list[Flip]:
-    """All supported bistellar flips of the triangulation.
+    """All supported bistellar flips of the triangulation, in circuit order.
 
-    Candidate circuits are those on a simplex plus one point p outside it.
-    They include every wall circuit (two adjacent simplices are one of them
-    plus the other's opposite point) and the flips that insert an unused
-    point.  The simplex holds the coface Z minus {p} of such a circuit Z, so
-    p's side is the side a flip would remove.  No triangulation holds
-    cofaces from both sides: the hulls of both parts would be faces, and the
-    Radon point of Z lies in the relative interior of each.  So each circuit
-    is tried once, in that orientation.
+    Each row of ``cone_system(tri)``, a cell plus a point k outside it, is
+    the dependence of a circuit Z, negative at k, and the cell holds the
+    coface Z - k: the negative side is the one a flip removes.  No
+    triangulation holds cofaces from both sides (Z's Radon point is interior
+    to both hulls), so each circuit is tried once.  Every supported flip has
+    a row.  A removed side holding i and j gives, for a link cell l, the
+    interior wall (Z - {i, j}) + l, whose fold row is Z's (a cell plus one
+    point has one dependence).  A removed side {p} has p interior to the
+    face Z - p, so p is unused and its home cell holds Z - p.
     """
-    config = tri.config
-    candidates: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}  # circuit -> p in its plus side
-    npts = len(config)
     faces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for s in tri.simplices:
         for size in range(1, len(s) + 1):
             for f in combinations(s, size):
                 faces.setdefault(f, []).append(s)
-        inside = set(s)
-        for p in range(npts):
-            if p in inside:
-                continue
-            z = config.circuit(s + (p,))
-            if z is not None:
-                candidates[z] = p in z[0]
-
+    circuits = set()
+    for row in cone_system(tri).constraints:
+        removed = tuple(i for i, c in enumerate(row.nums[:-1]) if c < 0)
+        circuits.add((removed, tuple(i for i, c in enumerate(row.nums[:-1]) if c > 0)))
     out = []
-    for (plus, minus), plus_removed in sorted(candidates.items()):
-        removed, inserted = (plus, minus) if plus_removed else (minus, plus)
+    # (plus, minus) order of affine_dependence: the side holding the smallest index first.
+    for removed, inserted in sorted(circuits, key=lambda z: min(z, z[::-1])):
         simplices = _try_flip(tri.simplices, faces, removed, inserted)
         if simplices is not None:
-            out.append(Flip(removed, inserted, simplices, config))
+            out.append(Flip(removed, inserted, simplices, tri.config))
     return out
 
 

@@ -343,7 +343,8 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
 # their result's key and looked cofaces up in a face index: every coface is
 # found by scanning all simplices and every result is built and validated,
 # verbatim, so ``triangulation.flips`` can be checked against it for equal
-# flips in equal order.
+# flips in equal order.  ``circuit`` is ``PointConfiguration.circuit`` as it
+# stood before flips read their circuits off the cone system's rows.
 
 
 @dataclass(frozen=True)
@@ -366,6 +367,17 @@ class Flip:
         return (self.removed, self.inserted)
 
 
+def circuit(config: PointConfiguration, indices: Sequence[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The circuit (plus, minus) on the given points: the indices with
+    positive and with negative coefficient in their affine dependence, or
+    None when the points are affinely independent."""
+    ids = tuple(sorted(indices))
+    dep = config.dependence(ids)
+    if dep is None:
+        return None
+    return tuple(i for i, c in zip(ids, dep) if c > 0), tuple(i for i, c in zip(ids, dep) if c < 0)
+
+
 def flips(tri: Triangulation) -> list[Flip]:
     """All supported bistellar flips of the triangulation.
 
@@ -382,7 +394,7 @@ def flips(tri: Triangulation) -> list[Flip]:
         for p in range(npts):
             if p in inside:
                 continue
-            z = config.circuit(s + (p,))
+            z = circuit(config, s + (p,))
             if z is not None:
                 candidates.add(z)
 

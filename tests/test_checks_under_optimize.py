@@ -1,6 +1,7 @@
 """Internal consistency checks raise RuntimeError, so they survive
 ``python -O`` (which strips ``assert``)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -50,3 +51,13 @@ def test_validation_raises_under_optimize():
     assert result["feasible_strict"] == "simplex returned an invalid witness"
     assert result["cell_affine_value"] == "cell values are not affine on the cell"
     assert all(result.values()), result
+
+
+def test_package_has_no_assert():
+    # Guards the property above: no check in the package may be an assert.
+    sources = sorted((Path(__file__).parent.parent / "src" / "toricweights").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts at lines {lines}"

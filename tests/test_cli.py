@@ -73,6 +73,24 @@ def test_degenerate_polytope_rejected(tmp_path, capsys):
     assert "full-dimensional" in capsys.readouterr().err
 
 
+def test_boolean_coordinates_rejected(tmp_path, capsys):
+    # JSON booleans are Python ints, but not integer coordinates.
+    bools = tmp_path / "bools.json"
+    bools.write_text('{"vertices": [[false, false], [true, false], [false, true]]}')
+    assert main(["check", "--input", str(bools)]) == EXIT_INPUT
+    assert "integer vectors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--trials", "-3"), ("--max-triangulations", "-1"), ("--time-budget", "-0.5"), ("--time-budget", "nan")],
+)
+def test_negative_limits_rejected(capsys, flag, value):
+    code = main(["verify", "--input", str(DATA / "unit_square.json"), flag, value])
+    assert code == EXIT_INPUT
+    assert flag in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert main(["check", "--input", "/nonexistent/q.json"]) == EXIT_INPUT
     capsys.readouterr()

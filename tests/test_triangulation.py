@@ -11,7 +11,7 @@ from conftest import CUBE, DOUBLE_SIMPLEX, SEGMENT2, SQUARE, config_of
 import oracles
 from oracles import all_triangulations
 from toricweights import exact, polytope, triangulation
-from toricweights.lp import feasible_strict
+from toricweights.lp import LinearSystem, feasible_strict
 from toricweights.triangulation import (
     EnumerationCapExceeded,
     EnumerationCaps,
@@ -152,18 +152,18 @@ def spiral_triangulation():
 
 
 def test_irreducible_subsystem_is_computed_on_first_read(monkeypatch):
-    # Regularity needs one LP; the deletion filter runs only when the
-    # infeasible subsystem is read, and only once.
+    # Regularity needs one LP; the Gordan certificate is one more LP, solved
+    # only when the infeasible subsystem is read, and only once.
     _, tri = spiral_triangulation()
-    calls = []
-    original = triangulation.feasible_strict
-    monkeypatch.setattr(triangulation, "feasible_strict", lambda system: calls.append(system) or original(system))
+    strict, gordan = [], []
+    lp_strict, lp_gordan = triangulation.feasible_strict, triangulation.nonnegative_feasible
+    monkeypatch.setattr(triangulation, "feasible_strict", lambda *args: strict.append(args) or lp_strict(*args))
+    monkeypatch.setattr(triangulation, "nonnegative_feasible", lambda *args: gordan.append(args) or lp_gordan(*args))
     cert = is_regular(tri)
-    assert not cert.regular and len(calls) == 1
+    assert not cert.regular and len(strict) == 1 and gordan == []
     sub = cert.infeasible_subsystem
-    assert len(calls) > 1
-    filtered = len(calls)
-    assert cert.infeasible_subsystem is sub and len(calls) == filtered
+    assert len(strict) == 1 and len(gordan) == 1
+    assert cert.infeasible_subsystem is sub and len(strict) == 1 and len(gordan) == 1
 
 
 def test_known_irregular_triangulation():
@@ -191,6 +191,19 @@ def test_spiral_with_one_diagonal_flipped_is_regular():
     cells = [s for s in tri.simplices if s not in {tuple(sorted((o3, o1, i1))), tuple(sorted((o3, i1, i3)))}]
     cells += [tuple(sorted((o1, o3, i3))), tuple(sorted((o1, i1, i3)))]
     assert is_regular(Triangulation(cfg, cells)).regular
+
+
+def test_irreducible_subsystems_of_spiral_flip_neighbours():
+    # Each irregular neighbour's subsystem, read off a Gordan certificate, is
+    # infeasible, and dropping any one of its rows makes it feasible.
+    _, tri = spiral_triangulation()
+    irregular = [cert for cert in (is_regular(f.result) for f in flips(tri)) if not cert.regular]
+    assert len(irregular) == 9
+    for cert in irregular:
+        rows = cert.infeasible_subsystem.constraints
+        assert feasible_strict(LinearSystem(rows)) is None
+        for i in range(len(rows)):
+            assert feasible_strict(LinearSystem(rows[:i] + rows[i + 1 :])) is not None
 
 
 def test_certificate_round_trip(square, double_simplex):
@@ -537,24 +550,36 @@ def test_enumeration_validates_each_triangulation_once(monkeypatch):
 
 
 def test_grid_enumeration_tries_each_candidate_circuit_once(monkeypatch):
-    # The removed side of a candidate circuit is the side of the point that
-    # found it, so each circuit is tried in one orientation: 10,164 calls on
-    # the 3x3 grid (trying both orientations made 20,328).
+    # Candidate circuits are the cone system's rows, each tried once in the
+    # orientation its row gives: 2,668 calls on the 3x3 grid (scanning every
+    # cell and outside point made 10,164; trying both orientations 20,328).
     calls = []
     original = triangulation._try_flip
     monkeypatch.setattr(triangulation, "_try_flip", lambda *args: calls.append(args) or original(*args))
     assert len(enumerate_regular(config_of(GRID3X3))) == 387
-    assert len(calls) == 10164
+    assert len(calls) == 2668
 
 
-def check_bfs_against_brute_force(vertices):
-    # Flip-BFS finds exactly the regular members of the brute-force set, and
-    # each witness lifts back to its triangulation.
+POLYGONS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=6, unique=True)
+# Centred on the origin, so some draws (the octahedron) have an interior point.
+POLYTOPES_3D = st.lists(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1)), min_size=4, max_size=6, unique=True
+)
+
+
+def small_config(vertices):
     try:
         cfg = config_of(vertices)
     except ValueError:  # not full-dimensional
         reject()
     assume(len(cfg) <= 8)
+    return cfg
+
+
+def check_bfs_against_brute_force(vertices):
+    # Flip-BFS finds exactly the regular members of the brute-force set, and
+    # each witness lifts back to its triangulation.
+    cfg = small_config(vertices)
     enum = enumerate_regular(cfg)
     regular = {c for c in all_triangulations(cfg) if is_regular(Triangulation(cfg, c)).regular}
     assert enum.canonical_forms() == regular
@@ -564,13 +589,33 @@ def check_bfs_against_brute_force(vertices):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=6, unique=True))
+@given(POLYGONS)
 def test_flip_bfs_matches_brute_force_on_random_polygons(vertices):
     check_bfs_against_brute_force(vertices)
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1)), min_size=4, max_size=6, unique=True))
+@given(POLYTOPES_3D)
 def test_flip_bfs_matches_brute_force_on_random_3d_polytopes(vertices):
-    # Centred on the origin, so some draws (the octahedron) have an interior point.
     check_bfs_against_brute_force(vertices)
+
+
+def check_flips_against_scanning_oracle(vertices):
+    # Every triangulation, irregular ones and those with unused points
+    # included, has the scanning oracle's flips, in its order.
+    cfg = small_config(vertices)
+    for cells in all_triangulations(cfg):
+        tri = Triangulation(cfg, cells)
+        assert flip_triples(flips(tri)) == flip_triples(oracles.flips(tri))
+
+
+@settings(max_examples=25, deadline=None)
+@given(POLYGONS)
+def test_flips_match_scanning_oracle_on_all_triangulations_of_random_polygons(vertices):
+    check_flips_against_scanning_oracle(vertices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(POLYTOPES_3D)
+def test_flips_match_scanning_oracle_on_all_triangulations_of_random_3d_polytopes(vertices):
+    check_flips_against_scanning_oracle(vertices)
