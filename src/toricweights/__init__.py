@@ -11,12 +11,15 @@ from .functionals import (
     Degrees,
     PLFunction,
     aubin_l,
+    boundary_total,
     degrees,
     donaldson_f,
+    donaldson_total,
     integral_boundary,
     integral_q,
     pairing,
     pl_from_lifting,
+    volume_total,
 )
 from .lp import EQ, LE, LT, Constraint, LinearSystem, constraint, feasible_strict
 from .pipeline import Analysis, analyze

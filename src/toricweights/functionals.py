@@ -1,17 +1,22 @@
 """Exact piecewise-linear functions, their integrals, and the toric functionals.
 
 Integration is purely combinatorial: over an n-simplex the integral of an
-affine function is its vertex average times the Euclidean volume, so
+affine function is its vertex average times the Euclidean volume.  With
+normalized volumes vol, read from the carrying triangulation's volume
+tables, the integrals are kept as the totals
 
-    integral_q(g)        = sum over cells of vol(s)/(n+1)! * sum of vertex values
-    integral_boundary(g) = sum over massive walls of vol(w)/n! * sum of vertex values
+    volume_total(g)   = sum over cells of vol(s) * sum of vertex values        = (n+1)! * integral_q(g)
+    boundary_total(g) = sum over massive walls of vol(w) * sum of vertex values = n! * integral_boundary(g)
 
-with normalized volumes vol.  The Aubin functional is the plain integral over
-the polytope; the Donaldson functional is
+which are ints when the values are, so the identities of the verification
+suite compare integers.  The Aubin functional is the plain integral over the
+polytope; the Donaldson functional is
 
     donaldson_f(g) = integral_boundary(g) - n * (bvol/vol) * integral_q(g)
 
-with vol, bvol the normalized volumes of the polytope and its boundary.
+with vol, bvol the normalized volumes of the polytope and its boundary, and
+(n+1)! * vol * donaldson_f(g) = donaldson_total(q, boundary_total(g), volume_total(g)).
+Each Fraction functional is one division of these totals.
 """
 
 from __future__ import annotations
@@ -121,22 +126,37 @@ def pl_from_lifting(config: PointConfiguration, lifting: Lifting | Sequence[int]
     return PLFunction(config, sub.cells, values, sub.is_triangulation)
 
 
+def volume_total(g: PLFunction) -> int | Fraction:
+    """(n+1)! * integral_q(g): the sum of vol * (sum of vertex values) over
+    the cells; an int when the values are ints."""
+    at = g.values.__getitem__
+    return sum(vol * sum(map(at, cell)) for cell, vol in g.triangulation.cell_volumes)
+
+
+def boundary_total(g: PLFunction) -> int | Fraction:
+    """n! * integral_boundary(g): the sum of vol * (sum of vertex values) over
+    the massive walls; an int when the values are ints."""
+    at = g.values.__getitem__
+    return sum(vol * sum(map(at, wall)) for wall, vol in g.triangulation.massive_wall_volumes)
+
+
+def donaldson_total(q: LatticePolytope, boundary: int | Fraction, volume: int | Fraction) -> int | Fraction:
+    """(n+1)! * vol * donaldson_f(g) of a function g with the given
+    ``boundary_total`` and ``volume_total`` on the polytope ``q``:
+    (n+1) * vol * boundary - n * bvol * volume."""
+    n = q.dim
+    return (n + 1) * q.volume * boundary - n * q.boundary_volume * volume
+
+
 def integral_q(g: PLFunction) -> Fraction:
-    """Exact integral of g over the polytope (Lebesgue measure).  The sum of
-    vol * (sum of vertex values) is divided by (n+1)! once, so integer
-    values are summed in integers."""
-    if not g.simplicial:
-        raise ValueError("integral requires a simplicial carrier")
-    total = sum(g.config.normalized_volume(cell) * sum(g.values[i] for i in cell) for cell in g.cells)
-    return Fraction(total, factorial(g.config.dim + 1))
+    """Exact integral of g over the polytope (Lebesgue measure)."""
+    return Fraction(volume_total(g), factorial(g.config.dim + 1))
 
 
 def integral_boundary(g: PLFunction) -> Fraction:
     """Exact integral of g over the boundary, against the lattice measure of
     each facet."""
-    walls = g.triangulation.massive_walls
-    total = sum(g.config.normalized_volume(wall) * sum(g.values[i] for i in wall) for wall in walls)
-    return Fraction(total, factorial(g.config.dim))
+    return Fraction(boundary_total(g), factorial(g.config.dim))
 
 
 def aubin_l(g: PLFunction) -> Fraction:
@@ -145,13 +165,8 @@ def aubin_l(g: PLFunction) -> Fraction:
 
 
 def donaldson_f(g: PLFunction) -> Fraction:
-    return donaldson_from_integrals(g.config.polytope, integral_boundary(g), integral_q(g))
-
-
-def donaldson_from_integrals(q: LatticePolytope, boundary_integral: Fraction, volume_integral: Fraction) -> Fraction:
-    """The Donaldson functional of a function with the given integrals over
-    the boundary and over the polytope ``q``."""
-    return boundary_integral - q.dim * Fraction(q.boundary_volume, q.volume) * volume_integral
+    q = g.config.polytope
+    return Fraction(donaldson_total(q, boundary_total(g), volume_total(g)), factorial(q.dim + 1) * q.volume)
 
 
 def pairing(x: Sequence, g: Sequence) -> int | Fraction:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .exact import (
     affine_combination,
@@ -26,6 +27,8 @@ from .exact import (
 from .lp import nonnegative_feasible
 
 Point = tuple[int, ...]
+# (k, getter of the heights at sigma + k, dependence of sigma + k, its coefficient at k)
+SideTest = tuple[int, Callable, tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -334,6 +337,27 @@ class PointConfiguration:
         if ids not in self._dependences:
             self._dependences[ids] = affine_dependence([self.points[i] for i in ids])
         return self._dependences[ids]
+
+    @cached_property
+    def lower_hull_tests(self) -> tuple[tuple[tuple[int, ...], tuple[SideTest, ...]], ...]:
+        """(sigma, side tests) for each affinely independent (n+1)-subset
+        sigma, in lexicographic order.  The side test of each other point k
+        is (k, getter of the heights at sigma + k, the dependence of
+        sigma + k, its coefficient at k), in the order of k.  Built on first
+        use from the memoised dependences, for every lifting's lower hull."""
+        table = []
+        for sigma in combinations(range(len(self)), self.dim + 1):
+            if self.dependence(sigma) is not None:
+                continue
+            tests = []
+            for k in range(len(self)):
+                if k in sigma:
+                    continue
+                ids = tuple(sorted(sigma + (k,)))
+                dep = self.dependence(ids)
+                tests.append((k, itemgetter(*ids), dep, dep[ids.index(k)]))
+            table.append((sigma, tuple(tests)))
+        return tuple(table)
 
     def vertex_indices(self) -> tuple[int, ...]:
         return tuple(self.index[v] for v in self.polytope.vertices)

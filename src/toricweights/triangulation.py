@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .lp import LT, Constraint, LinearSystem, feasible_strict, nonnegative_feasible
@@ -78,6 +79,19 @@ class Triangulation:
     @cached_property
     def massive_walls(self) -> tuple[tuple[int, ...], ...]:
         return tuple(w for w, o in self.walls.items() if len(o) == 1)
+
+    @cached_property
+    def cell_volumes(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(cell, normalized volume) for each simplex, read by the
+        characteristic vectors and by every function integrated on T."""
+        volume = self.config.normalized_volume
+        return tuple((s, volume(s)) for s in self.simplices)
+
+    @cached_property
+    def massive_wall_volumes(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(massive wall, normalized volume) for each boundary wall."""
+        volume = self.config.normalized_volume
+        return tuple((w, volume(w)) for w in self.massive_walls)
 
     @cached_property
     def used_points(self) -> tuple[int, ...]:
@@ -159,8 +173,9 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
     plane.  Cell vertex sets are the extreme points of each facet; points
     lying on a facet without being vertices of it are not part of the cell.
     Heights affine on the configuration give a single cell, the polytope's
-    vertices.  Everything is an integer test on the configuration's memoised
-    dependences, shared by every lifting.
+    vertices.  The side tests are the configuration's ``lower_hull_tests``,
+    built once and shared by every lifting, so each lifting costs integer
+    dot products only.
     """
     if not isinstance(lifting, Lifting):
         lifting = Lifting.normalized(lifting)
@@ -169,16 +184,10 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
     h = lifting.heights
     n = config.dim
     facets = set()
-    for sigma in combinations(range(len(config)), n + 1):
-        if config.dependence(sigma) is not None:
-            continue
+    for sigma, tests in config.lower_hull_tests:
         on = list(sigma)
-        for k in range(len(config)):
-            if k in sigma:
-                continue
-            ids = tuple(sorted(sigma + (k,)))
-            dep = config.dependence(ids)
-            side = sum(c * h[i] for c, i in zip(dep, ids)) * dep[ids.index(k)]
+        for k, heights_at, dep, at_k in tests:
+            side = sum(map(mul, dep, heights_at(h))) * at_k
             if side < 0:
                 break
             if side == 0:
@@ -262,13 +271,15 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     return LinearSystem(tuple(rows))
 
 
-def is_regular(tri: Triangulation) -> RegularityCertificate:
-    """Decide regularity by exact LP on the cone system.
+def is_regular(tri: Triangulation, system: Optional[LinearSystem] = None) -> RegularityCertificate:
+    """Decide regularity by exact LP on the cone system (``system``, when
+    the caller already holds ``cone_system(tri)``).
 
     Irregularity is a value, not an error: the certificate then keeps the
     system, and reading its ``infeasible_subsystem`` solves one Gordan LP.
     """
-    system = cone_system(tri)
+    if system is None:
+        system = cone_system(tri)
     if not system.constraints:
         return RegularityCertificate(Lifting((0,) * len(tri.config)))
     witness = feasible_strict(system)
@@ -327,10 +338,11 @@ class Flip:
         return Triangulation(self.config, self.simplices)
 
 
-def flips(tri: Triangulation) -> list[Flip]:
+def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Flip]:
     """All supported bistellar flips of the triangulation, in circuit order.
 
-    Each row of ``cone_system(tri)``, a cell plus a point k outside it, is
+    Each row of ``cone_system(tri)`` (``system``, when the caller already
+    holds it), a cell plus a point k outside it, is
     the dependence of a circuit Z, negative at k, and the cell holds the
     coface Z - k: the negative side is the one a flip removes.  No
     triangulation holds cofaces from both sides (Z's Radon point is interior
@@ -345,8 +357,10 @@ def flips(tri: Triangulation) -> list[Flip]:
         for size in range(1, len(s) + 1):
             for f in combinations(s, size):
                 faces.setdefault(f, []).append(s)
+    if system is None:
+        system = cone_system(tri)
     circuits = set()
-    for row in cone_system(tri).constraints:
+    for row in system.constraints:
         removed = tuple(i for i, c in enumerate(row.nums[:-1]) if c < 0)
         circuits.add((removed, tuple(i for i, c in enumerate(row.nums[:-1]) if c > 0)))
     out = []
@@ -432,35 +446,39 @@ def enumerate_regular(
     triangulations, seeded by a placing triangulation.
 
     Complete because regular triangulations are connected by flips (they are
-    the vertices of the secondary polytope, flips its edges).  Entries are
-    sorted by canonical form, so ids do not depend on the seed order.
+    the vertices of the secondary polytope, flips its edges).  Each kept
+    triangulation's cone system is built once, for its regularity LP and
+    its flips, and held only while it is queued.  Entries are sorted by
+    canonical form, so ids do not depend on the seed order.
     """
     caps = caps or EnumerationCaps()
     start = time.monotonic()
     seed = placing_triangulation(config, order)
-    cert = is_regular(seed)
+    system = cone_system(seed)
+    cert = is_regular(seed, system)
     if not cert.regular:
         raise RuntimeError("placing triangulation tested irregular; this is a bug")
     found: dict[Simplices, tuple[Triangulation, RegularityCertificate]] = {
         seed.simplices: (seed, cert)
     }
     rejected: set[Simplices] = set()
-    queue = deque([seed])
+    queue = deque([(seed, system)])
     while queue:
         if len(found) > caps.max_triangulations:
             raise EnumerationCapExceeded("max triangulation cap", len(found))
         if caps.time_budget is not None and time.monotonic() - start > caps.time_budget:
             raise EnumerationCapExceeded("time budget", len(found))
-        tri = queue.popleft()
-        for flip in flips(tri):
+        tri, system = queue.popleft()
+        for flip in flips(tri, system):
             key = flip.simplices
             if key in found or key in rejected:
                 continue
             nb = flip.result
-            cert = is_regular(nb)
+            nb_system = cone_system(nb)
+            cert = is_regular(nb, nb_system)
             if cert.regular:
                 found[key] = (nb, cert)
-                queue.append(nb)
+                queue.append((nb, nb_system))
             else:
                 rejected.add(key)
     if len(found) > caps.max_triangulations:

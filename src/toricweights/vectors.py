@@ -34,8 +34,7 @@ class CharVector:
 
 def gkz_vector(tri: Triangulation) -> CharVector:
     entries = [0] * len(tri.config)
-    for s in tri.simplices:
-        vol = tri.config.normalized_volume(s)
+    for s, vol in tri.cell_volumes:
         for i in s:
             entries[i] += vol
     return CharVector(GKZ, tuple(entries))
@@ -43,8 +42,7 @@ def gkz_vector(tri: Triangulation) -> CharVector:
 
 def boundary_vector(tri: Triangulation) -> CharVector:
     entries = [0] * len(tri.config)
-    for wall in tri.massive_walls:
-        vol = tri.config.normalized_volume(wall)
+    for wall, vol in tri.massive_wall_volumes:
         for i in wall:
             entries[i] += vol
     return CharVector(BOUNDARY, tuple(entries))

@@ -10,16 +10,19 @@ every other generator proves it a vertex.  Only generators that no witness
 pins this way are decided by the exact hull-membership LP.  The
 verification suite asserts, with exact arithmetic:
 
-  * (gkz, g)      == (n+1)! * integral_q(g)
-  * (boundary, g) == n!     * integral_boundary(g)
-  * (n+1)! * vol * donaldson_f(g) == (n*degHu*gkz - (n+1)*degCh*hurwitz, g)
+  * (gkz, g)      == volume_total(g)   = (n+1)! * integral_q(g)
+  * (boundary, g) == boundary_total(g) = n!     * integral_boundary(g)
+  * (n*degHu*gkz - (n+1)*degCh*hurwitz, g)
+      == donaldson_total(q, boundary_total(g), volume_total(g))
+       = (n+1)! * vol * donaldson_f(g)
 
 for every enumerated triangulation and seeded random rational g, plus the
 support identities min <x,lam> over the polytopes against the lower-hull
 triangulation of lam.  Each trial g has values a/b with 1 <= b <= 6; the
-suite checks L*g, L = lcm(1..6), whose values are integers, so it runs in
-integer sums.  Every identity is linear in g, so it holds for L*g exactly
-when it holds for g; a failure is reported divided by L, in the units of g.
+suite checks L*g, L = lcm(1..6), whose values are integers, so both sides
+of every identity are ints, the totals read off the triangulation's volume
+tables.  Every identity is linear in g, so it holds for L*g exactly when it
+holds for g; a failure is reported divided by L, in the units of g.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from .exact import rank
 from .functionals import (
     PLFunction,
     aubin_l,
+    boundary_total,
     char_pairing,
-    donaldson_from_integrals,
-    integral_boundary,
-    integral_q,
+    donaldson_total,
     pairing,
+    volume_total,
 )
 from .polytope import extreme_point_indices
 from .triangulation import Enumeration, Lifting, Triangulation, lower_hull_subdivision
@@ -242,17 +245,11 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
                 for i in tri.used_points
             }
             g = PLFunction.on_triangulation(tri, values)
-            volume_integral = integral_q(g)
-            boundary_integral = integral_boundary(g)
-            check(tid, trial, "volume pairing", char_pairing(gkz, g), factorial(n + 1) * volume_integral)
-            check(tid, trial, "boundary pairing", char_pairing(bd, g), factorial(n) * boundary_integral)
-            check(
-                tid,
-                trial,
-                "donaldson pairing",
-                factorial(n + 1) * q.volume * donaldson_from_integrals(q, boundary_integral, volume_integral),
-                char_pairing(mixed, g),
-            )
+            volume = volume_total(g)
+            boundary = boundary_total(g)
+            check(tid, trial, "volume pairing", char_pairing(gkz, g), volume)
+            check(tid, trial, "boundary pairing", char_pairing(bd, g), boundary)
+            check(tid, trial, "donaldson pairing", donaldson_total(q, boundary, volume), char_pairing(mixed, g))
     return report
 
 

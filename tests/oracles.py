@@ -1,8 +1,9 @@
 """Independent oracles: brute-force triangulations of tiny configurations,
 the Fraction-tableau simplex that ``lp`` is checked against, the cone
 system built by one elimination per row, the lower hull found by
-exhaustive facet search, the flips found by scanning every simplex, and the
-placing triangulation by one face functional per boundary face.
+exhaustive facet search, the flips found by scanning every simplex, the
+placing triangulation by one face functional per boundary face, and the
+Fraction integrals and Donaldson functional that look up each volume.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -19,11 +20,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from typing import Optional, Sequence
 
 from toricweights.exact import affine_combination, solve_linear
 from toricweights.lp import LT, LinearSystem, _Unbounded, constraint, nonnegative_feasible
-from toricweights.polytope import Point, PointConfiguration, extreme_point_indices, hull_facets
+from toricweights.functionals import PLFunction
+from toricweights.polytope import LatticePolytope, Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
 
 
@@ -506,3 +509,39 @@ def _face_functional(face_points, opposite_point):
 
 def _evaluate_affine(phi, point) -> Fraction:
     return sum(c * x for c, x in zip(phi, point)) + phi[-1]
+
+
+# --- Fraction integrals with a volume lookup per cell -----------------------
+#
+# ``integral_q``, ``integral_boundary``, ``donaldson_f`` and
+# ``donaldson_from_integrals`` as they stood before the functionals became
+# divisions of integer totals over each triangulation's volume tables,
+# verbatim: every cell and massive wall volume is looked up per function.
+
+
+def integral_q(g: PLFunction) -> Fraction:
+    """Exact integral of g over the polytope (Lebesgue measure).  The sum of
+    vol * (sum of vertex values) is divided by (n+1)! once, so integer
+    values are summed in integers."""
+    if not g.simplicial:
+        raise ValueError("integral requires a simplicial carrier")
+    total = sum(g.config.normalized_volume(cell) * sum(g.values[i] for i in cell) for cell in g.cells)
+    return Fraction(total, factorial(g.config.dim + 1))
+
+
+def integral_boundary(g: PLFunction) -> Fraction:
+    """Exact integral of g over the boundary, against the lattice measure of
+    each facet."""
+    walls = g.triangulation.massive_walls
+    total = sum(g.config.normalized_volume(wall) * sum(g.values[i] for i in wall) for wall in walls)
+    return Fraction(total, factorial(g.config.dim))
+
+
+def donaldson_f(g: PLFunction) -> Fraction:
+    return donaldson_from_integrals(g.config.polytope, integral_boundary(g), integral_q(g))
+
+
+def donaldson_from_integrals(q: LatticePolytope, boundary_integral: Fraction, volume_integral: Fraction) -> Fraction:
+    """The Donaldson functional of a function with the given integrals over
+    the boundary and over the polytope ``q``."""
+    return boundary_integral - q.dim * Fraction(q.boundary_volume, q.volume) * volume_integral

@@ -1,24 +1,31 @@
+import json
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import DOUBLE_SIMPLEX, SEGMENT2, SQUARE, UNIT_SIMPLEX, config_of
 from toricweights.functionals import (
     PLFunction,
     aubin_l,
+    boundary_total,
     char_pairing,
     degrees,
     donaldson_f,
+    donaldson_total,
     integral_boundary,
     integral_q,
     pairing,
     pl_from_lifting,
+    volume_total,
 )
 from toricweights.polytope import LatticePolytope
-from toricweights.triangulation import Lifting, Triangulation
+from toricweights.triangulation import Lifting, Triangulation, enumerate_regular
 from toricweights.vectors import boundary_vector, gkz_vector, hurwitz_vector
 
 
@@ -265,3 +272,46 @@ def test_on_triangulation_keeps_ints():
     mixed = PLFunction.on_triangulation(tri, {**ints, 0: Fraction(1, 2), 1: "2/3"})
     assert mixed.values[0] == Fraction(1, 2) and mixed.values[1] == Fraction(2, 3)
     assert type(mixed.values[1]) is Fraction
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+@lru_cache(maxsize=None)
+def data_triangulations(name):
+    """The configuration of data/<name> and its regular triangulations."""
+    cfg = config_of(json.loads((DATA / name).read_text())["vertices"])
+    return cfg, [entry.triangulation for entry in enumerate_regular(cfg)]
+
+
+def assert_totals_match_oracles(g):
+    # Each new functional equals the Fraction one that looks up every
+    # volume, and each total is the matching integral times its factorial.
+    q = g.config.polytope
+    n = q.dim
+    volume, boundary = volume_total(g), boundary_total(g)
+    donaldson = donaldson_total(q, boundary, volume)
+    assert volume == factorial(n + 1) * oracles.integral_q(g)
+    assert boundary == factorial(n) * oracles.integral_boundary(g)
+    assert donaldson == factorial(n + 1) * q.volume * oracles.donaldson_f(g)
+    assert integral_q(g) == oracles.integral_q(g)
+    assert integral_boundary(g) == oracles.integral_boundary(g)
+    assert donaldson_f(g) == oracles.donaldson_f(g)
+    if all(type(v) is int for v in g.values.values()):
+        assert type(volume) is type(boundary) is type(donaldson) is int
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.json")))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_totals_match_fraction_oracles(name, data):
+    # Int and Fraction values on every regular triangulation of the data
+    # file, and the lower envelope of a lifting when it is simplicial.
+    cfg, triangulations = data_triangulations(name)
+    values = data.draw(st.lists(st.integers(-60, 60) | rational_values, min_size=len(cfg), max_size=len(cfg)))
+    for tri in triangulations:
+        assert_totals_match_oracles(PLFunction.on_triangulation(tri, {i: values[i] for i in tri.used_points}))
+    heights = data.draw(st.lists(st.integers(-30, 0), min_size=len(cfg), max_size=len(cfg)))
+    envelope = pl_from_lifting(cfg, heights)
+    if envelope.simplicial:
+        assert_totals_match_oracles(envelope)

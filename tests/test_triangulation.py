@@ -497,6 +497,20 @@ def test_lower_hull_makes_no_hull_facets_call(monkeypatch):
     assert calls == []
 
 
+def test_lower_hull_tests_are_built_once_per_configuration(monkeypatch):
+    # The side tests are memoised on the configuration: a second lifting's
+    # lower hull reads no dependence.
+    cfg = config_of(GRID3X3)
+    lower_hull_subdivision(cfg, [0, -1, -3, -1, -4, -2, 0, -5, -1])
+    heights = [-2, 0, -1, -3, -7, -1, 0, -2, -4]
+    expected = oracles.lower_hull_subdivision(cfg, heights)
+    calls = []
+    original = cfg.dependence
+    monkeypatch.setattr(cfg, "dependence", lambda ids: calls.append(ids) or original(ids))
+    assert lower_hull_subdivision(cfg, heights) == expected
+    assert calls == []
+
+
 def placing_point_sets(vertices):
     """The point sets that get placed: the lattice points (the enumeration
     seed), the vertex set (``volume``) and each facet's vertex set
@@ -547,6 +561,19 @@ def test_enumeration_validates_each_triangulation_once(monkeypatch):
     monkeypatch.setattr(Triangulation, "_validate", lambda self: validated.append(self.simplices) or original(self))
     assert len(enumerate_regular(config_of(GRID3X3))) == 387
     assert len(validated) == len(set(validated)) == 387
+
+
+def test_grid_enumeration_builds_each_cone_system_once(monkeypatch):
+    # A kept triangulation's cone system serves both its regularity LP and
+    # its flips: 387 systems on the 3x3 grid (774 when each built its own).
+    # Regular certificates still keep no rows.
+    built = []
+    original = triangulation.cone_system
+    monkeypatch.setattr(triangulation, "cone_system", lambda tri: built.append(tri.simplices) or original(tri))
+    enum = enumerate_regular(config_of(GRID3X3))
+    assert len(enum) == 387
+    assert len(built) == len(set(built)) == 387
+    assert all(entry.certificate.system is None for entry in enum)
 
 
 def test_grid_enumeration_tries_each_candidate_circuit_once(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import DOUBLE_SIMPLEX
 from toricweights import functionals, polytope, weights
 from toricweights.pipeline import analyze
 from toricweights.polytope import extreme_point_indices
@@ -167,7 +168,7 @@ def test_identities_build_no_triangulation_per_trial_function(monkeypatch):
 
 
 def test_identity_integrals_computed_once_per_trial_function(double_simplex, monkeypatch):
-    calls = {"integral_q": 0, "integral_boundary": 0}
+    calls = {"volume_total": 0, "boundary_total": 0}
     for name in calls:
         original = getattr(functionals, name)
 
@@ -180,10 +181,24 @@ def test_identity_integrals_computed_once_per_trial_function(double_simplex, mon
     ntri = len(double_simplex.enumeration)
     rep = verify_identities(double_simplex, trials=5, seed=3)
     assert rep.passed
-    assert calls == {"integral_q": 5 * ntri, "integral_boundary": 5 * ntri}
+    assert calls == {"volume_total": 5 * ntri, "boundary_total": 5 * ntri}
     # Three sums per triangulation, the affine T-independence from the second
     # one on, and three pairings per trial function.
     assert rep.checks == ntri * (3 + 3 * 5) + ntri - 1
+
+
+def test_identity_volumes_are_read_once_per_triangulation(monkeypatch):
+    # Cell and wall volumes come from each triangulation's volume tables, so
+    # the trial functions add no normalized_volume calls.
+    counts = []
+    for trials in (1, 4):
+        analysis = analyze(DOUBLE_SIMPLEX)
+        calls = []
+        original = analysis.config.normalized_volume
+        monkeypatch.setattr(analysis.config, "normalized_volume", lambda s: calls.append(s) or original(s))
+        assert verify_identities(analysis, trials=trials, seed=3).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_support_trials_pass(segment, square):
@@ -343,24 +358,26 @@ def _failure_digest(report) -> str:
 
 
 def test_identity_suite_reports_a_linear_fault_in_units_of_g(monkeypatch):
-    # Doubling integral_q is linear in g, so every failure of the scaled
-    # suite, divided back by the scale, has the lhs and rhs that the
-    # Fraction suite reported (digest of the 84 failures recorded with it).
+    # Doubling volume_total (that is, integral_q) is linear in g, so every
+    # failure of the scaled suite, divided back by the scale, has the lhs and
+    # rhs that the Fraction suite reported (digest of the 84 failures
+    # recorded with it).
     analysis = analyze(json.loads((DATA / "double_simplex.json").read_text())["vertices"])
-    original = weights.integral_q
-    monkeypatch.setattr(weights, "integral_q", lambda g: 2 * original(g))
+    original = weights.volume_total
+    monkeypatch.setattr(weights, "volume_total", lambda g: 2 * original(g))
     report = verify_identities(analysis, trials=3, seed=0)
     assert (report.checks, len(report.failures)) == (181, 84)
     assert _failure_digest(report) == "9b85c0aefb9b9f279fbf1ebf5015cda665ceee57da97a5dcafc7056c0c60fbbf"
 
 
 def test_identity_suite_catches_a_non_linear_fault(monkeypatch):
-    # Adding a constant is not linear in g: the same 84 checks fail, but the
-    # reported values are those of the scaled function divided by the scale,
-    # so the constant shows up divided by it.
+    # Adding a constant to integral_boundary (2! times it to boundary_total)
+    # is not linear in g: the same 84 checks fail, but the reported values
+    # are those of the scaled function divided by the scale, so the constant
+    # shows up divided by it.
     analysis = analyze(json.loads((DATA / "double_simplex.json").read_text())["vertices"])
-    original = weights.integral_boundary
-    monkeypatch.setattr(weights, "integral_boundary", lambda g: original(g) + Fraction(1, 7))
+    original = weights.boundary_total
+    monkeypatch.setattr(weights, "boundary_total", lambda g: original(g) + factorial(2) * Fraction(1, 7))
     report = verify_identities(analysis, trials=3, seed=0)
     assert (report.checks, len(report.failures)) == (181, 84)
     boundary = [f for f in report.failures if f.name == "boundary pairing"]
