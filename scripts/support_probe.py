@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Stress the support identities with many random liftings.
 
-For a given polytope file, draws seeded random integral liftings, keeps the
-ones whose lower hull is simplicial, and checks that the support minima of the
-Chow and Hurwitz polytopes match the pairings with the induced triangulation's
-characteristic vectors.  Prints the running tally and the distribution of
-induced triangulations.
+For a given polytope file, draws seeded random integral liftings and runs
+``support_checks`` on each: those with a simplicial lower hull have their
+Chow and Hurwitz support minima checked against the pairings with the induced
+triangulation's characteristic vectors, and the Chow minimum against the
+integral of the lower envelope.  Prints the running tally and the
+distribution of induced triangulations.
 """
 
 import argparse
@@ -15,8 +16,8 @@ from collections import Counter
 from pathlib import Path
 
 from toricweights.pipeline import analyze
-from toricweights.triangulation import Lifting, lower_hull_subdivision
-from toricweights.weights import verify_chow_support, verify_hurwitz_support
+from toricweights.triangulation import Lifting
+from toricweights.weights import support_checks
 
 
 def main():
@@ -36,21 +37,20 @@ def main():
     simplicial = failures = 0
     for _ in range(args.trials):
         lam = Lifting.normalized([rng.randrange(-args.height_range, 1) for _ in range(npts)])
-        sub = lower_hull_subdivision(analysis.config, lam)
-        if not sub.is_triangulation:
+        checks = support_checks(analysis, lam)
+        if checks is None:
             continue
         simplicial += 1
-        hit[sub.cells] += 1
-        for chk in (verify_chow_support(analysis, lam), verify_hurwitz_support(analysis, lam)):
+        hit[checks[0].triangulation_id] += 1
+        for chk in checks:
             if chk.status != "pass":
                 failures += 1
                 print(f"FAIL {chk.kind}: lifting {lam.heights}, min {chk.minimum} != pairing {chk.pairing_value}")
 
     print(f"{args.input.stem}: {args.trials} liftings, {simplicial} simplicial, {failures} failures")
     print(f"{len(hit)} of {len(analysis.enumeration)} regular triangulations induced:")
-    forms = {e.triangulation.simplices: e.id for e in analysis.enumeration}
-    for cells, count in hit.most_common():
-        print(f"  triangulation {forms[cells]:>3}: {count:>5} liftings")
+    for tid, count in hit.most_common():
+        print(f"  triangulation {tid!s:>3}: {count:>5} liftings")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from .exact import det, lattice_index
 from .functionals import (
     Degrees,
     PLFunction,
-    aubin_l,
     boundary_total,
     degrees,
     donaldson_f,
@@ -53,9 +52,8 @@ from .weights import (
     WeightPolytope,
     build,
     run_support_trials,
+    support_checks,
     support_min,
-    verify_chow_support,
-    verify_hurwitz_support,
     verify_identities,
 )
 

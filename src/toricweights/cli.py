@@ -202,8 +202,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             "pass": supports.passed,
             "liftings": supports.applicable,
             "failures": [
-                {"kind": f.kind, "lifting": list(f.lifting.heights),
-                 "minimum": frac_str(f.minimum), "pairing": frac_str(f.pairing_value)}
+                {"kind": f.kind, "lifting": list(f.lifting.heights), "minimum": frac_str(f.minimum),
+                 "pairing": None if f.pairing_value is None else frac_str(f.pairing_value)}
                 for f in supports.failures
             ],
         },

@@ -9,8 +9,8 @@ tables, the integrals are kept as the totals
     boundary_total(g) = sum over massive walls of vol(w) * sum of vertex values = n! * integral_boundary(g)
 
 which are ints when the values are, so the identities of the verification
-suite compare integers.  The Aubin functional is the plain integral over the
-polytope; the Donaldson functional is
+suite compare integers.  The Aubin functional L(g) is integral_q(g), the plain
+integral over the polytope; the Donaldson functional is
 
     donaldson_f(g) = integral_boundary(g) - n * (bvol/vol) * integral_q(g)
 
@@ -28,8 +28,7 @@ from math import factorial
 from operator import mul
 from typing import Mapping, Sequence
 
-from .exact import affine_combination, solve_linear
-from .polytope import LatticePolytope, PointConfiguration, in_convex_hull
+from .polytope import LatticePolytope, PointConfiguration
 from .triangulation import Lifting, Triangulation, lower_hull_subdivision
 
 
@@ -62,52 +61,6 @@ class PLFunction:
         if not self.simplicial:
             raise ValueError("function is carried on a non-simplicial subdivision")
         return Triangulation(self.config, self.cells, validate=False)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Value at any point of the polytope; exact, well-defined on shared
-        faces because adjacent affine pieces agree there."""
-        pt = tuple(Fraction(x) for x in point)
-        for cell in self.cells:
-            pts = [self.config.points[i] for i in cell]
-            if self.simplicial:
-                coeffs = affine_combination(pts, pt)
-                if coeffs is not None and all(c >= 0 for c in coeffs):
-                    return sum(c * self.values[i] for c, i in zip(coeffs, cell))
-            elif in_convex_hull(pt, pts):
-                return _cell_affine_value(self.config, cell, self.values, pt)
-        raise ValueError(f"point {point} lies outside the carrier")
-
-    def to_json(self) -> dict:
-        """Serialize as {triangulation, values}: cells as sorted index arrays,
-        values as "p/q" strings over the whole configuration (interpolated at
-        points the carrier does not use)."""
-        vals = []
-        for i, p in enumerate(self.config.points):
-            v = self.values.get(i)
-            if v is None:
-                v = self.evaluate(p)
-            vals.append(f"{v.numerator}/{v.denominator}")
-        return {"triangulation": [list(c) for c in self.cells], "values": vals}
-
-    @classmethod
-    def from_json(cls, config: PointConfiguration, doc: dict) -> "PLFunction":
-        tri = Triangulation(config, doc["triangulation"])
-        values = {}
-        for i in tri.used_points:
-            num, den = doc["values"][i].split("/")
-            values[i] = Fraction(int(num), int(den))
-        return cls.on_triangulation(tri, values)
-
-
-def _cell_affine_value(config, cell, values, pt) -> Fraction:
-    # Affine function pinned by the cell's vertex values; any affinely spanning
-    # subset determines it.
-    matrix = [list(config.points[i]) + [1] for i in cell]
-    rhs = [values[i] for i in cell]
-    sol = solve_linear(matrix, rhs)
-    if sol is None:
-        raise RuntimeError("cell values are not affine on the cell")
-    return sum(c * x for c, x in zip(sol, pt)) + sol[-1]
 
 
 def pl_from_lifting(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> PLFunction:
@@ -157,11 +110,6 @@ def integral_boundary(g: PLFunction) -> Fraction:
     """Exact integral of g over the boundary, against the lattice measure of
     each facet."""
     return Fraction(boundary_total(g), factorial(g.config.dim))
-
-
-def aubin_l(g: PLFunction) -> Fraction:
-    """The Aubin-type functional: the plain integral over the polytope."""
-    return integral_q(g)
 
 
 def donaldson_f(g: PLFunction) -> Fraction:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, KeysView, Optional, Sequence
 
 from .lp import LT, Constraint, LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
@@ -97,11 +97,6 @@ class Triangulation:
     def used_points(self) -> tuple[int, ...]:
         return tuple(sorted({i for s in self.simplices for i in s}))
 
-    def skeleton(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """All k-dimensional faces of the simplices."""
-        faces = {f for s in self.simplices for f in combinations(s, k + 1)}
-        return tuple(sorted(faces))
-
     def __eq__(self, other):
         return (
             isinstance(other, Triangulation)
@@ -149,17 +144,13 @@ class Lifting:
 class Subdivision:
     """Projection of the lower facets of a lifted configuration.
 
-    Cells are the index sets of the facet vertices; ``is_triangulation`` says
-    whether every cell is a simplex.
+    Cells are the index sets of the facet vertices, each sorted and in sorted
+    order, so when ``is_triangulation`` (every cell is a simplex) they are
+    the canonical simplices of the triangulation.
     """
 
     cells: Simplices
     is_triangulation: bool
-
-    def triangulation(self, config: PointConfiguration) -> Triangulation:
-        if not self.is_triangulation:
-            raise ValueError("subdivision has non-simplex cells")
-        return Triangulation(config, self.cells)
 
 
 def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> Subdivision:
@@ -433,8 +424,14 @@ class Enumeration:
     def __iter__(self):
         return iter(self.entries)
 
-    def canonical_forms(self) -> set[Simplices]:
-        return {e.triangulation.simplices for e in self.entries}
+    @cached_property
+    def by_simplices(self) -> dict[Simplices, EnumeratedTriangulation]:
+        """Each entry under its canonical simplices, the key a simplicial
+        lower hull's ``cells`` already has."""
+        return {e.triangulation.simplices: e for e in self.entries}
+
+    def canonical_forms(self) -> KeysView[Simplices]:
+        return self.by_simplices.keys()
 
 
 def enumerate_regular(

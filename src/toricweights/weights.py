@@ -17,12 +17,15 @@ verification suite asserts, with exact arithmetic:
        = (n+1)! * vol * donaldson_f(g)
 
 for every enumerated triangulation and seeded random rational g, plus the
-support identities min <x,lam> over the polytopes against the lower-hull
-triangulation of lam.  Each trial g has values a/b with 1 <= b <= 6; the
-suite checks L*g, L = lcm(1..6), whose values are integers, so both sides
-of every identity are ints, the totals read off the triangulation's volume
-tables.  Every identity is linear in g, so it holds for L*g exactly when it
-holds for g; a failure is reported divided by L, in the units of g.
+support identities min <x,lam> == <vector of T_lam, lam> over both
+polytopes for seeded liftings lam with simplicial lower hull, where T_lam,
+the lower-hull triangulation, is looked up among the enumerated
+triangulations (one missing from them is a failure).  Each trial g has
+values a/b with 1 <= b <= 6; the suite checks L*g, L = lcm(1..6), whose
+values are integers, so both sides of every identity are ints, the totals
+read off the triangulation's volume tables.  Every identity is linear in g,
+so it holds for L*g exactly when it holds for g; a failure is reported
+divided by L, in the units of g.
 """
 
 from __future__ import annotations
@@ -30,13 +33,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .exact import rank
 from .functionals import (
     PLFunction,
-    aubin_l,
     boundary_total,
     char_pairing,
     donaldson_total,
@@ -44,7 +46,7 @@ from .functionals import (
     volume_total,
 )
 from .polytope import extreme_point_indices
-from .triangulation import Enumeration, Lifting, Triangulation, lower_hull_subdivision
+from .triangulation import Enumeration, Lifting, lower_hull_subdivision
 from .vectors import boundary_vector, gkz_vector, hurwitz_vector
 
 CHOW = "chow"
@@ -125,7 +127,7 @@ def build(kind: str, enumeration: Enumeration) -> WeightPolytope:
     return WeightPolytope(kind, len(base), generators, vertices, adim, certificates)
 
 
-def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
+def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact minimum of <x, lam> over the polytope and the argmin vertex set."""
     values = [(pairing(v, lam), v) for v in poly.vertices]
     best = min(val for val, _ in values)
@@ -134,46 +136,49 @@ def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[Fraction, tup
 
 @dataclass(frozen=True)
 class SupportCheck:
+    """One support identity at ``lifting``: ``minimum`` over the polytope
+    against ``pairing_value``, which is None when the lower-hull
+    triangulation is missing from the enumeration.  ``triangulation_id`` is
+    that triangulation's enumeration id."""
+
     kind: str
-    status: str  # "pass" | "fail" | "inapplicable"
-    lifting: Optional[Lifting] = None
-    minimum: Optional[Fraction] = None
-    pairing_value: Optional[Fraction] = None
+    status: str  # "pass" | "fail"
+    lifting: Lifting
+    minimum: int
+    pairing_value: Optional[int]
     argmin: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
+    triangulation_id: Optional[int] = None
 
 
-def _support_check(analysis, lifting: Lifting, tri: Triangulation, kind: str) -> SupportCheck:
-    """Compare min <x, lambda> over the polytope with the pairing of lambda
-    and the vector of ``tri``, the lower-hull triangulation of ``lifting``."""
-    vec = gkz_vector(tri) if kind == CHOW else hurwitz_vector(tri)
-    poly = analysis.chow if kind == CHOW else analysis.hurwitz
-    minimum, argmin = support_min(poly, lifting.heights)
-    paired = pairing(vec, lifting.heights)
-    status = "pass" if minimum == paired else "fail"
-    return SupportCheck(kind, status, lifting, minimum, paired, argmin)
+def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, SupportCheck, SupportCheck]]:
+    """The Chow and Hurwitz support checks and the Aubin check at ``lam``,
+    or None when its lower hull is not simplicial.
 
-
-def _verify_support(analysis, lam, kind: str) -> SupportCheck:
-    lifting = lam if isinstance(lam, Lifting) else Lifting.normalized(lam)
-    sub = lower_hull_subdivision(analysis.config, lifting)
+    A simplicial lower hull is the regular triangulation T_lam, which is
+    looked up in the enumeration by its canonical cells.  The support
+    checks compare min <x, lam> over each polytope with <vector of T_lam,
+    lam>; the Aubin check compares the Chow minimum with (n+1)! times the
+    integral of the lower envelope, lam's heights on T_lam.  With T_lam
+    missing every pairing is None, so all three fail.
+    """
+    sub = lower_hull_subdivision(analysis.config, lam)
     if not sub.is_triangulation:
-        return SupportCheck(kind, "inapplicable", lifting)
-    return _support_check(analysis, lifting, sub.triangulation(analysis.config), kind)
-
-
-def verify_chow_support(analysis, lam) -> SupportCheck:
-    """min <x,lam> over the Chow polytope must equal <gkz(T_lam), lam> whenever
-    the lower hull of lam is simplicial; 'inapplicable' otherwise."""
-    return _verify_support(analysis, lam, CHOW)
-
-
-def verify_hurwitz_support(analysis, lam) -> SupportCheck:
-    """Same as the Chow check with the Hurwitz vector and polytope."""
-    return _verify_support(analysis, lam, HURWITZ)
+        return None
+    h = lam.heights
+    entry = analysis.enumeration.by_simplices.get(sub.cells)
+    tid, values = None, (None, None, None)
+    if entry is not None:
+        tri = entry.triangulation
+        envelope = PLFunction.on_triangulation(tri, {i: h[i] for i in tri.used_points})
+        tid = entry.id
+        values = (pairing(gkz_vector(tri), h), pairing(hurwitz_vector(tri), h), volume_total(envelope))
+    chow_min, chow_argmin = support_min(analysis.chow, h)
+    hurwitz_min, hurwitz_argmin = support_min(analysis.hurwitz, h)
+    minima = ((CHOW, chow_min, chow_argmin), (HURWITZ, hurwitz_min, hurwitz_argmin), (CHOW, chow_min, ()))
+    return tuple(
+        SupportCheck(kind, "pass" if minimum == value else "fail", lam, minimum, value, argmin, tid)
+        for (kind, minimum, argmin), value in zip(minima, values)
+    )
 
 
 @dataclass
@@ -267,30 +272,20 @@ class SupportTrialReport:
 
 
 def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrialReport:
-    """Seeded random integral liftings with simplicial lower hull, each checked
-    against both support identities (plus the Aubin identity for the Chow
-    side: min <x,lam> == (n+1)! * integral of the lower envelope)."""
+    """Seeded random integral liftings with simplicial lower hull, each run
+    through ``support_checks``; failures are reported per lifting in its
+    order: Chow support, Hurwitz support, Aubin."""
     rng = random.Random(seed)
     n1 = len(analysis.config)
-    fact = factorial(analysis.config.dim + 1)
     report = SupportTrialReport(seed, count)
     while report.applicable < count and report.attempts < 200 * count:
         report.attempts += 1
         lam = Lifting.normalized([rng.randrange(-30, 1) for _ in range(n1)])
-        sub = lower_hull_subdivision(analysis.config, lam)
-        if not sub.is_triangulation:
+        checks = support_checks(analysis, lam)
+        if checks is None:
             continue
         report.applicable += 1
-        tri = sub.triangulation(analysis.config)
-        chow = _support_check(analysis, lam, tri, CHOW)
-        for chk in (chow, _support_check(analysis, lam, tri, HURWITZ)):
-            if chk.status != "pass":
-                report.failures.append(chk)
-        # The lower envelope, as pl_from_lifting gives it for a simplicial hull.
-        envelope = PLFunction.on_triangulation(tri, {i: lam.heights[i] for i in tri.used_points})
-        aubin = fact * aubin_l(envelope)
-        if chow.minimum != aubin:
-            report.failures.append(SupportCheck(CHOW, "fail", lam, chow.minimum, aubin))
+        report.failures += [chk for chk in checks if chk.status != "pass"]
     if report.applicable < count:
         raise RuntimeError(
             f"only {report.applicable} of {count} liftings had simplicial lower hulls "

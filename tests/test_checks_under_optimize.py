@@ -14,7 +14,7 @@ SCRIPT = r"""
 import json
 from fractions import Fraction
 
-from toricweights import functionals, lp, triangulation
+from toricweights import lp, triangulation
 from toricweights.lp import LT, LinearSystem, constraint
 from toricweights.polytope import LatticePolytope, lattice_points
 from toricweights.triangulation import Triangulation, placing_triangulation
@@ -34,7 +34,6 @@ print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
-    "cell_affine_value": message(functionals._cell_affine_value, config, (0, 1, 2), {0: 0, 1: 1, 2: 0}, (0, 0)),
     "feasible_strict": message(lp.feasible_strict, LinearSystem((constraint([1], LT, 0),))),
 }))
 """
@@ -49,7 +48,6 @@ def test_validation_raises_under_optimize():
     result = json.loads(proc.stdout)
     assert result.pop("debug") is False
     assert result["feasible_strict"] == "simplex returned an invalid witness"
-    assert result["cell_affine_value"] == "cell values are not affine on the cell"
     assert all(result.values()), result
 
 

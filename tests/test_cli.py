@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -205,6 +206,26 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     code, doc = run_machine(capsys, "verify", "--input", str(DATA / "segment2.json"))
     assert code == EXIT_FAIL
     assert doc["all_pass"] is False
+
+
+def test_verify_prints_null_pairing_for_a_missing_triangulation(monkeypatch, capsys):
+    # With a triangulation dropped from the enumeration, a lifting whose
+    # lower hull is that triangulation has nothing to pair with and fails.
+    import toricweights.cli as cli
+
+    analyze = cli._analyze
+
+    def dropping(args):
+        a = analyze(args)
+        entries = a.enumeration.entries[1:]
+        return dataclasses.replace(a, enumeration=dataclasses.replace(a.enumeration, entries=entries))
+
+    monkeypatch.setattr(cli, "_analyze", dropping)
+    code, doc = run_machine(capsys, "verify", "--input", str(DATA / "segment2.json"), "--trials", "10")
+    assert code == EXIT_FAIL
+    support = doc["checks"][1]
+    assert support["name"] == "support corollaries" and support["pass"] is False
+    assert support["failures"] and all(f["pairing"] is None for f in support["failures"])
 
 
 # sha256 of `verify --input data/<name> --trials 30 --seed 0 --format machine`

@@ -1,5 +1,5 @@
 """Smoke runs of the experiment scripts in scripts/, which use the public
-API (``analyze``, ``verify_*_support``) but are not imported by any test,
+API (``analyze``, ``support_checks``) but are not imported by any test,
 and a check that the benchmark's span tracer still finds what it wraps."""
 
 import importlib

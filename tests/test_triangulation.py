@@ -98,8 +98,6 @@ def test_lower_hull_non_simplicial_flag():
     sub = lower_hull_subdivision(cfg, Lifting((0, 0, 0, 0)))
     assert sub.cells == ((0, 1, 2, 3),)
     assert not sub.is_triangulation
-    with pytest.raises(ValueError):
-        sub.triangulation(cfg)
 
 
 def test_lifting_normalization():
@@ -124,14 +122,6 @@ def test_is_regular_coarse_segment():
     h = cert.witness.heights
     # the unused midpoint must be lifted strictly above the envelope
     assert 2 * h[1] > h[0] + h[2]
-
-
-def test_skeletons():
-    cfg = config_of(SQUARE)
-    t = Triangulation(cfg, [(0, 1, 3), (0, 2, 3)])
-    assert t.skeleton(2) == ((0, 1, 3), (0, 2, 3))
-    assert t.skeleton(1) == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))
-    assert t.skeleton(0) == ((0,), (1,), (2,), (3,))
 
 
 SPIRAL_OUTER = [[0, 0], [4, 0], [0, 4]]

@@ -11,16 +11,16 @@ from conftest import DOUBLE_SIMPLEX
 from toricweights import functionals, polytope, weights
 from toricweights.pipeline import analyze
 from toricweights.polytope import extreme_point_indices
-from toricweights.triangulation import Lifting, lower_hull_subdivision
+from toricweights.triangulation import Lifting, Triangulation, lower_hull_subdivision
 from toricweights.vectors import gkz_vector
 from toricweights.weights import (
     CHOW,
+    HURWITZ,
     build,
     certified_vertices,
     run_support_trials,
+    support_checks,
     support_min,
-    verify_chow_support,
-    verify_hurwitz_support,
     verify_identities,
 )
 
@@ -88,36 +88,43 @@ def test_support_min_equals_min_over_generators(double_simplex):
 
 
 def test_verify_chow_support_segment(segment):
-    chk = verify_chow_support(segment, (0, -1, 0))
-    assert chk.status == "pass"
-    assert chk.minimum == chk.pairing_value == -2
+    chk, _, aubin = support_checks(segment, Lifting((0, -1, 0)))
+    assert chk.status == aubin.status == "pass"
+    assert chk.minimum == chk.pairing_value == aubin.pairing_value == -2
+    assert aubin.argmin == ()
 
 
 def test_verify_hurwitz_support_segment(segment):
-    chk = verify_hurwitz_support(segment, (0, -1, 0))
+    chk = support_checks(segment, Lifting((0, -1, 0)))[1]
     assert chk.status == "pass"
     assert chk.minimum == -2
 
 
 def test_verify_support_square_diagonal_lifting(square):
-    chk = verify_hurwitz_support(square, (-1, 0, 0, -1))
+    chk = support_checks(square, Lifting((-1, 0, 0, -1)))[1]
     assert chk.status == "pass"
     assert chk.argmin == ((2, 0, 0, 2),)
 
 
-def test_verify_support_inapplicable_for_flat_lifting(square):
-    chk = verify_chow_support(square, (0, 0, 0, 0))
-    assert chk.status == "inapplicable"
+def test_support_checks_none_for_non_simplicial_hull(square):
+    assert support_checks(square, Lifting((0, 0, 0, 0))) is None
 
 
 def test_verify_support_on_cone_boundary(segment):
     # An affine lifting lies on the boundary of every cone but still induces
     # the coarse (simplicial) subdivision of the segment, so the support
     # identity applies and the argmin is the whole polytope.
-    chk = verify_chow_support(segment, (0, -1, -2))
+    chk = support_checks(segment, Lifting((0, -1, -2)))[0]
     assert chk.status == "pass"
     assert chk.minimum == -4
     assert set(chk.argmin) == {(1, 2, 1), (2, 0, 2)}
+
+
+def test_support_checks_read_the_enumerated_triangulation(segment):
+    for lam, tid in (((0, -1, 0), 0), ((0, -1, -2), 1)):
+        entry = segment.enumeration.entries[tid]
+        assert lower_hull_subdivision(segment.config, Lifting(lam)).cells == entry.triangulation.simplices
+        assert {chk.triangulation_id for chk in support_checks(segment, Lifting(lam))} == {tid}
 
 
 def test_witness_cones_give_vertex_argmins(square, double_simplex):
@@ -235,6 +242,39 @@ def test_support_trials_report_chow_and_aubin_failures(segment):
     assert [f.lifting for f in support] == [f.lifting for f in aubin]
     assert all(f.argmin for f in support)
     assert not any(f.argmin for f in aubin)
+
+
+def test_support_trials_validate_no_triangulation(square, monkeypatch):
+    # Every lower hull is looked up in the enumeration, whose triangulations
+    # were validated when they were found.
+    calls = []
+    validate = Triangulation._validate
+    monkeypatch.setattr(Triangulation, "_validate", lambda self: calls.append(self) or validate(self))
+    rep = run_support_trials(square, count=25, seed=1)
+    assert rep.passed and rep.applicable == 25
+    assert calls == []
+
+
+def test_support_trials_fail_on_a_triangulation_missing_from_the_enumeration(segment):
+    missing = segment.enumeration.entries[0]
+    enumeration = dataclasses.replace(segment.enumeration, entries=segment.enumeration.entries[1:])
+    broken = dataclasses.replace(segment, enumeration=enumeration)
+    rep = run_support_trials(broken, count=20, seed=1)
+    assert not rep.passed
+    assert rep.failures and all(f.pairing_value is None for f in rep.failures)
+    # Each lifting that induces the missing triangulation fails all three
+    # checks, in order: Chow support, Hurwitz support, Aubin.
+    assert len(rep.failures) % 3 == 0
+    for i in range(0, len(rep.failures), 3):
+        triple = rep.failures[i:i + 3]
+        assert [f.kind for f in triple] == [CHOW, HURWITZ, CHOW]
+        assert len({f.lifting for f in triple}) == 1
+    for f in rep.failures:
+        cells = lower_hull_subdivision(segment.config, f.lifting).cells
+        assert cells == missing.triangulation.simplices
+        assert f.status == "fail" and f.triangulation_id is None
+        poly = segment.chow if f.kind == CHOW else segment.hurwitz
+        assert f.minimum == support_min(poly, f.lifting.heights)[0]
 
 
 def test_lower_hull_triangulations_are_regular_members(double_simplex):
