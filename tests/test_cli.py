@@ -350,3 +350,86 @@ def test_machine_output_is_pinned(capsys, monkeypatch, name, command, digest):
     code, out = run(capsys, cmd, "--input", f"data/{name}", *options, "--format", "machine")
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the machine output of each command that prints witnesses, with
+# every witness removed and each vertex certificate reduced to whether it is
+# present (null where the hull-membership LP decided the vertex), as
+# json.dumps(sort_keys=True).  Recorded while every witness was an LP
+# solution; it pins the rest of each output, and which vertices a witness
+# pins, independently of the witness heights.
+WITNESS_FREE_DIGESTS = {
+    "double_simplex.json": {
+        "triangulations": "d2a92f111aa07d8e1769cc4485e8649cd89994bb1aa3d7c60ea7663fd0927c2c",
+        "polytope --kind chow": "91f08cab5be59b6333354d378795ebad56ef256ab05e0343ef629bdc8b637d95",
+        "polytope --kind hurwitz": "1d560858ff19de1db5a5842b2f27295fe72e9409e3ebc1cb6b1fe0a9938cb8f9",
+        "verify --trials 30 --seed 0": "2aff36a243d1f1d56b108a573cd9a7d9edb43afedd5a9faca704e0936a31a6dc",
+    },
+    "non_delzant_triangle.json": {
+        "triangulations": "28a37be4f039990663f039b0bbddfcaf80d285a24cb3aaee974fc387bc08c606",
+        "polytope --kind chow": "7da80cc97da6db8bad88d558abfbab3cb0c9a5ed6c0d740808b17653b1e9d6ee",
+        "polytope --kind hurwitz": "24355d30899e4eb7b2cee22b22c262d06e4ffda50b197737e54b0a5cf1852d3b",
+        "verify --trials 30 --seed 0": "b81769d5ce593a0b4a5624cc289eb02f7f0bce4fc7a7b862b86ed4c45b5522f7",
+    },
+    "octahedron.json": {
+        "triangulations": "a792fede1ff4d87d96e34e27b0401463c9498d99840cbaed62eee9f763ec050c",
+        "polytope --kind chow": "bb9799db7250248b20e7698b35ade24d2203c8f1633d4693ff3dfb410063db6f",
+        "polytope --kind hurwitz": "5d88aa346c6848c68ff7f09e8c7f37d3c0cb7e0f4a02896c4c5b2d3de1a339d2",
+        "verify --trials 30 --seed 0": "be6b142be071b9fbbd607f36efca33a17909a4d8d1cea6af8aea8c94ecb2736f",
+    },
+    "segment2.json": {
+        "triangulations": "a50e7c7235a131bf9575165401202a5559912923263b7c1a172c2065af263d05",
+        "polytope --kind chow": "229addad06616c4291ff2314ac4464d613be149a9da5e29bf535c44e984db7f8",
+        "polytope --kind hurwitz": "a21637c98eb5b804eb7fca19b800c14692fc0d51e1c7fbeb3f749b071286c2e6",
+        "verify --trials 30 --seed 0": "d3cbed00e34e323d90099329a880098b17a98d3f6865ddc2057986e3175e2fbc",
+    },
+    "segment3.json": {
+        "triangulations": "3759adf0bd4e420030e721d02824d2f18f8c9f8fbe24cb3e9c2af05e507f5bac",
+        "polytope --kind chow": "21fb71a578e7f0511355bff464a83a67b323f3146322b4da69cc024ca24418b1",
+        "polytope --kind hurwitz": "ffb46ad476f9aa80280d5133c87590468087d17fd48f97a4b5596f531c3ecf4c",
+        "verify --trials 30 --seed 0": "e4ac7731d3b9dc7b1874a3de23f3ebd93be330eae7228f3be4bab36285782122",
+    },
+    "unit_cube.json": {
+        "triangulations": "48bb429497f68e807cd6d56c78634234fea5977de923ca344347ab63e5f4cc66",
+        "polytope --kind chow": "bab18910f0be097561a1ae08931e070911fd20cae3325d0c388f1c8a4e8d4f67",
+        "polytope --kind hurwitz": "6959b293d09d3a52a9e35d92d97f4cb598bec6464ee6974d2ef27e69acd0883c",
+        "verify --trials 30 --seed 0": "98b02218e33ff55ac38fd91888dd57f6f32105d2e977dc1ef5fab85a2dcc9f8d",
+    },
+    "unit_simplex.json": {
+        "triangulations": "372117f35ee1b1f4752c8a02bfe0406cabee8092c31eec89efa5f273156c7ac0",
+        "polytope --kind chow": "82312538630b6b0dc328ecbcb9af746bcbaa979f4b4260a9578a1bf55b09c08a",
+        "polytope --kind hurwitz": "523fd034e2ff6da3608f410fe2a97b297de6e2fc9374ddf3be818a556911b022",
+        "verify --trials 30 --seed 0": "47465b504ad711eec9aeb9b7b44d558ae8f11c66febae1bb9a30e31ba1a054fc",
+    },
+    "unit_square.json": {
+        "triangulations": "477ebadb06f20169323fb9bb168f58ef77e10d707504616494329e2cf9510660",
+        "polytope --kind chow": "12fe0b6d79562a93da3523a27f53a11e6e5710e91dbbf356a7725dc414f644c4",
+        "polytope --kind hurwitz": "b42bd19738c14604ccf6dda04b3ca3ea9a586f46d82e19c157c042f0e5862c65",
+        "verify --trials 30 --seed 0": "fb1036b5858216dd6b56b1c69ab89746e64d67b22a5d2ffe0be3283d2a7019e5",
+    },
+}
+WITNESS_FREE_RUNS = [(name, command, digest) for name, pins in sorted(WITNESS_FREE_DIGESTS.items())
+                     for command, digest in pins.items()]
+
+
+def without_witnesses(doc: dict) -> dict:
+    for entry in doc.get("triangulations", ()):
+        del entry["witness"]
+    for key in ("vertex_certificates", "chow_vertex_certificates", "hurwitz_vertex_certificates"):
+        if key in doc:
+            doc[key] = [cert is not None for cert in doc[key]]
+    return doc
+
+
+def test_every_data_file_has_its_witness_free_outputs_pinned():
+    assert sorted(WITNESS_FREE_DIGESTS) == sorted(p.name for p in DATA.glob("*.json"))
+
+
+@pytest.mark.parametrize("name,command,digest", WITNESS_FREE_RUNS, ids=[f"{n}-{c}" for n, c, _ in WITNESS_FREE_RUNS])
+def test_machine_output_without_witnesses_is_pinned(capsys, monkeypatch, name, command, digest):
+    monkeypatch.chdir(DATA.parent)
+    cmd, *options = command.split()
+    code, doc = run_machine(capsys, cmd, "--input", f"data/{name}", *options)
+    assert code == EXIT_PASS
+    text = json.dumps(without_witnesses(doc), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -376,6 +376,23 @@ def test_witnesses_are_pinned(vertices, count, digest):
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
 
+# sha256 of the JSON list of the entries' simplices, recorded while every
+# witness was an LP solution: the canonical forms and their order do not
+# depend on how the witnesses were found.
+FORM_DIGESTS = [
+    (GRID3X3, 387, "fdb21e527376549fd6e03dd6b2b235e84633ed8a18211b6eb9cdef04cac8630f"),
+    (CUBE, 74, "3d5bfb2183dcd23667fe4bf56f3c3316cc445f5feab5ecb87807a57f6d0e1ffc"),
+    (HEXAGON, 32, "4fec7ab48f0bf6b8e9b12fa22d0791f277480ae5d3e59543f7f3fba797c46ace"),
+]
+
+
+@pytest.mark.parametrize("vertices,count,digest", FORM_DIGESTS)
+def test_canonical_forms_are_pinned(vertices, count, digest):
+    doc = [e.triangulation.simplices for e in enumerate_regular(config_of(vertices))]
+    assert len(doc) == count
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
 def test_circuits_computed_once_per_point_set(monkeypatch):
     cfg = config_of(GRID3X3)
     seen = []
