@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, KeysView, Optional, Sequence
 
@@ -312,6 +312,8 @@ class Flip:
     ``removed``, joined with a common link; the flip installs the opposite
     pattern.  ``simplices`` is the result's canonical form, a key to check
     before ``result`` builds and validates the triangulation on first read.
+    ``row`` is the cone row the circuit was read from, negative on
+    ``removed``: its zero set is the wall between the two secondary cones.
     Applying the resulting flip at the same circuit returns the original.
     """
 
@@ -319,6 +321,7 @@ class Flip:
     inserted: tuple[int, ...]
     simplices: Simplices
     config: PointConfiguration = field(repr=False, compare=False)
+    row: Constraint = field(repr=False, compare=False)
 
     @property
     def circuit(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -350,17 +353,52 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
                 faces.setdefault(f, []).append(s)
     if system is None:
         system = cone_system(tri)
-    circuits = set()
+    circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], Constraint] = {}
     for row in system.constraints:
         removed = tuple(i for i, c in enumerate(row.nums[:-1]) if c < 0)
-        circuits.add((removed, tuple(i for i, c in enumerate(row.nums[:-1]) if c > 0)))
+        circuits.setdefault((removed, tuple(i for i, c in enumerate(row.nums[:-1]) if c > 0)), row)
     out = []
     # (plus, minus) order of affine_dependence: the side holding the smallest index first.
-    for removed, inserted in sorted(circuits, key=lambda z: min(z, z[::-1])):
+    for (removed, inserted), row in sorted(circuits.items(), key=lambda item: min(item[0], item[0][::-1])):
         simplices = _try_flip(tri.simplices, faces, removed, inserted)
         if simplices is not None:
-            out.append(Flip(removed, inserted, simplices, tri.config))
+            out.append(Flip(removed, inserted, simplices, tri.config, row))
     return out
+
+
+def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Optional[Lifting]:
+    """A witness for the other side of a flip wall, from a witness of this
+    side, or None when the carried point misses the neighbour's cone.
+
+    ``row`` is the flip's cone row a, with a.witness < 0, and ``system`` the
+    neighbour's cone system.  mu = (a.a) witness - (a.witness) a lies on
+    the wall a.x = 0, and the candidate is c mu + a, with c the integer
+    nearest 0 at which every row b of ``system`` is strict: b.mu < 0 bounds
+    c below, b.mu = 0 needs b.a < 0, and b.mu > 0 is a miss.  Rows are
+    affine dependences, so the candidate is then shifted to max 0 and
+    divided by the gcd of its heights.  Checking it costs one integer dot
+    product per row.
+    """
+    lam = witness.heights
+    a = row.nums[:-1]
+    aa = sum(x * x for x in a)
+    al = sum(map(mul, a, lam))
+    mu = [aa * h - al * x for h, x in zip(lam, a)]
+    c = 0
+    for b in system.constraints:
+        bm = sum(map(mul, b.nums, mu))
+        ba = sum(map(mul, b.nums, a))
+        if bm < 0:
+            c = max(c, ba // -bm + 1)
+        elif bm > 0 or ba >= 0:
+            return None
+    heights = [c * m + x for m, x in zip(mu, a)]
+    top = max(heights)
+    scale = gcd(*(h - top for h in heights))
+    carried = tuple((h - top) // scale for h in heights)
+    if not system.holds(carried):
+        raise RuntimeError("carried witness violates the neighbour's cone system")
+    return Lifting(carried)
 
 
 def _try_flip(simplices: Simplices, faces: dict, removed: tuple[int, ...], inserted: tuple[int, ...]) -> Optional[Simplices]:
@@ -459,23 +497,24 @@ def enumerate_regular(
         seed.simplices: (seed, cert)
     }
     rejected: set[Simplices] = set()
-    queue = deque([(seed, system)])
+    queue = deque([(seed, system, cert.witness)])
     while queue:
         if len(found) > caps.max_triangulations:
             raise EnumerationCapExceeded("max triangulation cap", len(found))
         if caps.time_budget is not None and time.monotonic() - start > caps.time_budget:
             raise EnumerationCapExceeded("time budget", len(found))
-        tri, system = queue.popleft()
+        tri, system, witness = queue.popleft()
         for flip in flips(tri, system):
             key = flip.simplices
             if key in found or key in rejected:
                 continue
             nb = flip.result
             nb_system = cone_system(nb)
-            cert = is_regular(nb, nb_system)
+            carried = carry_witness(witness, flip.row, nb_system)
+            cert = is_regular(nb, nb_system) if carried is None else RegularityCertificate(carried)
             if cert.regular:
                 found[key] = (nb, cert)
-                queue.append((nb, nb_system))
+                queue.append((nb, nb_system, cert.witness))
             else:
                 rejected.add(key)
     if len(found) > caps.max_triangulations:

@@ -29,12 +29,20 @@ def message(fn, *args):
 # (0,0),(0,1),(0,2),(1,0),(1,1),(2,0): the first three points are collinear.
 config = lattice_points(LatticePolytope.from_vertices([[0, 0], [2, 0], [0, 2]]))
 broken = Triangulation(config, [(0, 1, 2), (0, 1, 3)], validate=False)
+# A witness of the placing triangulation, and its first flip wall.
+placing = placing_triangulation(config)
+system = triangulation.cone_system(placing)
+witness = triangulation.is_regular(placing, system).witness
+flip = triangulation.flips(placing, system)[0]
+beyond = triangulation.cone_system(flip.result)
+triangulation.gcd = lambda *heights: -1  # a sign error in the normalisation
 lp._solve_max = lambda rows, rhs, obj, nvars: (Fraction(1), [Fraction(1)] + [Fraction(0)] * (nvars - 1))
 print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
     "feasible_strict": message(lp.feasible_strict, LinearSystem((constraint([1], LT, 0),))),
+    "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
 }))
 """
 
@@ -48,6 +56,7 @@ def test_validation_raises_under_optimize():
     result = json.loads(proc.stdout)
     assert result.pop("debug") is False
     assert result["feasible_strict"] == "simplex returned an invalid witness"
+    assert result["carry_witness"] == "carried witness violates the neighbour's cone system"
     assert all(result.values()), result
 
 

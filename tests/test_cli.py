@@ -230,16 +230,17 @@ def test_verify_prints_null_pairing_for_a_missing_triangulation(monkeypatch, cap
 
 # sha256 of `verify --input data/<name> --trials 30 --seed 0 --format machine`
 # run from the repository root (the output echoes the input path), recorded
-# with the Fraction identity suite and the facet-search lower hull.
+# when witnesses were first carried across flip walls (the output prints
+# them); the rest of it is pinned apart from witnesses further below.
 VERIFY_DIGESTS = {
-    "double_simplex.json": "d810c75c0fb1b867f04e8df38adf4e10200480125f387dcfa620400c5b832d4c",
-    "non_delzant_triangle.json": "91c48a62f74ddf490a399cdf97d8ac536af26cc309167c5f89150afb7c3ecbbd",
-    "octahedron.json": "765644e1b4d27818cff11f196bfda28078147853cf8a9349bc5a23773f30b8ea",
+    "double_simplex.json": "6c95dab04f67db84c76163b13c26d9206ef86aea949a529b9e4a721fce005568",
+    "non_delzant_triangle.json": "70009ae0529381a2e9dd491d93a365da7eb16fcea10e59b5aa906576c3fc3f1a",
+    "octahedron.json": "8d86152eedbc13fd3f47608b75ad56177c729e9dd26413f3224dd59181c6e933",
     "segment2.json": "cf177d4a35d8bb9396a5660e18cb7a3a2f48864e82be9cf76ed862a0262ee5fc",
-    "segment3.json": "cc425c78a98b92772099da6af33786c5508a510064b8265b183e0b537de16bfd",
-    "unit_cube.json": "36917cc55a7c90287b5e5dd425f5ce3f5fa803a6728a26b8e5d9054b381bd412",
+    "segment3.json": "6197ca92e743d3b2bcf7e84c8e0ae5b08dad984d89f59a81193a901ad5a3967d",
+    "unit_cube.json": "f405aab8ae0278559629dc9e0f1734c50cc849938e9ffd3db52a2ea133e39992",
     "unit_simplex.json": "b66703b2250d6a424e003cf152bb2cfcd74561481387bde74125120fb83a38e8",
-    "unit_square.json": "251e4c0ec3e74473724f3d176ba3e9e781784cf415ca347db5da2e36140c321c",
+    "unit_square.json": "0f4c16e18312c5d1b764fe74d24c0da66edddb0e77c8b1a081136d79153c8dc8",
 }
 
 
@@ -259,34 +260,35 @@ def test_verify_output_is_pinned(capsys, monkeypatch, name, digest):
 # sha256 of `<command> --input data/<name> --format machine` run from the
 # repository root, for every command that prints machine output apart from
 # `verify` (pinned above); `check` prints the volumes the placing
-# triangulation gives.
+# triangulation gives.  `triangulations` and `polytope` print witnesses, and
+# were re-recorded when witnesses were first carried across flip walls.
 OUTPUT_DIGESTS = {
     "double_simplex.json": {
         "check": "4e178e467528767518452552b5fd65ef4f7b5a798e9c069113f10fbdc5ac52bc",
-        "triangulations": "46850e48b04819a4b93ab783c189f9bc5332c67ceb7d38214c34757b4c9f7fed",
+        "triangulations": "3d01c5d0291db0d7aa4f3980134f07841ecafcbb33512080542e51d9d0670c46",
         "vectors --kind gkz": "46920736290e7150016f12130f36ad2a9485e0baeb9a55a4631eff0ea57e3e8c",
         "vectors --kind boundary": "3332ef74c0e1889b89baa63ff443a03864bf501343d3708a365879a565598884",
         "vectors --kind hurwitz": "7840fbd6febaa4f8834b169a2eabaf4f3cd6b856457f66af8a84e4310dc947c4",
-        "polytope --kind chow": "e4dd772f7986f2928a81d64814c4321af7f25d07c3e36c80e885ca41d6437d32",
-        "polytope --kind hurwitz": "52f2da48a48e9aca2bd08fd058ed418639abe47446a01bb710d4e9d2c6854bef",
+        "polytope --kind chow": "d3016b1aa380ac765c31fceaa31068cd270378443e6d10dc36fa5b8fa714a2f4",
+        "polytope --kind hurwitz": "c1bd1179f9bacb3409f0be0760a6ffc2e4a7eeccca5c8c99f84c86dffa605e4e",
     },
     "non_delzant_triangle.json": {
         "check": "73ac5b27c592ea3d29651fe11c71e50333157b1a33f116b054a39a846e3d65f6",
-        "triangulations": "b1581200c1ca64a9135df90d28a89143191fe4a56f9aa12e9dbe05effa2c04a0",
+        "triangulations": "546f290da064878b08b0169230f72c2258d5b063fc263fd77076db4a291d69bd",
         "vectors --kind gkz": "8ac2642a9af3b3fa9e246a9a23e2fb1677c4b56e3ff312d858a21fe7e55ddebb",
         "vectors --kind boundary": "6418ea76b016b4fd90bf777b3217d55b50beb77e4b761320b9dc2b89d0494500",
         "vectors --kind hurwitz": "6f56b241dbb483378b52647c6121913e2de92dc05ad69bd313ac15d6cf185345",
-        "polytope --kind chow": "04ef556128c2941fef64f7e9731aafda579633ac77eb3e1f40320f11dd4de61f",
-        "polytope --kind hurwitz": "02a2a8666040ab387e8d0a414003e0ff56277b5fbcd0aa84235a14199b55c7ce",
+        "polytope --kind chow": "070e4314c35e9906050ccb5f938c3249d4619d03043bda515dfbf56c3bc2ff07",
+        "polytope --kind hurwitz": "be070da4eb2f6eb03c1546d2f44b78bd8a3433ecf6fed8509c6bf45e5a4573d4",
     },
     "octahedron.json": {
         "check": "c7cb86077813f4bb206bdbdd46c73e55af2cb50966dac03a56a850c311b43475",
-        "triangulations": "0515eb88b8cab2b06f32ad4736555bbc285ad107f66545d97685a55d657293c4",
+        "triangulations": "b89c4533924663fd0edf84e8afa7d6582f9cad145bdbcc6939fc475bb16f5659",
         "vectors --kind gkz": "1f3b2bd85515d0c6df0f1494f50123b06094ba376aba21205d1a353a8b2b7b92",
         "vectors --kind boundary": "fbab01bc12740d211e50eccc5d730608b4ca49131f2d1d001018e281ffd8df70",
         "vectors --kind hurwitz": "b447cf3530e2e4024fb6384784ac8be739e665c2df8bfa4b2a0d9142ae23193c",
-        "polytope --kind chow": "7f902079cc697e604815df2dd5b6952efebf2981ceaf54243deae4ff11a3698a",
-        "polytope --kind hurwitz": "e20a025c31a28f71f4254560fd093cf40217de30c0b42eca6831abeba767865c",
+        "polytope --kind chow": "1b5dacaacfc172597da6be17bbbbe4e402b482b019b14cb521911acefe4a9e29",
+        "polytope --kind hurwitz": "b493f96084c1633dd2ca76f0a04828c3bf03d23dc5e63f416cc7f83e6655b300",
     },
     "segment2.json": {
         "check": "d7b1e02f186978ecfb5b705bbf84672acaf20be6e6f8b540b89538332f39f79e",
@@ -299,21 +301,21 @@ OUTPUT_DIGESTS = {
     },
     "segment3.json": {
         "check": "7f8a3d8a7590c4aec48f4401a672f9b6b80f7c4f6485743de8c2be1655505f27",
-        "triangulations": "f6b9a0d1dc7c36935f416f8402c145c58cf438c2cc44e7fde002f0b0dd9256f7",
+        "triangulations": "57c29f297beeaee8b54104dcda12ff0f900013353eb5b35d8957988380dafe1c",
         "vectors --kind gkz": "674125fb417b763c044e27a931dafe5ca1203af20dffac271e32a98b0dd2c32d",
         "vectors --kind boundary": "dca90086c8241426c11ce8661c8f8843bebd6094784560e595d35271b51a099a",
         "vectors --kind hurwitz": "e67693125fd9eda45dfdf78c54ac8156964d38acf0d0244bf385896723d24de4",
-        "polytope --kind chow": "53a793c5c323a0d440c58e72c959899a1bf910534c058c4a71aa78d0c854413a",
-        "polytope --kind hurwitz": "02a90074ddc81a6e0dd52b79a27e7293b34bb61d40eaa52923f1e4c6a32f091b",
+        "polytope --kind chow": "03c549ad6b4b847c6a5f142884964fc2fa9fadc2488c6899c94742080d632d81",
+        "polytope --kind hurwitz": "d94c4aa876d5396c8c5f1420057546e4ad9193615489f64670ef54ef273e89ef",
     },
     "unit_cube.json": {
         "check": "a8b23f9c72b0592faeaaa70029bda00253795fb3ca202ee45f5f8b9551aaa206",
-        "triangulations": "4ae8d8eb5fdf506e93ba33d0489883108f910a56825201c76c43182f1d809503",
+        "triangulations": "3e350f1fa694932b189b0fbf4655185a3fa78e7efba86e82584595548af584ca",
         "vectors --kind gkz": "14d72496424dd4b5ee689fd0aeb02545e3831409c6ad0e7f354491a68f784bbf",
         "vectors --kind boundary": "877edf77287d14fe441661f1c70d0c5f08ec5e382b29e8661ca528d39f45f5ff",
         "vectors --kind hurwitz": "ad3bac2015fc1d21a112f9c8b0b144445af0f612556ba276137af98161099f4c",
-        "polytope --kind chow": "99874abbe471610eb291910d5d76698203a281b4aa7f128ce4d039cf79a2f0d1",
-        "polytope --kind hurwitz": "35b1623bf02c42a9f44337da5f0b4a2cf1509bc27d095395c8e9c5a74f0eda8f",
+        "polytope --kind chow": "5f38f9e18c7aa467132ce3322b86b2d84857c0d18e7497244b24481f1bd3fde3",
+        "polytope --kind hurwitz": "2518b33fa97e7205d0fdefad051225d7d4cdb4ed591cd4f0acf9c64c4624d5bd",
     },
     "unit_simplex.json": {
         "check": "fb5d84d03f547f72dd1d5b222c99e3c5f0e099036855585423b32bbc280edf4b",
@@ -326,12 +328,12 @@ OUTPUT_DIGESTS = {
     },
     "unit_square.json": {
         "check": "da1c6cc6a3c2211510407d105634970698e081900ba91c97c447a19d4f686226",
-        "triangulations": "e11709bab4dc376db1054b22495e27c4250391cfde2d90695427d9c9cd0388b2",
+        "triangulations": "1a79eff8e84fad79b9bd116cd1848ef045fb919365b8e4bdde259f7e39c8a60d",
         "vectors --kind gkz": "40004576f5e0f5d3263b53f218833ff485679af75ccb6852e8fa1236aab3618e",
         "vectors --kind boundary": "fcff88fab9cb3f5baef6a89c11fae4e2e54afdf51f48c5c3f684147820411c8f",
         "vectors --kind hurwitz": "7873de0c4ac869e48beb3f13d584d16b9e03e0790e21c1a9432c3b8f00d5fef7",
-        "polytope --kind chow": "505c30a200d85c35f2ac98b3d6b8b5eba15c20c15dd2858e177beedbcad5faaa",
-        "polytope --kind hurwitz": "73834ce7ff512b9482e941fe1987cf85a590c01038f3ffd91b42a19ec6194bef",
+        "polytope --kind chow": "425d54fbad7015a19bedc146922d89f725d2184b53a75cfdc696ea4a7ee28585",
+        "polytope --kind hurwitz": "13d17518cbcb55c727b9a5249e1b36489030611e8e058fc437e7353ae2804cc8",
     },
 }
 OUTPUT_RUNS = [(name, command, digest) for name, pins in sorted(OUTPUT_DIGESTS.items())

@@ -17,6 +17,7 @@ from toricweights.triangulation import (
     EnumerationCaps,
     Lifting,
     Triangulation,
+    carry_witness,
     cone_system,
     enumerate_regular,
     flips,
@@ -359,12 +360,14 @@ HEXAGON = [[0, 0], [1, 0], [0, 1], [2, 1], [1, 2], [2, 2]]
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 # sha256 of the JSON list of [simplices, witness heights] over the entries of
-# the enumeration, recorded with the Fraction-tableau simplex.  Witnesses are
-# printed in machine output, so a changed pivot sequence must show here.
+# the enumeration with the default placing order, recorded when witnesses
+# were first carried across flip walls (the LP only on a miss).  Witnesses
+# are printed in machine output, so a changed pivot sequence or carry rule
+# must show here.
 WITNESS_DIGESTS = [
-    (GRID3X3, 387, "b4b98251ccf5682c45ef04105896b8487f4086eb7faeacee600f3582a5ba69e7"),
-    (CUBE, 74, "5dda495c6b74a2ca2a434268e033925388b6a083ad375d5ea54e273c94cd5890"),
-    (HEXAGON, 32, "3e7909d633542dcfa59a3389439eace5a745d7a6a2715c1b15f1b17ced66e0c5"),
+    (GRID3X3, 387, "71900aaa0d841e8a902bef981ed4ddfd52398753a6e5bbcf52134b2c4ec107f7"),
+    (CUBE, 74, "2b7a7c7eb425f77d43a4b75de4e4947bad25bad3be14536e38eccbf381e4c44b"),
+    (HEXAGON, 32, "bad7d953b921bd3c622b8f5d065e80a38194c1577465ffcd0dad407d15211683"),
 ]
 
 
@@ -405,6 +408,35 @@ def test_circuits_computed_once_per_point_set(monkeypatch):
     monkeypatch.setattr(polytope, "affine_dependence", counting)
     assert len(enumerate_regular(cfg)) == 387
     assert len(seen) == len(set(seen)) == 126
+
+
+@pytest.mark.parametrize("vertices,lps,bits", [(GRID3X3, 118, 16), (CUBE, 18, 14)])
+def test_enumeration_solves_the_cone_lp_only_on_a_miss(monkeypatch, vertices, lps, bits):
+    # Witnesses are carried across flip walls; the LP runs for the seed and
+    # for each neighbour the carried witness misses (387 and 74 LPs when
+    # every triangulation had its own).  Carried witnesses stay small.
+    calls = []
+    monkeypatch.setattr(triangulation, "feasible_strict", lambda system: calls.append(system) or feasible_strict(system))
+    enum = enumerate_regular(config_of(vertices))
+    assert len(calls) == lps
+    assert max(abs(h).bit_length() for e in enum for h in e.certificate.witness.heights) == bits
+
+
+def test_carried_witness_crosses_the_square_diagonal():
+    # The placing triangulation {012, 123} has the LP witness (0, -1, -1, -1)
+    # and one flip, with row a = (-1, 1, 1, -1): a.lambda = -1, a.a = 4, so
+    # mu = 4 lambda + a = (-1, -3, -3, -5).  The neighbour's one row is -a,
+    # with -a.mu = 0 and -a.a = -4 < 0, so c = 0 and the carried witness is
+    # a, shifted to max 0 and divided by 2.
+    cfg = config_of(SQUARE)
+    seed = placing_triangulation(cfg)
+    system = cone_system(seed)
+    (flip,) = flips(seed, system)
+    lam = is_regular(seed, system).witness
+    assert lam.heights == (0, -1, -1, -1) and flip.row.nums[:-1] == (-1, 1, 1, -1)
+    carried = carry_witness(lam, flip.row, cone_system(flip.result))
+    assert carried.heights == (-1, 0, 0, -1)
+    assert lower_hull_subdivision(cfg, carried).cells == flip.simplices == ((0, 1, 3), (0, 2, 3))
 
 
 def test_validation_makes_no_rank_call(monkeypatch):
@@ -653,3 +685,36 @@ def test_flips_match_scanning_oracle_on_all_triangulations_of_random_polygons(ve
 @given(POLYTOPES_3D)
 def test_flips_match_scanning_oracle_on_all_triangulations_of_random_3d_polytopes(vertices):
     check_flips_against_scanning_oracle(vertices)
+
+
+def check_carried_witnesses_against_lp(vertices):
+    # Every enumerated witness induces its triangulation, which the LP also
+    # finds regular; across every flip wall of every entry, a carried
+    # witness is found only for a neighbour the LP finds regular, and it
+    # induces that neighbour.
+    cfg = small_config(vertices)
+    for entry in enumerate_regular(cfg):
+        tri, lam = entry.triangulation, entry.certificate.witness
+        sub = lower_hull_subdivision(cfg, lam)
+        assert sub.is_triangulation and sub.cells == tri.simplices
+        system = cone_system(tri)
+        assert is_regular(tri, system).regular
+        for flip in flips(tri, system):
+            nb_system = cone_system(flip.result)
+            carried = carry_witness(lam, flip.row, nb_system)
+            if carried is not None:
+                assert is_regular(flip.result, nb_system).regular
+                sub = lower_hull_subdivision(cfg, carried)
+                assert sub.is_triangulation and sub.cells == flip.simplices
+
+
+@settings(max_examples=25, deadline=None)
+@given(POLYGONS)
+def test_carried_witnesses_agree_with_lp_on_random_polygons(vertices):
+    check_carried_witnesses_against_lp(vertices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(POLYTOPES_3D)
+def test_carried_witnesses_agree_with_lp_on_random_3d_polytopes(vertices):
+    check_carried_witnesses_against_lp(vertices)
