@@ -52,7 +52,14 @@ class PLFunction:
         missing = [i for i in tri.used_points if i not in vals]
         if missing:
             raise ValueError(f"missing values at used points {missing}")
-        g = cls(tri.config, tri.simplices, vals, True)
+        return cls.unchecked(tri, vals)
+
+    @classmethod
+    def unchecked(cls, tri: Triangulation, values: Mapping[int, int | Fraction]) -> "PLFunction":
+        """``on_triangulation`` for callers that build ``values`` themselves,
+        ints or Fractions at every used point: they are neither checked nor
+        copied."""
+        g = cls(tri.config, tri.simplices, values, True)
         vars(g)["triangulation"] = tri  # the cached property: reuse tri and its walls
         return g
 

@@ -49,7 +49,13 @@ def boundary_vector(tri: Triangulation) -> CharVector:
 
 
 def hurwitz_vector(tri: Triangulation) -> CharVector:
+    """n * gkz - boundary, summed in one pass over both volume tables."""
     n = tri.config.dim
-    gkz = gkz_vector(tri)
-    bd = boundary_vector(tri)
-    return CharVector(HURWITZ, tuple(n * g - b for g, b in zip(gkz.entries, bd.entries)))
+    entries = [0] * len(tri.config)
+    for s, vol in tri.cell_volumes:
+        for i in s:
+            entries[i] += n * vol
+    for wall, vol in tri.massive_wall_volumes:
+        for i in wall:
+            entries[i] -= vol
+    return CharVector(HURWITZ, tuple(entries))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -74,6 +75,12 @@ class WeightPolytope:
     vertices: tuple[tuple[int, ...], ...]
     affine_dim: int
     certificates: tuple[Optional[Lifting], ...]
+
+    @cached_property
+    def vector_of(self) -> dict[int, tuple[int, ...]]:
+        """Each source triangulation's id mapped to its vector, so the suites
+        read the vectors ``build`` computed once per entry."""
+        return {t: g.vector for g in self.generators for t in g.triangulation_ids}
 
 
 def _pins(vectors: Sequence[Sequence[int]], i: int, lam: Sequence[int]) -> bool:
@@ -169,9 +176,10 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
     tid, values = None, (None, None, None)
     if entry is not None:
         tri = entry.triangulation
-        envelope = PLFunction.on_triangulation(tri, {i: h[i] for i in tri.used_points})
+        envelope = PLFunction.unchecked(tri, {i: h[i] for i in tri.used_points})
         tid = entry.id
-        values = (pairing(gkz_vector(tri), h), pairing(hurwitz_vector(tri), h), volume_total(envelope))
+        gkz, hur = analysis.chow.vector_of[tid], analysis.hurwitz.vector_of[tid]
+        values = (pairing(gkz, h), pairing(hur, h), volume_total(envelope))
     chow_min, chow_argmin = support_min(analysis.chow, h)
     hurwitz_min, hurwitz_argmin = support_min(analysis.hurwitz, h)
     minima = ((CHOW, chow_min, chow_argmin), (HURWITZ, hurwitz_min, hurwitz_argmin), (CHOW, chow_min, ()))
@@ -226,13 +234,12 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     affine_fns = [[1] * len(config)] + [[p[j] for p in config.points] for j in range(n)]
     for entry in analysis.enumeration:
         tri = entry.triangulation
-        gkz = gkz_vector(tri)
-        bd = boundary_vector(tri)
-        hur = hurwitz_vector(tri)
         tid = entry.id
-        check(tid, None, "gkz sum", gkz.total(), (n + 1) * q.volume)
+        gkz, hur = analysis.chow.vector_of[tid], analysis.hurwitz.vector_of[tid]
+        bd = boundary_vector(tri)
+        check(tid, None, "gkz sum", sum(gkz), (n + 1) * q.volume)
         check(tid, None, "boundary sum", bd.total(), n * q.boundary_volume)
-        check(tid, None, "hurwitz sum", hur.total(), n * deg.hurwitz)
+        check(tid, None, "hurwitz sum", sum(hur), n * deg.hurwitz)
         affine_values = [
             (pairing(gkz, a), pairing(hur, a)) for a in affine_fns
         ]
@@ -242,14 +249,14 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
             check(tid, None, "affine pairing T-independence", affine_values, affine_reference)
         mixed = tuple(
             n * deg.hurwitz * e - (n + 1) * deg.chow * x
-            for e, x in zip(gkz.entries, hur.entries)
+            for e, x in zip(gkz, hur)
         )
         for trial in range(trials):
             values = {
                 i: rng.randrange(-60, 61) * (_TRIAL_SCALE // rng.randrange(1, 7))
                 for i in tri.used_points
             }
-            g = PLFunction.on_triangulation(tri, values)
+            g = PLFunction.unchecked(tri, values)
             volume = volume_total(g)
             boundary = boundary_total(g)
             check(tid, trial, "volume pairing", char_pairing(gkz, g), volume)

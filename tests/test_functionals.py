@@ -241,6 +241,13 @@ def test_pairing_identities_for_random_g(vals):
     assert char_pairing(boundary_vector(tri), g) == factorial(n) * integral_boundary(g)
 
 
+def test_on_triangulation_rejects_missing_values():
+    cfg = config_of(DOUBLE_SIMPLEX)
+    tri = Triangulation(cfg, [(0, 1, 3), (1, 3, 4), (1, 2, 4), (3, 4, 5)])
+    with pytest.raises(ValueError, match=r"missing values at used points \[2, 5\]"):
+        PLFunction.on_triangulation(tri, {0: 1, 1: 1, 3: 1, 4: 1})
+
+
 def test_on_triangulation_keeps_ints():
     cfg = config_of(DOUBLE_SIMPLEX)
     tri = Triangulation(cfg, [(0, 1, 3), (1, 3, 4), (1, 2, 4), (3, 4, 5)])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DOUBLE_SIMPLEX
-from toricweights import functionals, polytope, weights
+from toricweights import functionals, polytope, vectors, weights
 from toricweights.pipeline import analyze
 from toricweights.polytope import extreme_point_indices
 from toricweights.triangulation import Lifting, Triangulation, lower_hull_subdivision
@@ -192,6 +192,39 @@ def test_identity_integrals_computed_once_per_trial_function(double_simplex, mon
     # Three sums per triangulation, the affine T-independence from the second
     # one on, and three pairings per trial function.
     assert rep.checks == ntri * (3 + 3 * 5) + ntri - 1
+
+
+def test_characteristic_vectors_computed_once_per_entry(monkeypatch):
+    # build computes each entry's GKZ and Hurwitz vectors once, the suites
+    # read them off the polytopes, and the identity suite computes each
+    # boundary vector once.  Computing them afresh in every suite made
+    # 4, 3 and 2 calls per entry, and 2, 1 and 1 more per lifting.
+    calls = {"gkz_vector": 0, "boundary_vector": 0, "hurwitz_vector": 0}
+    for name in calls:
+        original = getattr(vectors, name)
+
+        def counting(tri, name=name, original=original):
+            calls[name] += 1
+            return original(tri)
+
+        monkeypatch.setattr(weights, name, counting)
+        monkeypatch.setattr(vectors, name, counting)
+    analysis = analyze(DOUBLE_SIMPLEX)
+    assert verify_identities(analysis, trials=5, seed=3).passed
+    assert run_support_trials(analysis, count=20, seed=3).passed
+    ntri = len(analysis.enumeration)
+    assert calls == {"gkz_vector": ntri, "boundary_vector": ntri, "hurwitz_vector": ntri}
+
+
+def test_suites_build_their_functions_without_revalidation(double_simplex, monkeypatch):
+    # The suites make their values themselves, ints at every used point, so
+    # they skip the checks on_triangulation makes for outside callers.
+    def checked(cls, tri, values):
+        raise AssertionError("on_triangulation called by a suite")
+
+    monkeypatch.setattr(functionals.PLFunction, "on_triangulation", classmethod(checked))
+    assert verify_identities(double_simplex, trials=3, seed=1).passed
+    assert run_support_trials(double_simplex, count=5, seed=1).passed
 
 
 def test_identity_volumes_are_read_once_per_triangulation(monkeypatch):
