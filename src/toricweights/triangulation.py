@@ -1,8 +1,9 @@
 """Triangulations of a lattice point configuration.
 
 Covers the placing construction, lower hulls of liftings, regularity
-certificates by exact LP, bistellar flips across circuits, and breadth-first
-enumeration of all regular triangulations through the flip graph.
+certificates by exact LP, bistellar flips across circuits, witnesses carried
+across flip walls, and breadth-first enumeration of all regular
+triangulations through the flip graph.
 """
 
 from __future__ import annotations
@@ -370,14 +371,15 @@ def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Op
     """A witness for the other side of a flip wall, from a witness of this
     side, or None when the carried point misses the neighbour's cone.
 
-    ``row`` is the flip's cone row a, with a.witness < 0, and ``system`` the
-    neighbour's cone system.  mu = (a.a) witness - (a.witness) a lies on
-    the wall a.x = 0, and the candidate is c mu + a, with c the integer
-    nearest 0 at which every row b of ``system`` is strict: b.mu < 0 bounds
-    c below, b.mu = 0 needs b.a < 0, and b.mu > 0 is a miss.  Rows are
-    affine dependences, so the candidate is then shifted to max 0 and
-    divided by the gcd of its heights.  Checking it costs one integer dot
-    product per row.
+    ``row`` is the flip's cone row a, so a.witness < 0, and ``system`` is
+    the neighbour's cone system, which holds -a.  mu = (a.a) witness -
+    (a.witness) a lies on the wall a.x = 0, and the candidate is c mu + a
+    with c the least integer >= 0 at which every row b of ``system`` is
+    strict: b.mu < 0 bounds c below, b.mu = 0 needs b.a < 0, and b.mu > 0 is
+    a miss.  One integer dot product per row decides it.  Rows are affine
+    dependences, so shifting the candidate to max 0 and dividing by the gcd
+    of its heights keeps every row's sign; a result that fails ``system``
+    is a bug and raises.
     """
     lam = witness.heights
     a = row.nums[:-1]
@@ -482,9 +484,13 @@ def enumerate_regular(
 
     Complete because regular triangulations are connected by flips (they are
     the vertices of the secondary polytope, flips its edges).  Each kept
-    triangulation's cone system is built once, for its regularity LP and
-    its flips, and held only while it is queued.  Entries are sorted by
-    canonical form, so ids do not depend on the seed order.
+    triangulation's cone system is built once, for its regularity test and
+    its flips, and held, with its witness, only while it is queued.  A
+    neighbour's witness is carried across the flip wall from the witness of
+    the triangulation it was reached from (``carry_witness``); the exact LP
+    (``is_regular``) runs for the seed and on a miss only.  Entries are
+    sorted by canonical form, so ids, like the canonical forms, do not
+    depend on the seed ``order``; witness heights do.
     """
     caps = caps or EnumerationCaps()
     start = time.monotonic()

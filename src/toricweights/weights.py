@@ -162,7 +162,8 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
     or None when its lower hull is not simplicial.
 
     A simplicial lower hull is the regular triangulation T_lam, which is
-    looked up in the enumeration by its canonical cells.  The support
+    looked up in the enumeration by its canonical cells, its vectors in
+    the polytopes' ``vector_of``.  The support
     checks compare min <x, lam> over each polytope with <vector of T_lam,
     lam>; the Aubin check compares the Chow minimum with (n+1)! times the
     integral of the lower envelope, lam's heights on T_lam.  With T_lam
@@ -215,7 +216,8 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     """Exact identity suite over every enumerated triangulation with seeded
     random rational functions, checked as their integer multiples by
     ``_TRIAL_SCALE``; also asserts the constant-sum invariants and the
-    T-independence of affine pairings."""
+    T-independence of affine pairings.  The GKZ and Hurwitz vectors are the
+    ones the polytopes were built from (``vector_of``)."""
     config = analysis.config
     q = config.polytope
     n = q.dim
