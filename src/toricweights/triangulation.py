@@ -374,9 +374,11 @@ def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Op
     ``row`` is the flip's cone row a, so a.witness < 0, and ``system`` is
     the neighbour's cone system, which holds -a.  mu = (a.a) witness -
     (a.witness) a lies on the wall a.x = 0, and the candidate is c mu + a
-    with c the least integer >= 0 at which every row b of ``system`` is
-    strict: b.mu < 0 bounds c below, b.mu = 0 needs b.a < 0, and b.mu > 0 is
-    a miss.  One integer dot product per row decides it.  Rows are affine
+    with c the least integer at which every row b of ``system`` is strict:
+    b.mu < 0 bounds c below, b.mu = 0 needs b.a < 0, and b.mu > 0 is a
+    miss.  One integer dot product per row decides it.  With no row
+    bounding c, mu is affine (every row vanishes on it), so the candidate
+    would not depend on the witness: that is a miss too.  Rows are affine
     dependences, so shifting the candidate to max 0 and dividing by the gcd
     of its heights keeps every row's sign; a result that fails ``system``
     is a bug and raises.
@@ -386,14 +388,17 @@ def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Op
     aa = sum(x * x for x in a)
     al = sum(map(mul, a, lam))
     mu = [aa * h - al * x for h, x in zip(lam, a)]
-    c = 0
+    bounds = []
     for b in system.constraints:
         bm = sum(map(mul, b.nums, mu))
         ba = sum(map(mul, b.nums, a))
         if bm < 0:
-            c = max(c, ba // -bm + 1)
+            bounds.append(ba // -bm + 1)
         elif bm > 0 or ba >= 0:
             return None
+    if not bounds:
+        return None
+    c = max(bounds)
     heights = [c * m + x for m, x in zip(mu, a)]
     top = max(heights)
     scale = gcd(*(h - top for h in heights))

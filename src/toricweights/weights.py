@@ -162,12 +162,12 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
     or None when its lower hull is not simplicial.
 
     A simplicial lower hull is the regular triangulation T_lam, which is
-    looked up in the enumeration by its canonical cells, its vectors in
-    the polytopes' ``vector_of``.  The support
-    checks compare min <x, lam> over each polytope with <vector of T_lam,
-    lam>; the Aubin check compares the Chow minimum with (n+1)! times the
-    integral of the lower envelope, lam's heights on T_lam.  With T_lam
-    missing every pairing is None, so all three fail.
+    looked up in the enumeration by its canonical cells, and its vectors in
+    the polytopes' ``vector_of``.  The support checks compare min <x, lam>
+    over each polytope with <vector of T_lam, lam>; the Aubin check
+    compares the Chow minimum with (n+1)! times the integral of the lower
+    envelope, lam's heights on T_lam.  With T_lam missing every pairing is
+    None, so all three fail.
     """
     sub = lower_hull_subdivision(analysis.config, lam)
     if not sub.is_triangulation:

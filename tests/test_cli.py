@@ -229,18 +229,19 @@ def test_verify_prints_null_pairing_for_a_missing_triangulation(monkeypatch, cap
 
 
 # sha256 of `verify --input data/<name> --trials 30 --seed 0 --format machine`
-# run from the repository root (the output echoes the input path), recorded
-# when witnesses were first carried across flip walls (the output prints
-# them); the rest of it is pinned apart from witnesses further below.
+# run from the repository root (the output echoes the input path).  The
+# output prints witnesses: the pins of inputs with more than two regular
+# triangulations were re-recorded when witnesses were first carried across
+# flip walls.  The rest of each output is pinned apart from witnesses below.
 VERIFY_DIGESTS = {
     "double_simplex.json": "6c95dab04f67db84c76163b13c26d9206ef86aea949a529b9e4a721fce005568",
-    "non_delzant_triangle.json": "70009ae0529381a2e9dd491d93a365da7eb16fcea10e59b5aa906576c3fc3f1a",
+    "non_delzant_triangle.json": "91c48a62f74ddf490a399cdf97d8ac536af26cc309167c5f89150afb7c3ecbbd",
     "octahedron.json": "8d86152eedbc13fd3f47608b75ad56177c729e9dd26413f3224dd59181c6e933",
     "segment2.json": "cf177d4a35d8bb9396a5660e18cb7a3a2f48864e82be9cf76ed862a0262ee5fc",
     "segment3.json": "6197ca92e743d3b2bcf7e84c8e0ae5b08dad984d89f59a81193a901ad5a3967d",
     "unit_cube.json": "f405aab8ae0278559629dc9e0f1734c50cc849938e9ffd3db52a2ea133e39992",
     "unit_simplex.json": "b66703b2250d6a424e003cf152bb2cfcd74561481387bde74125120fb83a38e8",
-    "unit_square.json": "0f4c16e18312c5d1b764fe74d24c0da66edddb0e77c8b1a081136d79153c8dc8",
+    "unit_square.json": "251e4c0ec3e74473724f3d176ba3e9e781784cf415ca347db5da2e36140c321c",
 }
 
 
@@ -261,7 +262,8 @@ def test_verify_output_is_pinned(capsys, monkeypatch, name, digest):
 # repository root, for every command that prints machine output apart from
 # `verify` (pinned above); `check` prints the volumes the placing
 # triangulation gives.  `triangulations` and `polytope` print witnesses, and
-# were re-recorded when witnesses were first carried across flip walls.
+# were re-recorded, like `verify`, when witnesses were first carried across
+# flip walls.
 OUTPUT_DIGESTS = {
     "double_simplex.json": {
         "check": "4e178e467528767518452552b5fd65ef4f7b5a798e9c069113f10fbdc5ac52bc",
@@ -274,12 +276,12 @@ OUTPUT_DIGESTS = {
     },
     "non_delzant_triangle.json": {
         "check": "73ac5b27c592ea3d29651fe11c71e50333157b1a33f116b054a39a846e3d65f6",
-        "triangulations": "546f290da064878b08b0169230f72c2258d5b063fc263fd77076db4a291d69bd",
+        "triangulations": "b1581200c1ca64a9135df90d28a89143191fe4a56f9aa12e9dbe05effa2c04a0",
         "vectors --kind gkz": "8ac2642a9af3b3fa9e246a9a23e2fb1677c4b56e3ff312d858a21fe7e55ddebb",
         "vectors --kind boundary": "6418ea76b016b4fd90bf777b3217d55b50beb77e4b761320b9dc2b89d0494500",
         "vectors --kind hurwitz": "6f56b241dbb483378b52647c6121913e2de92dc05ad69bd313ac15d6cf185345",
-        "polytope --kind chow": "070e4314c35e9906050ccb5f938c3249d4619d03043bda515dfbf56c3bc2ff07",
-        "polytope --kind hurwitz": "be070da4eb2f6eb03c1546d2f44b78bd8a3433ecf6fed8509c6bf45e5a4573d4",
+        "polytope --kind chow": "04ef556128c2941fef64f7e9731aafda579633ac77eb3e1f40320f11dd4de61f",
+        "polytope --kind hurwitz": "02a2a8666040ab387e8d0a414003e0ff56277b5fbcd0aa84235a14199b55c7ce",
     },
     "octahedron.json": {
         "check": "c7cb86077813f4bb206bdbdd46c73e55af2cb50966dac03a56a850c311b43475",
@@ -328,12 +330,12 @@ OUTPUT_DIGESTS = {
     },
     "unit_square.json": {
         "check": "da1c6cc6a3c2211510407d105634970698e081900ba91c97c447a19d4f686226",
-        "triangulations": "1a79eff8e84fad79b9bd116cd1848ef045fb919365b8e4bdde259f7e39c8a60d",
+        "triangulations": "e11709bab4dc376db1054b22495e27c4250391cfde2d90695427d9c9cd0388b2",
         "vectors --kind gkz": "40004576f5e0f5d3263b53f218833ff485679af75ccb6852e8fa1236aab3618e",
         "vectors --kind boundary": "fcff88fab9cb3f5baef6a89c11fae4e2e54afdf51f48c5c3f684147820411c8f",
         "vectors --kind hurwitz": "7873de0c4ac869e48beb3f13d584d16b9e03e0790e21c1a9432c3b8f00d5fef7",
-        "polytope --kind chow": "425d54fbad7015a19bedc146922d89f725d2184b53a75cfdc696ea4a7ee28585",
-        "polytope --kind hurwitz": "13d17518cbcb55c727b9a5249e1b36489030611e8e058fc437e7353ae2804cc8",
+        "polytope --kind chow": "505c30a200d85c35f2ac98b3d6b8b5eba15c20c15dd2858e177beedbcad5faaa",
+        "polytope --kind hurwitz": "73834ce7ff512b9482e941fe1987cf85a590c01038f3ffd91b42a19ec6194bef",
     },
 }
 OUTPUT_RUNS = [(name, command, digest) for name, pins in sorted(OUTPUT_DIGESTS.items())

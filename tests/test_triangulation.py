@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import CUBE, DOUBLE_SIMPLEX, SEGMENT2, SQUARE, config_of
+from conftest import CUBE, DOUBLE_SIMPLEX, SEGMENT2, SEGMENT3, SQUARE, config_of
 import oracles
 from oracles import all_triangulations
 from toricweights import exact, polytope, triangulation
@@ -422,21 +422,34 @@ def test_enumeration_solves_the_cone_lp_only_on_a_miss(monkeypatch, vertices, lp
     assert max(abs(h).bit_length() for e in enum for h in e.certificate.witness.heights) == bits
 
 
-def test_carried_witness_crosses_the_square_diagonal():
-    # The placing triangulation {012, 123} has the LP witness (0, -1, -1, -1)
-    # and one flip, with row a = (-1, 1, 1, -1): a.lambda = -1, a.a = 4, so
-    # mu = 4 lambda + a = (-1, -3, -3, -5).  The neighbour's one row is -a,
-    # with -a.mu = 0 and -a.a = -4 < 0, so c = 0 and the carried witness is
-    # a, shifted to max 0 and divided by 2.
+def test_carried_witness_crosses_a_segment_wall():
+    # Points 0..3 on a line.  The placing triangulation {01, 12, 23} has the
+    # LP witness (0, -2, -3, -3); its first flip drops point 1, with row
+    # a = (-1, 2, -1, 0): a.lambda = -1, a.a = 6, so mu = 6 lambda + a =
+    # (-1, -10, -19, -18).  The neighbour's rows are (-1, 0, 3, -2)/2, with
+    # b.mu = -20 and b.a = -2, so c > -1/10, and -a/2, with -a.mu = 0 and
+    # -a.a = -6 < 0.  So c = 0 and the carried witness is a, shifted to
+    # max 0.
+    cfg = config_of(SEGMENT3)
+    seed = placing_triangulation(cfg)
+    system = cone_system(seed)
+    flip = flips(seed, system)[0]
+    lam = is_regular(seed, system).witness
+    assert lam.heights == (0, -2, -3, -3) and flip.row.nums[:-1] == (-1, 2, -1, 0)
+    carried = carry_witness(lam, flip.row, cone_system(flip.result))
+    assert carried.heights == (-3, 0, -3, -2)
+    assert lower_hull_subdivision(cfg, carried).cells == flip.simplices == ((0, 2), (2, 3))
+
+
+def test_carried_witness_misses_when_the_wall_point_is_affine():
+    # The square's liftings modulo affine functions form a line, so mu, on
+    # the wall, is affine: no neighbour row bounds c, and the LP decides.
     cfg = config_of(SQUARE)
     seed = placing_triangulation(cfg)
     system = cone_system(seed)
     (flip,) = flips(seed, system)
     lam = is_regular(seed, system).witness
-    assert lam.heights == (0, -1, -1, -1) and flip.row.nums[:-1] == (-1, 1, 1, -1)
-    carried = carry_witness(lam, flip.row, cone_system(flip.result))
-    assert carried.heights == (-1, 0, 0, -1)
-    assert lower_hull_subdivision(cfg, carried).cells == flip.simplices == ((0, 1, 3), (0, 2, 3))
+    assert carry_witness(lam, flip.row, cone_system(flip.result)) is None
 
 
 def test_validation_makes_no_rank_call(monkeypatch):
