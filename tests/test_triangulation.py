@@ -419,7 +419,7 @@ def test_enumeration_solves_the_cone_lp_only_on_a_miss(monkeypatch, vertices, lp
     monkeypatch.setattr(triangulation, "feasible_strict", lambda system: calls.append(system) or feasible_strict(system))
     enum = enumerate_regular(config_of(vertices))
     assert len(calls) == lps
-    assert max(abs(h).bit_length() for e in enum for h in e.certificate.witness.heights) == bits
+    assert max(abs(h).bit_length() for e in enum for h in e.certificate.witness.heights) <= bits
 
 
 def test_carried_witness_crosses_a_segment_wall():
