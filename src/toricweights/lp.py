@@ -1,10 +1,16 @@
-"""Exact linear feasibility over the rationals.
+"""Exact linear feasibility over the rationals, for the two problems the
+package solves.
 
-A system mixes weak inequalities, strict inequalities and equations over free
-rational variables.  Strictness is handled by a single global slack variable
-that every strict row must dominate; the slack is maximized (capped at 1, so
-homogeneous cones do not make it unbounded) with a two-phase simplex using
-Bland's rule.  A strictly feasible point exists iff the optimal slack is
+- ``feasible_strict``: a point strictly inside a homogeneous cone, every row
+  ``(nums/den)·x < 0``; the rows are the secondary-cone inequalities of a
+  triangulation, the point its regularity witness.
+- ``nonnegative_feasible``: a point a >= 0 with A a = b, for hull membership
+  and Gordan certificates.
+
+Both run one two-phase simplex with Bland's rule.  In the cone, strictness
+is handled by a single global slack variable that every row must dominate;
+the slack is maximized (capped at 1, so the cone does not make it
+unbounded), and a strictly feasible point exists iff the optimal slack is
 positive.
 """
 
@@ -17,60 +23,15 @@ from typing import Optional, Sequence
 
 from .exact import integer_row, pivot
 
-LE = "<="
-LT = "<"
-EQ = "=="
-
-_FLIP = {">=": LE, ">": LT}
-
-
-def constraint(coeffs: Sequence, rel: str, rhs) -> "Constraint":
-    """Build a constraint; >= and > are normalized to <= and < by negation."""
-    nums, den = integer_row([*coeffs, rhs])
-    if rel in _FLIP:
-        nums = [-x for x in nums]
-        rel = _FLIP[rel]
-    if rel not in (LE, LT, EQ):
-        raise ValueError(f"unknown relation {rel!r}")
-    return Constraint(tuple(nums), den, rel)
-
-
-def _exact_point(point: Sequence) -> tuple[list[int], int]:
-    if not all(isinstance(x, (int, Fraction)) for x in point):
-        raise TypeError("holds needs int or Fraction coordinates")
-    return integer_row(point)
-
 
 @dataclass(frozen=True)
 class Constraint:
-    """The row ``[coeffs | rhs]`` as integer numerators ``nums`` over one positive
-    denominator ``den`` in lowest terms, so equal rational rows compare equal."""
+    """The strict inequality ``(nums / den)·x < 0``: integer numerators over
+    one positive denominator in lowest terms, so equal rational rows compare
+    equal."""
 
     nums: tuple[int, ...]
     den: int
-    rel: str
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums[:-1])
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(self.nums[-1], self.den)
-
-    def holds(self, point: Sequence) -> bool:
-        """Exact test at a point of ints and Fractions."""
-        return self._holds_at(*_exact_point(point))
-
-    def _holds_at(self, nums: Sequence[int], den: int) -> bool:
-        # Both sides of the point's row nums / den, times self.den * den > 0.
-        lhs = sum(map(mul, self.nums[:-1], nums))
-        rhs = self.nums[-1] * den
-        if self.rel == LE:
-            return lhs <= rhs
-        if self.rel == LT:
-            return lhs < rhs
-        return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -84,11 +45,16 @@ class LinearSystem:
 
     @property
     def dim(self) -> int:
-        return len(self.constraints[0].nums) - 1 if self.constraints else 0
+        return len(self.constraints[0].nums) if self.constraints else 0
 
     def holds(self, point: Sequence) -> bool:
-        nums, den = _exact_point(point)
-        return all(c._holds_at(nums, den) for c in self.constraints)
+        """Exact test that every row is strict at a point of ints and
+        Fractions: the sign of one integer dot product per row, as both
+        denominators are positive."""
+        if not all(isinstance(x, (int, Fraction)) for x in point):
+            raise TypeError("holds needs int or Fraction coordinates")
+        nums, _ = integer_row(point)
+        return all(sum(map(mul, c.nums, nums)) < 0 for c in self.constraints)
 
 
 class _Unbounded(RuntimeError):
@@ -176,65 +142,44 @@ def _solve_max(rows, dens, obj_col, nvars):
     return value, point
 
 
-def nonnegative_feasible(
-    rows: Sequence[Sequence], rhs: Sequence, strict_cols: Sequence[int] = ()
-) -> Optional[tuple[Fraction, ...]]:
-    """A point a >= 0 with rows @ a == rhs and a[j] > 0 for j in strict_cols,
-    or None.  Cheaper encoding than ``feasible_strict`` for problems whose
-    variables are naturally nonnegative (convex-combination memberships)."""
+def nonnegative_feasible(rows: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
+    """A point a >= 0 with rows @ a == rhs, or None.  Cheaper encoding than
+    ``feasible_strict`` for problems whose variables are naturally
+    nonnegative (convex-combination memberships)."""
     m = len(rows[0]) if rows else 0
-    nstrict = len(strict_cols)
-    # columns: a (m) | s | one slack per strict row | cap slack
-    nvars = m + 1 + nstrict + 1
-    s_col = m
-    split = [integer_row([*row, *[0] * (nvars - m), r]) for row, r in zip(rows, rhs)]
+    # columns: a (m) | s | cap slack.  s sits in the cap row s + slack = 1
+    # alone, so phase 2 (maximize s) pivots on that row only and returns the
+    # point phase 1 found.
+    nvars = m + 2
+    split = [integer_row([*row, 0, 0, r]) for row, r in zip(rows, rhs)]
     eqs, dens = [nums for nums, _ in split], [den for _, den in split]
-    for k, j in enumerate(strict_cols):
-        row = [0] * (nvars + 1)
-        row[j] = -1
-        row[s_col] = row[m + 1 + k] = 1
-        eqs.append(row)  # s - a_j + slack = 0, i.e. a_j >= s
-        dens.append(1)
-    cap = [0] * (nvars + 1)
-    cap[s_col] = cap[nvars - 1] = cap[nvars] = 1
-    eqs.append(cap)
+    eqs.append([0] * m + [1, 1, 1])
     dens.append(1)
-    result = _solve_max(eqs, dens, s_col, nvars)
-    if result is None:
-        return None
-    value, point = result
-    if value <= 0:
-        return None
-    return tuple(point[:m])
+    result = _solve_max(eqs, dens, m, nvars)
+    return None if result is None else tuple(result[1][:m])
 
 
 def feasible_strict(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
-    """Exact rational point satisfying every constraint, strict ones strictly.
+    """Exact rational point satisfying every row of the system strictly.
 
     Returns None when no such point exists.  Free variables are split into
-    positive and negative parts; one extra slack column is shared by all
-    strict rows and maximized subject to slack <= 1.
+    positive and negative parts; one extra slack column s is shared by all
+    rows, each row reads (nums / den)·x + s + (its own slack) = 0, and s is
+    maximized subject to s <= 1.
     """
     d = system.dim
     cons = system.constraints
-    # columns: u (d) | v (d) | s | one row-slack per inequality row
-    nineq = sum(1 for c in cons if c.rel != EQ) + 1  # + slack cap row
-    nvars = 2 * d + 1 + nineq
+    # columns: u (d) | v (d) | s | one row-slack per row | cap slack
+    nvars = 2 * d + 2 + len(cons)
     s_col = 2 * d
     rows, dens = [], []
-    slack_at = 2 * d + 1
-    for c in cons:
-        coeffs = c.nums[:-1]
-        row = [*coeffs, *(-a for a in coeffs)] + [0] * (nvars - 2 * d) + [c.nums[-1]]
-        if c.rel == LT:
-            row[s_col] = c.den
-        if c.rel != EQ:
-            row[slack_at] = c.den
-            slack_at += 1
+    for i, c in enumerate(cons):
+        row = [*c.nums, *(-a for a in c.nums)] + [0] * (nvars + 1 - 2 * d)
+        row[s_col] = row[s_col + 1 + i] = c.den
         rows.append(row)
         dens.append(c.den)
     cap = [0] * (nvars + 1)
-    cap[s_col] = cap[slack_at] = cap[nvars] = 1
+    cap[s_col] = cap[nvars - 1] = cap[nvars] = 1
     rows.append(cap)
     dens.append(1)
 

@@ -177,7 +177,9 @@ class LatticePolytope:
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence[int]]) -> "LatticePolytope":
-        pts = [tuple(int(x) for x in v) for v in vertices]
+        pts = [tuple(v) for v in vertices]
+        if any(type(x) is not int for p in pts for x in p):
+            raise ValueError("vertex coordinates must be integers")
         if not pts:
             raise ValueError("no vertices given")
         d = len(pts[0])

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, KeysView, Optional, Sequence
 
-from .lp import LT, Constraint, LinearSystem, feasible_strict, nonnegative_feasible
+from .lp import Constraint, LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
 Simplices = tuple[tuple[int, ...], ...]
@@ -128,9 +128,8 @@ class Lifting:
 
     @classmethod
     def normalized(cls, heights: Sequence[int]) -> "Lifting":
-        hs = [int(h) for h in heights]
-        top = max(hs)
-        return cls(tuple(h - top for h in hs))
+        top = max(heights)
+        return cls(tuple(h - top for h in heights))
 
     @classmethod
     def from_rationals(cls, values: Sequence) -> "Lifting":
@@ -228,10 +227,10 @@ def _cone_row(config: PointConfiguration, cell: tuple[int, ...], k: int) -> Cons
     if at_k == 0:
         raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
     sign = -1 if at_k > 0 else 1
-    nums = [0] * (len(config) + 1)
+    nums = [0] * len(config)
     for i, c in zip(ids, dep):
         nums[i] = sign * c
-    return Constraint(tuple(nums), abs(at_k), LT)
+    return Constraint(tuple(nums), abs(at_k))
 
 
 def cone_system(tri: Triangulation) -> LinearSystem:
@@ -324,10 +323,6 @@ class Flip:
     config: PointConfiguration = field(repr=False, compare=False)
     row: Constraint = field(repr=False, compare=False)
 
-    @property
-    def circuit(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.removed, self.inserted)
-
     @cached_property
     def result(self) -> Triangulation:
         return Triangulation(self.config, self.simplices)
@@ -356,8 +351,8 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
         system = cone_system(tri)
     circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], Constraint] = {}
     for row in system.constraints:
-        removed = tuple(i for i, c in enumerate(row.nums[:-1]) if c < 0)
-        circuits.setdefault((removed, tuple(i for i, c in enumerate(row.nums[:-1]) if c > 0)), row)
+        removed = tuple(i for i, c in enumerate(row.nums) if c < 0)
+        circuits.setdefault((removed, tuple(i for i, c in enumerate(row.nums) if c > 0)), row)
     out = []
     # (plus, minus) order of affine_dependence: the side holding the smallest index first.
     for (removed, inserted), row in sorted(circuits.items(), key=lambda item: min(item[0], item[0][::-1])):
@@ -384,7 +379,7 @@ def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Op
     is a bug and raises.
     """
     lam = witness.heights
-    a = row.nums[:-1]
+    a = row.nums
     aa = sum(x * x for x in a)
     al = sum(map(mul, a, lam))
     mu = [aa * h - al * x for h, x in zip(lam, a)]

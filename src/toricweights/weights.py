@@ -168,6 +168,12 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
     compares the Chow minimum with (n+1)! times the integral of the lower
     envelope, lam's heights on T_lam.  With T_lam missing every pairing is
     None, so all three fail.
+
+    The Aubin value repeats the Chow one: ``volume_total`` of the envelope
+    is the sum over cells of vol times the cell's heights, which regrouped
+    by point is sum_i h_i gkz_T[i] = <gkz_T, lam>.  So the Aubin check fails
+    exactly when the Chow support check does, unless ``gkz_vector`` and
+    ``volume_total`` disagree; it is kept as a check of that agreement.
     """
     sub = lower_hull_subdivision(analysis.config, lam)
     if not sub.is_triangulation:

@@ -15,6 +15,7 @@ DOUBLE_SIMPLEX = [[0, 0], [2, 0], [0, 2]]
 UNIT_SIMPLEX = [[0, 0], [1, 0], [0, 1]]
 NON_DELZANT = [[0, 0], [2, 0], [0, 1]]
 CUBE = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+HEXAGON = [[0, 0], [1, 0], [0, 1], [2, 1], [1, 2], [2, 2]]
 
 
 def config_of(vertices):

@@ -10,8 +10,9 @@ candidate simplices are every affinely independent (n+1)-subset of the
 configuration; a partial complex is grown across its lexicographically
 smallest open wall, keeping only candidates that intersect every chosen
 simplex properly.  Properness of a pair of simplices is decided exactly by
-strict LPs on barycentric coordinates, so this shares no machinery with the
-flip search it is used to cross-check.
+maximizing barycentric coordinates with the Fraction simplex below, so this
+shares no machinery with the flip search it is used to cross-check, nor with
+``lp``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from toricweights.exact import affine_combination, solve_linear
-from toricweights.lp import LT, LinearSystem, _Unbounded, constraint, nonnegative_feasible
+from toricweights.exact import affine_combination, integer_row, solve_linear
+from toricweights.lp import Constraint, LinearSystem
 from toricweights.functionals import PLFunction
 from toricweights.polytope import LatticePolytope, Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
@@ -34,12 +35,17 @@ class OracleTimeout(Exception):
     pass
 
 
+class Unbounded(Exception):
+    pass
+
+
 def proper_pair(config: PointConfiguration, s: tuple[int, ...], t: tuple[int, ...]) -> bool:
     """Exact test that conv(s) and conv(t) intersect in a common face.
 
     For simplices every vertex subset is a face, so the pair is proper iff no
     common point has a barycentric coordinate supported outside the shared
-    vertices.  One strict LP per non-shared vertex.
+    vertices.  One LP: the largest total weight a common point can put on
+    the non-shared vertices.
     """
     if s == t:
         return True
@@ -67,20 +73,17 @@ def proper_pair(config: PointConfiguration, s: tuple[int, ...], t: tuple[int, ..
         c_a = next(c for i, c in zip(s, coeffs) if i == a)
         return c_a < 0
     # General case: a common point with positive weight on a non-shared vertex
-    # witnesses improper intersection.
-    rows = [[p[j] for p in ps] + [-q[j] for q in pt] for j in range(n)]
-    rows.append([1] * len(ps) + [0] * len(pt))
-    rows.append([0] * len(ps) + [1] * len(pt))
-    rhs = [0] * n + [1, 1]
-    for k, i in enumerate(s):
-        if i not in common:
-            if nonnegative_feasible(rows, rhs, strict_cols=(k,)) is not None:
-                return False
-    for k, i in enumerate(t):
-        if i not in common:
-            if nonnegative_feasible(rows, rhs, strict_cols=(len(ps) + k,)) is not None:
-                return False
-    return True
+    # witnesses improper intersection.  Columns: the weights a on s and t,
+    # then z = the weight on non-shared vertices, bounded as each side sums
+    # to 1.
+    rows = [[p[j] for p in ps] + [-q[j] for q in pt] + [0] for j in range(n)]
+    rows.append([1] * len(ps) + [0] * len(pt) + [0])
+    rows.append([0] * len(ps) + [1] * len(pt) + [0])
+    rows.append([int(i not in common) for i in s + t] + [-1])
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rhs = [Fraction(x) for x in [0] * n + [1, 1, 0]]
+    best = _solve_max(rows, rhs, len(s + t), len(s + t) + 1)
+    return best is None or best[0] == 0
 
 
 def all_triangulations(config: PointConfiguration, time_budget: float | None = None) -> set:
@@ -156,8 +159,9 @@ def all_triangulations(config: PointConfiguration, time_budget: float | None = N
 #
 # The two-phase simplex as it stood before the tableau was held as integer
 # numerators over a per-row denominator: ``pivot``, ``_optimize`` and
-# ``_solve_max`` below are that code verbatim, so ``lp._solve_max`` can be
-# checked against it for equal optima, equal points and equal unboundedness.
+# ``_solve_max`` below are that code verbatim (raising their own
+# ``Unbounded``), so ``lp._solve_max`` can be checked against it for equal
+# optima, equal points and equal unboundedness.
 
 
 def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
@@ -196,7 +200,7 @@ def _optimize(tab, basis, cost):
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
         if best is None:
-            raise _Unbounded
+            raise Unbounded
         pivot(tab, best[1], col)
         basis[best[1]] = col
         f = red[col]
@@ -278,7 +282,7 @@ def cone_system(tri: Triangulation) -> LinearSystem:
         for i, c in zip(s1, coeffs):
             row[i] += c
         row[opposite] -= 1
-        cons.append(constraint(row, LT, 0))
+        cons.append(_constraint(row))
     used = set(tri.used_points)
     for k in range(npts):
         if k in used:
@@ -293,8 +297,13 @@ def cone_system(tri: Triangulation) -> LinearSystem:
         for i, c in zip(home, coeffs):
             row[i] += c
         row[k] -= 1
-        cons.append(constraint(row, LT, 0))
+        cons.append(_constraint(row))
     return LinearSystem(tuple(cons))
+
+
+def _constraint(row: Sequence[Fraction]) -> Constraint:
+    nums, den = integer_row(row)
+    return Constraint(tuple(nums), den)
 
 
 # --- Lower hull by facet search ---------------------------------------------

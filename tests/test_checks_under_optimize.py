@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from toricweights import lp, triangulation
-from toricweights.lp import LT, LinearSystem, constraint
+from toricweights.lp import Constraint, LinearSystem
 from toricweights.polytope import LatticePolytope, lattice_points
 from toricweights.triangulation import Triangulation, placing_triangulation
 
@@ -41,7 +41,7 @@ print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
-    "feasible_strict": message(lp.feasible_strict, LinearSystem((constraint([1], LT, 0),))),
+    "feasible_strict": message(lp.feasible_strict, LinearSystem((Constraint((1,), 1),))),
     "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
 }))
 """

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +43,13 @@ def test_degenerate_input_rejected():
         LatticePolytope.from_vertices([[0, 0], [1, 1], [2, 2]])
     with pytest.raises(ValueError, match="full-dimensional"):
         LatticePolytope.from_vertices([[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("coordinate", [2.7, 2.0, Fraction(5, 2), Fraction(2), True])
+def test_non_integer_coordinates_rejected(coordinate):
+    # Each would be truncated to an int vertex, a different polytope.
+    with pytest.raises(ValueError, match="integers"):
+        LatticePolytope.from_vertices([[0, 0], [coordinate, 0], [0, 2]])
 
 
 def test_lattice_points_segment():

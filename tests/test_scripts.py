@@ -1,10 +1,12 @@
 """Smoke runs of the experiment scripts in scripts/, which use the public
-API (``analyze``, ``support_checks``) but are not imported by any test,
-and a check that the benchmark's span tracer still finds what it wraps."""
+API (``analyze``, ``support_checks``) but are not imported by any test, of
+README's library quick tour, and a check that the benchmark's span tracer
+still finds what it wraps."""
 
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,19 @@ def test_survey_polytopes_one_row_per_data_file():
     lines = run_script("survey_polytopes.py")
     rows = [line.split()[0] for line in lines[2:] if not line.startswith(" ")]
     assert rows == sorted(path.stem for path in DATA.glob("*.json"))
+
+
+def test_readme_quick_tour_runs():
+    # The tour imports the public API with *, so a name it uses that leaves
+    # the package fails here; its comments state what the lines return.
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    a, entry = namespace["a"], namespace["entry"]
+    count = int(re.search(r"len\(a\.enumeration\) +# (\d+) regular triangulations", block).group(1))
+    assert len(a.enumeration) == count == 14
+    induced = eval(block.strip().splitlines()[-1], namespace)
+    assert induced == entry.triangulation.simplices
 
 
 def load_tracing():

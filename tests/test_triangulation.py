@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import CUBE, DOUBLE_SIMPLEX, SEGMENT2, SEGMENT3, SQUARE, config_of
+from conftest import CUBE, DOUBLE_SIMPLEX, HEXAGON, SEGMENT2, SEGMENT3, SQUARE, config_of
 import oracles
 from oracles import all_triangulations
 from toricweights import exact, polytope, triangulation
@@ -105,6 +106,13 @@ def test_lifting_normalization():
     assert Lifting.normalized((3, 1, 2)).heights == (0, -2, -1)
     with pytest.raises(ValueError):
         Lifting((1, 0))
+    # Non-integer heights are rejected, not truncated: [0, -1/2, 0] on [0, 2]
+    # induces the fine triangulation, [0, 0, 0] the coarse one.
+    for heights in ([0, Fraction(-1, 2), 0], [0, -0.5, 0], [0, Fraction(-1), 0]):
+        with pytest.raises(ValueError, match="integers"):
+            Lifting.normalized(heights)
+        with pytest.raises(ValueError, match="integers"):
+            lower_hull_subdivision(config_of(SEGMENT2), heights)
 
 
 def test_is_regular_fine_segment():
@@ -227,7 +235,7 @@ def test_flip_involution(square, double_simplex):
             t = entry.triangulation
             for f in flips(t):
                 back = [g for g in flips(f.result) if g.result.simplices == t.simplices]
-                assert back, f"flip {f.circuit} of {t.simplices} is not reversible"
+                assert back, f"flip {(f.removed, f.inserted)} of {t.simplices} is not reversible"
 
 
 def test_enumerate_segment(segment):
@@ -289,10 +297,8 @@ def test_cone_system_matches_hand_inequality():
     sys = cone_system(t)
     assert len(sys.constraints) == 1
     c = sys.constraints[0]
-    # 2*l1 - l0 - l2 < 0 up to positive scale
-    assert c.rel == "<"
-    coeffs = [x / max(c.coeffs) for x in c.coeffs] if max(c.coeffs) else list(c.coeffs)
-    assert c.coeffs[1] > 0 > c.coeffs[0] and c.coeffs[0] == c.coeffs[2]
+    # 2*l1 - l0 - l2 < 0, scaled to -1 at point 2, the point beyond the wall
+    assert (c.nums, c.den) == ((-1, 2, -1), 1)
 
 
 def test_brute_force_matches_bfs_on_double_simplex(double_simplex):
@@ -356,7 +362,6 @@ def test_three_by_three_grid_has_only_regular_triangulations():
 
 
 GRID3X3 = [[0, 0], [2, 0], [0, 2], [2, 2]]
-HEXAGON = [[0, 0], [1, 0], [0, 1], [2, 1], [1, 2], [2, 2]]
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 # sha256 of the JSON list of [simplices, witness heights] over the entries of
@@ -435,7 +440,7 @@ def test_carried_witness_crosses_a_segment_wall():
     system = cone_system(seed)
     flip = flips(seed, system)[0]
     lam = is_regular(seed, system).witness
-    assert lam.heights == (0, -2, -3, -3) and flip.row.nums[:-1] == (-1, 2, -1, 0)
+    assert lam.heights == (0, -2, -3, -3) and flip.row.nums == (-1, 2, -1, 0)
     carried = carry_witness(lam, flip.row, cone_system(flip.result))
     assert carried.heights == (-3, 0, -3, -2)
     assert lower_hull_subdivision(cfg, carried).cells == flip.simplices == ((0, 2), (2, 3))
