@@ -18,6 +18,13 @@ IntVector = Sequence[int]
 IntMatrix = Sequence[Sequence[int]]
 
 
+def check_ints(rows: IntMatrix, what: str) -> None:
+    """Raise ``TypeError`` unless every entry of ``rows`` is an int (bools
+    are not): the integer routines must not truncate rational or float input."""
+    if any(type(x) is not int for row in rows for x in row):
+        raise TypeError(f"{what} needs int entries")
+
+
 def det(matrix: IntMatrix) -> int:
     """Exact determinant of a square integer matrix.
 
@@ -29,7 +36,8 @@ def det(matrix: IntMatrix) -> int:
         raise ValueError("det requires a square matrix")
     if n == 0:
         return 1
-    m = [[int(x) for x in row] for row in matrix]
+    check_ints(matrix, "det")
+    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -56,7 +64,8 @@ def lattice_index(vectors: Sequence[IntVector]) -> int:
     ``ValueError`` when the vectors are linearly dependent (all maximal minors
     vanish).
     """
-    vecs = [[int(x) for x in v] for v in vectors]
+    vecs = [list(v) for v in vectors]
+    check_ints(vecs, "lattice_index")
     k = len(vecs)
     if k == 0:
         return 1
@@ -77,12 +86,11 @@ def lattice_index(vectors: Sequence[IntVector]) -> int:
 
 def primitive(vector: IntVector) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
-    g = 0
-    for x in vector:
-        g = gcd(g, int(x))
+    check_ints([vector], "primitive")
+    g = gcd(*vector)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(int(x) // g for x in vector)
+    return tuple(x // g for x in vector)
 
 
 def integer_row(values: Sequence) -> tuple[list[int], int]:

@@ -48,7 +48,9 @@ class PLFunction:
 
     @classmethod
     def on_triangulation(cls, tri: Triangulation, values: Mapping[int, int | Fraction]) -> "PLFunction":
-        vals = {int(k): v if isinstance(v, (int, Fraction)) else Fraction(v) for k, v in values.items()}
+        if any(type(k) is not int for k in values):
+            raise TypeError("on_triangulation needs int point indices")
+        vals = {k: v if isinstance(v, (int, Fraction)) else Fraction(v) for k, v in values.items()}
         missing = [i for i in tri.used_points if i not in vals]
         if missing:
             raise ValueError(f"missing values at used points {missing}")

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from .exact import (
     affine_combination,
     affine_dependence,
+    check_ints,
     det,
     lattice_index,
     primitive,
@@ -37,7 +38,8 @@ class Facet:
     offset: int
 
     def value(self, point: Sequence[int]) -> int:
-        return sum(u * int(x) for u, x in zip(self.normal, point)) + self.offset
+        check_ints([point], "Facet.value")
+        return sum(u * x for u, x in zip(self.normal, point)) + self.offset
 
 
 def _hyperplane_normal(points: Sequence[Point]) -> Optional[tuple[int, ...]]:
@@ -61,7 +63,8 @@ def hull_facets(points: Sequence[Point]) -> list[tuple[tuple[int, ...], int, tup
     every point on one side.  Returns (inward primitive normal, offset,
     indices of points on the facet), sorted.
     """
-    pts = [tuple(int(x) for x in p) for p in points]
+    pts = [tuple(p) for p in points]
+    check_ints(pts, "hull_facets")
     d = len(pts[0])
     if rank([[p[j] - pts[0][j] for j in range(d)] for p in pts[1:]]) < d:
         raise ValueError("point set is not full-dimensional")
@@ -171,7 +174,8 @@ class LatticePolytope:
     """Full-dimensional lattice polytope with exact V- and H-representations."""
 
     def __init__(self, vertices: Sequence[Sequence[int]], facets: Sequence[Facet]):
-        self.vertices: tuple[Point, ...] = tuple(sorted(tuple(int(x) for x in v) for v in vertices))
+        self.vertices: tuple[Point, ...] = tuple(sorted(tuple(v) for v in vertices))
+        check_ints(self.vertices, "LatticePolytope")
         self.facets: tuple[Facet, ...] = tuple(facets)
         self.dim: int = len(self.vertices[0])
 

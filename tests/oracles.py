@@ -160,8 +160,10 @@ def all_triangulations(config: PointConfiguration, time_budget: float | None = N
 # The two-phase simplex as it stood before the tableau was held as integer
 # numerators over a per-row denominator: ``pivot``, ``_optimize`` and
 # ``_solve_max`` below are that code verbatim (raising their own
-# ``Unbounded``), so ``lp._solve_max`` can be checked against it for equal
-# optima, equal points and equal unboundedness.
+# ``Unbounded``).  ``_feasible`` is its phase-1 half, so ``lp._feasible`` can
+# be checked against it for equal points and equal verdicts;
+# ``max_slack_feasible`` is the strict-cone LP that ``lp.feasible_strict``
+# solved before it became phase-1 feasibility, kept as a verdict reference.
 
 
 def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
@@ -252,6 +254,50 @@ def _solve_max(rows, rhs, obj_col, nvars):
     for i, b in enumerate(basis):
         point[b] = tab[i][-1]
     return value, point
+
+
+def _feasible(rows, rhs, nvars):
+    """A point x >= 0 with rows @ x = rhs, or None: phase 1 of ``_solve_max``
+    alone, the point read off the basic columns below ``nvars``."""
+    m = len(rows)
+    tab = []
+    for i in range(m):
+        r = list(rows[i]) + [rhs[i]]
+        if r[-1] < 0:
+            r = [-x for x in r]
+        row = r[:-1] + [Fraction(0)] * m + [r[-1]]
+        row[nvars + i] = Fraction(1)
+        tab.append(row)
+    basis = [nvars + i for i in range(m)]
+    red = _optimize(tab, basis, [Fraction(0)] * nvars + [Fraction(1)] * m)
+    if -red[-1] != 0:
+        return None
+    point = [Fraction(0)] * nvars
+    for i, b in enumerate(basis):
+        if b < nvars:
+            point[b] = tab[i][-1]
+    return point
+
+
+def max_slack_feasible(system: LinearSystem) -> bool:
+    """Whether every row ``(nums/den)·x < 0`` holds strictly at some x, as the
+    two-phase LP decides it: columns u | v | s | one slack per row | cap
+    slack, each row (nums/den)·(u - v) + s + its slack = 0, the cap row
+    s + cap slack = 1, and the largest s positive."""
+    d, cons = system.dim, system.constraints
+    nvars = 2 * d + 2 + len(cons)
+    rows = []
+    for i, c in enumerate(cons):
+        row = [Fraction(0)] * nvars
+        for j, a in enumerate(c.nums):
+            row[j], row[d + j] = Fraction(a, c.den), Fraction(-a, c.den)
+        row[2 * d] = row[2 * d + 1 + i] = Fraction(1)
+        rows.append(row)
+    cap = [Fraction(0)] * nvars
+    cap[2 * d] = cap[-1] = Fraction(1)
+    rows.append(cap)
+    best = _solve_max(rows, [Fraction(0)] * len(cons) + [Fraction(1)], 2 * d, nvars)
+    return best is not None and best[0] > 0
 
 
 # --- Cone system by elimination ---------------------------------------------

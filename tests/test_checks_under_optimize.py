@@ -36,7 +36,7 @@ witness = triangulation.is_regular(placing, system).witness
 flip = triangulation.flips(placing, system)[0]
 beyond = triangulation.cone_system(flip.result)
 triangulation.gcd = lambda *heights: -1  # a sign error in the normalisation
-lp._solve_max = lambda rows, rhs, obj, nvars: (Fraction(1), [Fraction(1)] + [Fraction(0)] * (nvars - 1))
+lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars - 1)  # x = 1 breaks x < 0
 print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),

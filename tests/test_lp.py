@@ -50,6 +50,7 @@ def test_homogeneous_cone_slack_capped():
 def test_no_strict_rows_is_plain_feasibility():
     # With no row every point is feasible, the empty one included.
     assert feasible_strict(LinearSystem(())) == ()
+    assert LinearSystem(()).holds((0, 5))
 
 
 def test_mixed_dimensions_rejected():
@@ -94,7 +95,7 @@ def test_nonnegative_feasible_membership():
 
 
 # Differential tests against the Fraction-tableau simplex in ``oracles``:
-# same optimum, same point, same verdict, on rational data.
+# same point, same verdict, on rational data.
 
 rational = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
 
@@ -105,7 +106,7 @@ def equality_system(draw):
     m = draw(st.integers(min_value=1, max_value=6))
     rows = [[draw(rational) for _ in range(nvars)] for _ in range(m)]
     rhs = [draw(rational) for _ in range(m)]
-    return rows, rhs, draw(st.integers(min_value=0, max_value=nvars - 1)), nvars
+    return rows, rhs, nvars
 
 
 @st.composite
@@ -115,32 +116,24 @@ def rational_system(draw):
     return sys_of(*([draw(rational) for _ in range(dim)] for _ in range(m)))
 
 
-def outcome(solve, *args):
-    try:
-        return solve(*args)
-    except (lp._Unbounded, oracles.Unbounded):
-        return "unbounded"
-
-
-def oracle_solve_max(rows, dens, obj_col, nvars):
-    """``oracles._solve_max`` on the same rational rows as ``lp._solve_max``
+def oracle_feasible(rows, dens, nvars):
+    """``oracles._feasible`` on the same rational rows as ``lp._feasible``
     reads from integer numerators over denominators."""
     fracs = [[Fraction(x, den) for x in nums] for nums, den in zip(rows, dens)]
-    return oracles._solve_max([r[:-1] for r in fracs], [r[-1] for r in fracs], obj_col, nvars)
+    return oracles._feasible([r[:-1] for r in fracs], [r[-1] for r in fracs], nvars)
 
 
 def with_oracle(fn, *args):
-    with mock.patch.object(lp, "_solve_max", oracle_solve_max):
+    with mock.patch.object(lp, "_feasible", oracle_feasible):
         return fn(*args)
 
 
 @settings(max_examples=300, deadline=None)
 @given(equality_system())
-def test_solve_max_matches_fraction_oracle(system):
-    rows, rhs, obj_col, nvars = system
+def test_feasible_matches_fraction_oracle(system):
+    rows, rhs, nvars = system
     split = [integer_row(row + [b]) for row, b in zip(rows, rhs)]
-    integer = ([nums for nums, _ in split], [den for _, den in split], obj_col, nvars)
-    assert outcome(lp._solve_max, *integer) == outcome(oracles._solve_max, *system)
+    assert lp._feasible([nums for nums, _ in split], [den for _, den in split], nvars) == oracles._feasible(*system)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,10 +142,18 @@ def test_feasible_strict_matches_fraction_oracle(system):
     assert feasible_strict(system) == with_oracle(feasible_strict, system)
 
 
+@settings(max_examples=300, deadline=None)
+@given(rational_system())
+def test_feasible_strict_verdict_matches_max_slack_lp(system):
+    # A·x < 0 is searched as A·x <= -1; the maximal common slack of the
+    # two-phase formulation decides the same question.
+    assert (feasible_strict(system) is not None) == oracles.max_slack_feasible(system)
+
+
 @settings(max_examples=200, deadline=None)
 @given(equality_system())
 def test_nonnegative_feasible_matches_fraction_oracle(system):
-    rows, rhs, _, _ = system
+    rows, rhs, _ = system
     assert nonnegative_feasible(rows, rhs) == with_oracle(nonnegative_feasible, rows, rhs)
 
 
@@ -201,6 +202,14 @@ def test_constraint_rows_in_lowest_terms():
                 assert c.den > 0 and gcd(c.den, *c.nums) == 1
                 dens.add(c.den)
     assert max(dens) > 1
+
+
+@pytest.mark.parametrize("row,point", [((1, 1, 1), (-1,)), ((1,), (-1, 5)), ((1, 1), ())])
+def test_holds_rejects_points_of_the_wrong_length(row, point):
+    # A short point would test only a prefix of each row, a long one would
+    # ignore its tail.
+    with pytest.raises(ValueError):
+        sys_of(row).holds(point)
 
 
 def test_holds_rejects_float_coordinates():

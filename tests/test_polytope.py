@@ -5,12 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CUBE, DOUBLE_SIMPLEX, NON_DELZANT, SEGMENT2, SQUARE, UNIT_SIMPLEX, config_of
+from toricweights.exact import det, lattice_index, primitive
+from toricweights.functionals import PLFunction
 from toricweights.polytope import (
     LatticePolytope,
     extreme_point_indices,
+    hull_facets,
     lattice_points,
     placing_cells,
 )
+from toricweights.triangulation import Triangulation
 from toricweights.vectors import boundary_vector
 
 
@@ -50,6 +54,32 @@ def test_non_integer_coordinates_rejected(coordinate):
     # Each would be truncated to an int vertex, a different polytope.
     with pytest.raises(ValueError, match="integers"):
         LatticePolytope.from_vertices([[0, 0], [coordinate, 0], [0, 2]])
+
+
+NON_INT_CALLS = {
+    "det-fraction": lambda: det([[Fraction(1, 2)]]),
+    "det-float": lambda: det([[2.5]]),
+    "det-bool": lambda: det([[True]]),
+    "primitive": lambda: primitive([Fraction(3, 2), 3]),
+    "lattice_index": lambda: lattice_index([[Fraction(1, 2), 0]]),
+    "lattice_index-unread-minor": lambda: lattice_index([[1, 0.5]]),
+    "hull_facets": lambda: hull_facets([[0, 0], [2.5, 0], [0, 2]]),
+    "contains": lambda: LatticePolytope.from_vertices([[0, 0], [2, 0], [0, 2], [2, 2]]).contains([2.7, 0]),
+    "LatticePolytope": lambda: LatticePolytope([[0, 0], [2.7, 0], [0, 2]], []),
+    "on_triangulation": lambda: PLFunction.on_triangulation(
+        Triangulation(config_of(SEGMENT2), [(0, 1), (1, 2)]), {0: 1, 1.9: 5, 2: 3}
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_CALLS.values(), ids=NON_INT_CALLS.keys())
+def test_non_int_entries_raise_type_error(call):
+    # Each entry was truncated to an int: a determinant of 0 or 2, (1, 3)
+    # for the primitive of (3/2, 3), an index the last minor never read, a
+    # facet through (2, 0), (2.7, 0) inside the square, the key 1.9 read as
+    # point 1.
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_lattice_points_segment():

@@ -366,11 +366,12 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 # sha256 of the JSON list of [simplices, witness heights] over the entries of
 # the enumeration with the default placing order, recorded when witnesses
-# were first carried across flip walls (the LP only on a miss).  Witnesses
-# are printed in machine output, so a changed pivot sequence or carry rule
-# must show here.
+# were first carried across flip walls (the LP only on a miss); the grid's
+# again when the cone LP became a single simplex phase, which moved one
+# carried witness there.  Witnesses are printed in machine output, so a
+# changed pivot sequence or carry rule must show here.
 WITNESS_DIGESTS = [
-    (GRID3X3, 387, "71900aaa0d841e8a902bef981ed4ddfd52398753a6e5bbcf52134b2c4ec107f7"),
+    (GRID3X3, 387, "b78b6c2e2f03ae790720b87c6a5f9eb199e078b328140b8b8b2aaa7bf940c579"),
     (CUBE, 74, "2b7a7c7eb425f77d43a4b75de4e4947bad25bad3be14536e38eccbf381e4c44b"),
     (HEXAGON, 32, "bad7d953b921bd3c622b8f5d065e80a38194c1577465ffcd0dad407d15211683"),
 ]
@@ -415,7 +416,7 @@ def test_circuits_computed_once_per_point_set(monkeypatch):
     assert len(seen) == len(set(seen)) == 126
 
 
-@pytest.mark.parametrize("vertices,lps,bits", [(GRID3X3, 118, 16), (CUBE, 18, 14)])
+@pytest.mark.parametrize("vertices,lps,bits", [(GRID3X3, 119, 16), (CUBE, 18, 14)])
 def test_enumeration_solves_the_cone_lp_only_on_a_miss(monkeypatch, vertices, lps, bits):
     # Witnesses are carried across flip walls; the LP runs for the seed and
     # for each neighbour the carried witness misses (387 and 74 LPs when
