@@ -45,7 +45,7 @@ from .triangulation import (
     lower_hull_subdivision,
     placing_triangulation,
 )
-from .vectors import CharVector, boundary_vector, gkz_vector, hurwitz_vector
+from .vectors import boundary_vector, gkz_vector, hurwitz_vector
 from .weights import (
     CHOW,
     HURWITZ,

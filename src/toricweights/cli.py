@@ -156,7 +156,7 @@ def cmd_vectors(args: argparse.Namespace) -> tuple[dict, int]:
         {
             "id": e.id,
             "simplices": [list(s) for s in e.triangulation.simplices],
-            "vector": list(fn(e.triangulation).entries),
+            "vector": list(fn(e.triangulation)),
         }
         for e in analysis.enumeration
     ]

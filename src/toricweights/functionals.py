@@ -1,9 +1,10 @@
 """Exact piecewise-linear functions, their integrals, and the toric functionals.
 
+A ``PLFunction`` is a triangulation plus values at its used points.
 Integration is purely combinatorial: over an n-simplex the integral of an
 affine function is its vertex average times the Euclidean volume.  With
-normalized volumes vol, read from the carrying triangulation's volume
-tables, the integrals are kept as the totals
+normalized volumes vol, read from the triangulation's volume tables, the
+integrals are kept as the totals
 
     volume_total(g)   = sum over cells of vol(s) * sum of vertex values        = (n+1)! * integral_q(g)
     boundary_total(g) = sum over massive walls of vol(w) * sum of vertex values = n! * integral_boundary(g)
@@ -16,14 +17,15 @@ integral over the polytope; the Donaldson functional is
 
 with vol, bvol the normalized volumes of the polytope and its boundary, and
 (n+1)! * vol * donaldson_f(g) = donaldson_total(q, boundary_total(g), volume_total(g)).
-Each Fraction functional is one division of these totals.
+Each Fraction functional is one division of these totals.  Characteristic
+vectors are plain int tuples, paired with a function's values by
+``char_pairing``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 from operator import mul
 from typing import Mapping, Sequence
@@ -34,58 +36,47 @@ from .triangulation import Lifting, Triangulation, lower_hull_subdivision
 
 @dataclass(frozen=True)
 class PLFunction:
-    """Function that is affine on each cell of a subdivision, determined by
-    rational values at the cell vertices.
+    """Function affine on each simplex of ``triangulation``, given by ints or
+    Fractions at its used points, kept as given so that integer-valued
+    functions are integrated and paired in integers.  The constructor checks
+    nothing; outside callers go through ``on_triangulation``."""
 
-    ``values`` holds ints and Fractions as given, so that integer-valued
-    functions (the scaled trial functions of the identity suite) are
-    integrated and paired in integers."""
-
-    config: PointConfiguration
-    cells: tuple[tuple[int, ...], ...]
+    triangulation: Triangulation
     values: Mapping[int, int | Fraction]
-    simplicial: bool
 
     @classmethod
     def on_triangulation(cls, tri: Triangulation, values: Mapping[int, int | Fraction]) -> "PLFunction":
+        """Checked construction: keys are point indices covering the used
+        points, bools are refused, and any value but an int or a Fraction is
+        read as a Fraction."""
         if any(type(k) is not int for k in values):
             raise TypeError("on_triangulation needs int point indices")
+        if any(not 0 <= k < len(tri.config) for k in values):
+            raise ValueError(f"values outside the point indices 0..{len(tri.config) - 1}")
+        if any(type(v) is bool for v in values.values()):
+            raise TypeError("on_triangulation needs int or Fraction values, not bool")
         vals = {k: v if isinstance(v, (int, Fraction)) else Fraction(v) for k, v in values.items()}
         missing = [i for i in tri.used_points if i not in vals]
         if missing:
             raise ValueError(f"missing values at used points {missing}")
-        return cls.unchecked(tri, vals)
-
-    @classmethod
-    def unchecked(cls, tri: Triangulation, values: Mapping[int, int | Fraction]) -> "PLFunction":
-        """``on_triangulation`` for callers that build ``values`` themselves,
-        ints or Fractions at every used point: they are neither checked nor
-        copied."""
-        g = cls(tri.config, tri.simplices, values, True)
-        vars(g)["triangulation"] = tri  # the cached property: reuse tri and its walls
-        return g
-
-    @cached_property
-    def triangulation(self) -> Triangulation:
-        if not self.simplicial:
-            raise ValueError("function is carried on a non-simplicial subdivision")
-        return Triangulation(self.config, self.cells, validate=False)
+        return cls(tri, vals)
 
 
 def pl_from_lifting(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> PLFunction:
-    """Lower envelope of the lifted heights as a piecewise-linear function.
+    """Lower envelope of the lifted heights as a piecewise-linear function,
+    carried on the lower-hull triangulation.
 
-    Carried on the lower-hull subdivision; ``simplicial`` is False when some
-    lower facet is not a simplex, and callers needing a triangulation must
-    check it.  At a point whose lift is a lower-hull vertex the value is the
-    height; elsewhere it is >= the height.
+    Raises ValueError when some lower facet is not a simplex.  At a point
+    whose lift is a lower-hull vertex the value is the height; elsewhere it
+    is >= the height.
     """
     if not isinstance(lifting, Lifting):
         lifting = Lifting.normalized(lifting)
     sub = lower_hull_subdivision(config, lifting)
-    used = sorted({i for cell in sub.cells for i in cell})
-    values = {i: Fraction(lifting.heights[i]) for i in used}
-    return PLFunction(config, sub.cells, values, sub.is_triangulation)
+    if not sub.is_triangulation:
+        raise ValueError("the lower hull of the lifting is not a triangulation")
+    tri = Triangulation(config, sub.cells)
+    return PLFunction(tri, {i: Fraction(lifting.heights[i]) for i in tri.used_points})
 
 
 def volume_total(g: PLFunction) -> int | Fraction:
@@ -112,17 +103,17 @@ def donaldson_total(q: LatticePolytope, boundary: int | Fraction, volume: int | 
 
 def integral_q(g: PLFunction) -> Fraction:
     """Exact integral of g over the polytope (Lebesgue measure)."""
-    return Fraction(volume_total(g), factorial(g.config.dim + 1))
+    return Fraction(volume_total(g), factorial(g.triangulation.config.dim + 1))
 
 
 def integral_boundary(g: PLFunction) -> Fraction:
     """Exact integral of g over the boundary, against the lattice measure of
     each facet."""
-    return Fraction(boundary_total(g), factorial(g.config.dim))
+    return Fraction(boundary_total(g), factorial(g.triangulation.config.dim))
 
 
 def donaldson_f(g: PLFunction) -> Fraction:
-    q = g.config.polytope
+    q = g.triangulation.config.polytope
     return Fraction(donaldson_total(q, boundary_total(g), volume_total(g)), factorial(q.dim + 1) * q.volume)
 
 
@@ -130,21 +121,19 @@ def pairing(x: Sequence, g: Sequence) -> int | Fraction:
     """Exact dot product of a characteristic (or any) vector with values on
     the configuration.  Entries must be ints or Fractions; they are
     multiplied as they are, so the value is an int when all entries are."""
-    xs = getattr(x, "entries", x)
-    if len(xs) != len(g):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(g)}")
-    total = sum(map(mul, xs, g))
+    if len(x) != len(g):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(g)}")
+    total = sum(map(mul, x, g))
     if not isinstance(total, (int, Fraction)):
         raise TypeError("pairing needs int or Fraction entries")
     return total
 
 
-def char_pairing(vec, g: PLFunction) -> int | Fraction:
+def char_pairing(vec: Sequence[int], g: PLFunction) -> int | Fraction:
     """Pairing of a characteristic vector with a PL function's vertex values;
     characteristic vectors vanish at unused points, so only carried values
     enter.  An int when the values are ints."""
-    entries = getattr(vec, "entries", vec)
-    return sum(entries[i] * v for i, v in g.values.items())
+    return sum(vec[i] * v for i, v in g.values.items())
 
 
 @dataclass(frozen=True)

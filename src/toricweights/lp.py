@@ -36,22 +36,18 @@ class Constraint:
 @dataclass(frozen=True)
 class LinearSystem:
     constraints: tuple[Constraint, ...]
+    dim: int
 
     def __post_init__(self):
-        dims = {len(c.nums) for c in self.constraints}
-        if len(dims) > 1:
-            raise ValueError("constraints have inconsistent dimensions")
-
-    @property
-    def dim(self) -> int:
-        return len(self.constraints[0].nums) if self.constraints else 0
+        if any(len(c.nums) != self.dim for c in self.constraints):
+            raise ValueError(f"constraints must have {self.dim} coefficients")
 
     def holds(self, point: Sequence) -> bool:
         """Exact test that every row is strict at a point of ints and
         Fractions: the sign of one integer dot product per row, as both
-        denominators are positive.  The point must have ``dim`` coordinates;
-        a system without rows fixes no dimension and holds everywhere."""
-        if self.constraints and len(point) != self.dim:
+        denominators are positive.  The point must have ``dim`` coordinates,
+        also when there are no rows."""
+        if len(point) != self.dim:
             raise ValueError(f"holds needs a point of length {self.dim}, got {len(point)}")
         if not all(isinstance(x, (int, Fraction)) for x in point):
             raise TypeError("holds needs int or Fraction coordinates")

@@ -171,12 +171,13 @@ class DelzantReport:
 
 
 class LatticePolytope:
-    """Full-dimensional lattice polytope with exact V- and H-representations."""
+    """Full-dimensional lattice polytope with exact V- and H-representations;
+    the facets are derived from the given vertices, which ``from_vertices``
+    checks and reduces to the extreme ones."""
 
-    def __init__(self, vertices: Sequence[Sequence[int]], facets: Sequence[Facet]):
+    def __init__(self, vertices: Sequence[Sequence[int]]):
         self.vertices: tuple[Point, ...] = tuple(sorted(tuple(v) for v in vertices))
-        check_ints(self.vertices, "LatticePolytope")
-        self.facets: tuple[Facet, ...] = tuple(facets)
+        self.facets: tuple[Facet, ...] = tuple(Facet(n, c) for n, c, _ in hull_facets(self.vertices))
         self.dim: int = len(self.vertices[0])
 
     @classmethod
@@ -194,9 +195,7 @@ class LatticePolytope:
                 f"polytope is not full-dimensional in Z^{d}; give >= {d + 1} affinely spanning vertices"
             )
         pts = sorted(set(pts))
-        facets = [Facet(n, c) for n, c, _ in hull_facets(pts)]
-        extreme = extreme_point_indices(pts)
-        return cls([pts[i] for i in extreme], facets)
+        return cls([pts[i] for i in extreme_point_indices(pts)])
 
     def __repr__(self):
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)}, facets={len(self.facets)})"

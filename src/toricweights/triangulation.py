@@ -121,13 +121,15 @@ class Lifting:
     def __post_init__(self):
         if not self.heights:
             raise ValueError("empty lifting")
-        if any(not isinstance(h, int) for h in self.heights):
+        if any(type(h) is not int for h in self.heights):  # a bool would pass as 0 or 1
             raise ValueError("lifting heights must be integers")
         if max(self.heights) != 0:
             raise ValueError("lifting must be normalized to max height 0")
 
     @classmethod
     def normalized(cls, heights: Sequence[int]) -> "Lifting":
+        if any(type(h) is not int for h in heights):
+            raise ValueError("lifting heights must be integers")
         top = max(heights)
         return cls(tuple(h - top for h in heights))
 
@@ -259,7 +261,7 @@ def cone_system(tri: Triangulation) -> LinearSystem:
         else:
             raise RuntimeError(f"point {k} lies in no cell")
         rows.append(row)
-    return LinearSystem(tuple(rows))
+    return LinearSystem(tuple(rows), len(config))
 
 
 def is_regular(tri: Triangulation, system: Optional[LinearSystem] = None) -> RegularityCertificate:
@@ -271,8 +273,6 @@ def is_regular(tri: Triangulation, system: Optional[LinearSystem] = None) -> Reg
     """
     if system is None:
         system = cone_system(tri)
-    if not system.constraints:
-        return RegularityCertificate(Lifting((0,) * len(tri.config)))
     witness = feasible_strict(system)
     if witness is None:
         return RegularityCertificate(None, system)
@@ -289,7 +289,7 @@ def _irreducible_infeasible(system: LinearSystem) -> LinearSystem:
     y = nonnegative_feasible(rows, [0] * system.dim + [1])
     if y is None:
         raise RuntimeError("infeasible cone system has no Gordan certificate")
-    return LinearSystem(tuple(c for c, v in zip(cons, y) if v))
+    return LinearSystem(tuple(c for c, v in zip(cons, y) if v), system.dim)
 
 
 def placing_triangulation(config: PointConfiguration, order: Optional[Sequence[int]] = None) -> Triangulation:

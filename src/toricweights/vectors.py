@@ -1,4 +1,5 @@
-"""Characteristic vectors of a triangulation.
+"""Characteristic vectors of a triangulation, as tuples of ints indexed like
+the configuration's points.
 
 The GKZ vector sums, per point, the normalized volumes of the incident
 n-simplices.  The boundary vector does the same over the massive
@@ -8,47 +9,26 @@ is n * gkz - boundary, entrywise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .triangulation import Triangulation
 
-GKZ = "gkz"
-BOUNDARY = "boundary"
-HURWITZ = "hurwitz"
 
-
-@dataclass(frozen=True)
-class CharVector:
-    kind: str
-    entries: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def total(self) -> int:
-        return sum(self.entries)
-
-
-def gkz_vector(tri: Triangulation) -> CharVector:
+def gkz_vector(tri: Triangulation) -> tuple[int, ...]:
     entries = [0] * len(tri.config)
     for s, vol in tri.cell_volumes:
         for i in s:
             entries[i] += vol
-    return CharVector(GKZ, tuple(entries))
+    return tuple(entries)
 
 
-def boundary_vector(tri: Triangulation) -> CharVector:
+def boundary_vector(tri: Triangulation) -> tuple[int, ...]:
     entries = [0] * len(tri.config)
     for wall, vol in tri.massive_wall_volumes:
         for i in wall:
             entries[i] += vol
-    return CharVector(BOUNDARY, tuple(entries))
+    return tuple(entries)
 
 
-def hurwitz_vector(tri: Triangulation) -> CharVector:
+def hurwitz_vector(tri: Triangulation) -> tuple[int, ...]:
     """n * gkz - boundary, summed in one pass over both volume tables."""
     n = tri.config.dim
     entries = [0] * len(tri.config)
@@ -58,4 +38,4 @@ def hurwitz_vector(tri: Triangulation) -> CharVector:
     for wall, vol in tri.massive_wall_volumes:
         for i in wall:
             entries[i] -= vol
-    return CharVector(HURWITZ, tuple(entries))
+    return tuple(entries)

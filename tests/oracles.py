@@ -344,7 +344,7 @@ def cone_system(tri: Triangulation) -> LinearSystem:
             row[i] += c
         row[k] -= 1
         cons.append(_constraint(row))
-    return LinearSystem(tuple(cons))
+    return LinearSystem(tuple(cons), npts)
 
 
 def _constraint(row: Sequence[Fraction]) -> Constraint:
@@ -578,22 +578,22 @@ def integral_q(g: PLFunction) -> Fraction:
     """Exact integral of g over the polytope (Lebesgue measure).  The sum of
     vol * (sum of vertex values) is divided by (n+1)! once, so integer
     values are summed in integers."""
-    if not g.simplicial:
-        raise ValueError("integral requires a simplicial carrier")
-    total = sum(g.config.normalized_volume(cell) * sum(g.values[i] for i in cell) for cell in g.cells)
-    return Fraction(total, factorial(g.config.dim + 1))
+    config = g.triangulation.config
+    total = sum(config.normalized_volume(cell) * sum(g.values[i] for i in cell) for cell in g.triangulation.simplices)
+    return Fraction(total, factorial(config.dim + 1))
 
 
 def integral_boundary(g: PLFunction) -> Fraction:
     """Exact integral of g over the boundary, against the lattice measure of
     each facet."""
+    config = g.triangulation.config
     walls = g.triangulation.massive_walls
-    total = sum(g.config.normalized_volume(wall) * sum(g.values[i] for i in wall) for wall in walls)
-    return Fraction(total, factorial(g.config.dim))
+    total = sum(config.normalized_volume(wall) * sum(g.values[i] for i in wall) for wall in walls)
+    return Fraction(total, factorial(config.dim))
 
 
 def donaldson_f(g: PLFunction) -> Fraction:
-    return donaldson_from_integrals(g.config.polytope, integral_boundary(g), integral_q(g))
+    return donaldson_from_integrals(g.triangulation.config.polytope, integral_boundary(g), integral_q(g))
 
 
 def donaldson_from_integrals(q: LatticePolytope, boundary_integral: Fraction, volume_integral: Fraction) -> Fraction:

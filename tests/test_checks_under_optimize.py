@@ -41,7 +41,7 @@ print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
-    "feasible_strict": message(lp.feasible_strict, LinearSystem((Constraint((1,), 1),))),
+    "feasible_strict": message(lp.feasible_strict, LinearSystem((Constraint((1,), 1),), 1)),
     "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
 }))
 """

@@ -24,7 +24,7 @@ from toricweights.functionals import (
     volume_total,
 )
 from toricweights.polytope import LatticePolytope
-from toricweights.triangulation import Lifting, Triangulation, enumerate_regular
+from toricweights.triangulation import Lifting, Triangulation, enumerate_regular, lower_hull_subdivision
 from toricweights.vectors import boundary_vector, gkz_vector, hurwitz_vector
 
 
@@ -37,7 +37,7 @@ def pl(cfg, cells, values):
 def test_pl_from_lifting_fine():
     cfg = config_of(SEGMENT2)
     g = pl_from_lifting(cfg, Lifting((0, -1, 0)))
-    assert g.simplicial
+    assert g.triangulation.simplices == ((0, 1), (1, 2))
     assert g.values == {0: 0, 1: -1, 2: 0}
 
 
@@ -46,15 +46,16 @@ def test_pl_from_lifting_affine_envelope():
     # the endpoints, so the envelope is affine with g(1) = -1 < 0.
     cfg = config_of(SEGMENT2)
     g = pl_from_lifting(cfg, Lifting((-1, 0, -1)))
-    assert g.cells == ((0, 2),)
+    assert g.triangulation.simplices == ((0, 2),)
+    assert g.values == {0: -1, 2: -1}
 
 
 def test_pl_from_affine_lifting_is_affine():
     cfg = config_of(SQUARE)
     heights = [p[0] - 1 for p in cfg.points]  # restriction of x - 1
-    g = pl_from_lifting(cfg, Lifting.normalized(heights))
-    assert g.cells == ((0, 1, 2, 3),)
-    assert not g.simplicial
+    # The lower hull is the single square cell, which carries no PL function.
+    with pytest.raises(ValueError, match="not a triangulation"):
+        pl_from_lifting(cfg, Lifting.normalized(heights))
 
 
 def test_integral_constant():
@@ -79,9 +80,8 @@ def test_integral_coordinate_on_double_simplex():
 
 def test_integral_rejects_non_simplicial():
     cfg = config_of(SQUARE)
-    g = pl_from_lifting(cfg, Lifting((0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        integral_q(g)
+    with pytest.raises(ValueError, match="not a triangulation"):
+        pl_from_lifting(cfg, Lifting((0, 0, 0, 0)))
 
 
 def test_boundary_integral_constant_on_square():
@@ -138,7 +138,7 @@ def test_donaldson_hand_trace_on_segment():
     xi = hurwitz_vector(tri)
     n = 1
     mixed = tuple(
-        n * deg.hurwitz * e - (n + 1) * deg.chow * x for e, x in zip(eta.entries, xi.entries)
+        n * deg.hurwitz * e - (n + 1) * deg.chow * x for e, x in zip(eta, xi)
     )
     assert mixed == (2, -4, 2)
     assert Fraction(pairing(mixed, (0, 0, 1)), factorial(n + 1) * q.volume) == Fraction(1, 2)
@@ -194,9 +194,9 @@ def test_on_triangulation_keeps_the_triangulation():
     values = {i: Fraction(i, 2) for i in range(4)}
     g = PLFunction.on_triangulation(tri, values)
     assert g.triangulation is tri
-    # Equality still compares the fields only.
-    assert g == PLFunction(cfg, tri.simplices, values, True)
-    assert PLFunction(cfg, tri.simplices, values, True).triangulation == tri
+    assert g == PLFunction(tri, values)
+    # Equality compares the triangulations by value.
+    assert g == PLFunction(Triangulation(cfg, tri.simplices), values)
 
 
 rational_values = st.fractions(
@@ -248,6 +248,24 @@ def test_on_triangulation_rejects_missing_values():
         PLFunction.on_triangulation(tri, {0: 1, 1: 1, 3: 1, 4: 1})
 
 
+@pytest.mark.parametrize("key", [-1, 4, 99])
+def test_on_triangulation_rejects_keys_outside_the_points(key):
+    # A key of -1 was read as point 3 by char_pairing (25 instead of 15),
+    # and 99 failed later with IndexError.
+    cfg = config_of(SQUARE)
+    tri = Triangulation(cfg, [(0, 1, 3), (0, 2, 3)])
+    with pytest.raises(ValueError, match="outside the point indices"):
+        PLFunction.on_triangulation(tri, {0: 1, 1: 2, 2: 3, 3: 4, key: 5})
+
+
+def test_on_triangulation_rejects_bool_values():
+    # True was taken as 1: integral_q gave 5/2.
+    cfg = config_of(SQUARE)
+    tri = Triangulation(cfg, [(0, 1, 3), (0, 2, 3)])
+    with pytest.raises(TypeError, match="bool"):
+        PLFunction.on_triangulation(tri, {0: 1, 1: 2, 2: True, 3: 4})
+
+
 def test_on_triangulation_keeps_ints():
     cfg = config_of(DOUBLE_SIMPLEX)
     tri = Triangulation(cfg, [(0, 1, 3), (1, 3, 4), (1, 2, 4), (3, 4, 5)])
@@ -278,7 +296,7 @@ def data_triangulations(name):
 def assert_totals_match_oracles(g):
     # Each new functional equals the Fraction one that looks up every
     # volume, and each total is the matching integral times its factorial.
-    q = g.config.polytope
+    q = g.triangulation.config.polytope
     n = q.dim
     volume, boundary = volume_total(g), boundary_total(g)
     donaldson = donaldson_total(q, boundary, volume)
@@ -303,6 +321,8 @@ def test_totals_match_fraction_oracles(name, data):
     for tri in triangulations:
         assert_totals_match_oracles(PLFunction.on_triangulation(tri, {i: values[i] for i in tri.used_points}))
     heights = data.draw(st.lists(st.integers(-30, 0), min_size=len(cfg), max_size=len(cfg)))
-    envelope = pl_from_lifting(cfg, heights)
-    if envelope.simplicial:
-        assert_totals_match_oracles(envelope)
+    if lower_hull_subdivision(cfg, heights).is_triangulation:
+        assert_totals_match_oracles(pl_from_lifting(cfg, heights))
+    else:
+        with pytest.raises(ValueError):
+            pl_from_lifting(cfg, heights)

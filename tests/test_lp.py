@@ -21,7 +21,7 @@ def row_of(coeffs):
 
 
 def sys_of(*rows):
-    return LinearSystem(tuple(row_of(r) for r in rows))
+    return LinearSystem(tuple(row_of(r) for r in rows), len(rows[0]))
 
 
 def test_open_interval():
@@ -49,8 +49,17 @@ def test_homogeneous_cone_slack_capped():
 
 def test_no_strict_rows_is_plain_feasibility():
     # With no row every point is feasible, the empty one included.
-    assert feasible_strict(LinearSystem(())) == ()
-    assert LinearSystem(()).holds((0, 5))
+    assert feasible_strict(LinearSystem((), 0)) == ()
+    assert feasible_strict(LinearSystem((), 2)) == (0, 0)
+    assert LinearSystem((), 2).holds((0, 5))
+
+
+def test_rowless_system_keeps_its_dimension():
+    # A system fixes the length of its points even without rows.
+    with pytest.raises(ValueError):
+        LinearSystem((), 2).holds((0,))
+    with pytest.raises(ValueError):
+        LinearSystem((row_of([1, 1]),), 3)
 
 
 def test_mixed_dimensions_rejected():

@@ -42,6 +42,15 @@ def test_facets_reduce_to_extreme_vertices():
     assert q.vertices == ((0,), (2,))
 
 
+def test_constructor_derives_the_facets():
+    # Facets were taken from the caller: with [Facet((1, 0), 5)] the
+    # triangle contained (-3, 100).
+    q = LatticePolytope([[0, 0], [1, 0], [0, 1]])
+    assert facet_set(q) == {((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)}
+    assert not q.contains((-3, 100))
+    assert q == LatticePolytope.from_vertices([[0, 0], [1, 0], [0, 1]])
+
+
 def test_degenerate_input_rejected():
     with pytest.raises(ValueError, match="full-dimensional"):
         LatticePolytope.from_vertices([[0, 0], [1, 1], [2, 2]])
@@ -65,7 +74,7 @@ NON_INT_CALLS = {
     "lattice_index-unread-minor": lambda: lattice_index([[1, 0.5]]),
     "hull_facets": lambda: hull_facets([[0, 0], [2.5, 0], [0, 2]]),
     "contains": lambda: LatticePolytope.from_vertices([[0, 0], [2, 0], [0, 2], [2, 2]]).contains([2.7, 0]),
-    "LatticePolytope": lambda: LatticePolytope([[0, 0], [2.7, 0], [0, 2]], []),
+    "LatticePolytope": lambda: LatticePolytope([[0, 0], [2.7, 0], [0, 2]]),
     "on_triangulation": lambda: PLFunction.on_triangulation(
         Triangulation(config_of(SEGMENT2), [(0, 1), (1, 2)]), {0: 1, 1.9: 5, 2: 3}
     ),
@@ -218,7 +227,7 @@ def test_boundary_volume_matches_massive_walls(double_simplex):
 def test_boundary_vector_totals(square):
     for entry in square.enumeration:
         bd = boundary_vector(entry.triangulation)
-        assert bd.total() == square.polytope.dim * square.polytope.boundary_volume
+        assert sum(bd) == square.polytope.dim * square.polytope.boundary_volume
 
 
 @given(

@@ -89,3 +89,33 @@ def test_tracer_sees_the_enumeration_layers():
     assert metrics["triangulation.flips.results"] >= len(enumeration)
     assert metrics["lp.feasible_strict.calls"] == metrics["triangulation.is_regular.calls"]
     assert metrics["exact.affine_dependence.calls"] == metrics["exact.affine_dependence.distinct"] > 0
+
+
+def test_tracer_hooks_read_the_verify_results(monkeypatch, capsys):
+    # The counter hooks read the return values of the suites and of build,
+    # so a reshaped return type would break them only under the tracer.
+    from toricweights import cli
+
+    monkeypatch.chdir(ROOT)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", "--input", "data/unit_square.json", "--trials", "3", "--format", "machine"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracing.aggregate(tracer.spans, tracer.counters)
+    for name in (
+        "weights.build",
+        "weights.verify_identities",
+        "weights.run_support_trials",
+        "vectors.gkz_vector",
+        "vectors.hurwitz_vector",
+        "functionals.char_pairing",
+    ):
+        assert metrics[f"{name}.calls"] > 0, name
+    assert metrics["weights.build.vertices"] > 0
+    assert metrics["weights.verify_identities.checks"] > 0
+    assert metrics["weights.run_support_trials.applicable"] == 3

@@ -115,6 +115,18 @@ def test_lifting_normalization():
             lower_hull_subdivision(config_of(SEGMENT2), heights)
 
 
+def test_lifting_rejects_bool_heights():
+    # A bool passed as 0 or 1: [True, 0, 0, 0] on the square was read as
+    # [1, 0, 0, 0] and gave a triangulation.
+    with pytest.raises(ValueError, match="integers"):
+        Lifting((False, -1))
+    for heights in ([True, 0, 0, 0], [0, False, -1, -1]):
+        with pytest.raises(ValueError, match="integers"):
+            Lifting.normalized(heights)
+        with pytest.raises(ValueError, match="integers"):
+            lower_hull_subdivision(config_of(SQUARE), heights)
+
+
 def test_is_regular_fine_segment():
     cfg = config_of(SEGMENT2)
     t = Triangulation(cfg, [(0, 1), (1, 2)])
@@ -179,7 +191,7 @@ def test_known_irregular_triangulation():
         if rest:
             from toricweights.lp import LinearSystem
 
-            assert feasible_strict(LinearSystem(rest)) is not None
+            assert feasible_strict(LinearSystem(rest, sub.dim)) is not None
 
 
 def test_spiral_with_one_diagonal_flipped_is_regular():
@@ -199,10 +211,10 @@ def test_irreducible_subsystems_of_spiral_flip_neighbours():
     irregular = [cert for cert in (is_regular(f.result) for f in flips(tri)) if not cert.regular]
     assert len(irregular) == 9
     for cert in irregular:
-        rows = cert.infeasible_subsystem.constraints
-        assert feasible_strict(LinearSystem(rows)) is None
+        rows, dim = cert.infeasible_subsystem.constraints, cert.infeasible_subsystem.dim
+        assert feasible_strict(LinearSystem(rows, dim)) is None
         for i in range(len(rows)):
-            assert feasible_strict(LinearSystem(rows[:i] + rows[i + 1 :])) is not None
+            assert feasible_strict(LinearSystem(rows[:i] + rows[i + 1 :], dim)) is not None
 
 
 def test_certificate_round_trip(square, double_simplex):

@@ -135,7 +135,7 @@ def test_witness_cones_give_vertex_argmins(square, double_simplex):
         by_id = {}
         for entry in analysis.enumeration:
             lam = entry.certificate.witness.heights
-            eta = gkz_vector(entry.triangulation).entries
+            eta = gkz_vector(entry.triangulation)
             value, argmin = support_min(analysis.chow, lam)
             assert argmin == (eta,)
             assert value == sum(e * l for e, l in zip(eta, lam))
@@ -153,7 +153,7 @@ def test_witness_cones_give_vertex_argmins(square, double_simplex):
 
 
 def test_every_chow_vertex_comes_from_a_triangulation(double_simplex):
-    etas = {gkz_vector(e.triangulation).entries for e in double_simplex.enumeration}
+    etas = {gkz_vector(e.triangulation) for e in double_simplex.enumeration}
     assert set(double_simplex.chow.vertices) <= etas
 
 
