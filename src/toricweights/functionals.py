@@ -24,18 +24,16 @@ vectors are plain int tuples, paired with a function's values by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .polytope import LatticePolytope, PointConfiguration
 from .triangulation import Lifting, Triangulation, lower_hull_subdivision
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(NamedTuple):
     """Function affine on each simplex of ``triangulation``, given by ints or
     Fractions at its used points, kept as given so that integer-valued
     functions are integrated and paired in integers.  The constructor checks
@@ -119,10 +117,12 @@ def donaldson_f(g: PLFunction) -> Fraction:
 
 def pairing(x: Sequence, g: Sequence) -> int | Fraction:
     """Exact dot product of a characteristic (or any) vector with values on
-    the configuration.  Entries must be ints or Fractions; they are
-    multiplied as they are, so the value is an int when all entries are."""
+    the configuration.  Entries must be ints or Fractions, not bools; they
+    are multiplied as they are, so the value is an int when all entries are."""
     if len(x) != len(g):
         raise ValueError(f"length mismatch: {len(x)} vs {len(g)}")
+    if bool in map(type, x) or bool in map(type, g):
+        raise TypeError("pairing needs int or Fraction entries, not bool")
     total = sum(map(mul, x, g))
     if not isinstance(total, (int, Fraction)):
         raise TypeError("pairing needs int or Fraction entries")
@@ -136,8 +136,7 @@ def char_pairing(vec: Sequence[int], g: PLFunction) -> int | Fraction:
     return sum(vec[i] * v for i, v in g.values.items())
 
 
-@dataclass(frozen=True)
-class Degrees:
+class Degrees(NamedTuple):
     chow: int
     hurwitz: int
 

@@ -15,16 +15,14 @@ when ``A·x <= -1`` has one (scale any solution), so the cone is searched as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import integer_row, pivot
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """The strict inequality ``(nums / den)·x < 0``: integer numerators over
     one positive denominator in lowest terms, so equal rational rows compare
     equal."""
@@ -33,14 +31,21 @@ class Constraint:
     den: int
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class _System(NamedTuple):
     constraints: tuple[Constraint, ...]
     dim: int
 
-    def __post_init__(self):
-        if any(len(c.nums) != self.dim for c in self.constraints):
-            raise ValueError(f"constraints must have {self.dim} coefficients")
+
+class LinearSystem(_System):
+    """Strict rows on points of ``dim`` coordinates; every row has ``dim``
+    coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, constraints: tuple[Constraint, ...], dim: int):
+        if any(len(nums) != dim for nums, _ in constraints):
+            raise ValueError(f"constraints must have {dim} coefficients")
+        return tuple.__new__(cls, (constraints, dim))
 
     def holds(self, point: Sequence) -> bool:
         """Exact test that every row is strict at a point of ints and
@@ -51,8 +56,8 @@ class LinearSystem:
             raise ValueError(f"holds needs a point of length {self.dim}, got {len(point)}")
         if not all(isinstance(x, (int, Fraction)) for x in point):
             raise TypeError("holds needs int or Fraction coordinates")
-        nums, _ = integer_row(point)
-        return all(sum(map(mul, c.nums, nums)) < 0 for c in self.constraints)
+        point_nums, _ = integer_row(point)
+        return all(sum(map(mul, nums, point_nums)) < 0 for nums, _ in self.constraints)
 
 
 def _optimize(tab, dens, basis):
@@ -139,12 +144,12 @@ def feasible_strict(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     cons = system.constraints
     # columns: u (d) | v (d) | one slack per row
     rows = []
-    for i, c in enumerate(cons):
-        row = [*c.nums, *(-a for a in c.nums)] + [0] * (len(cons) + 1)
-        row[2 * d + i] = c.den
-        row[-1] = -c.den
+    for i, (nums, den) in enumerate(cons):
+        row = [*nums, *(-a for a in nums)] + [0] * (len(cons) + 1)
+        row[2 * d + i] = den
+        row[-1] = -den
         rows.append(row)
-    point = _feasible(rows, [c.den for c in cons], 2 * d + len(cons))
+    point = _feasible(rows, [den for _, den in cons], 2 * d + len(cons))
     if point is None:
         return None
     witness = tuple(point[j] - point[d + j] for j in range(d))

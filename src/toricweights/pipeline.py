@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .functionals import Degrees, degrees
 from .polytope import LatticePolytope, PointConfiguration, lattice_points
@@ -11,8 +10,7 @@ from .triangulation import Enumeration, EnumerationCaps, enumerate_regular
 from .weights import CHOW, HURWITZ, WeightPolytope, build
 
 
-@dataclass
-class Analysis:
+class Analysis(NamedTuple):
     polytope: LatticePolytope
     config: PointConfiguration
     enumeration: Enumeration

@@ -9,12 +9,11 @@ is n! times the Euclidean one.  A single point has volume 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exact import (
     affine_combination,
@@ -32,8 +31,7 @@ Point = tuple[int, ...]
 SideTest = tuple[int, Callable, tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     normal: tuple[int, ...]
     offset: int
 
@@ -156,27 +154,26 @@ def placing_cells(points: Sequence[Point], order: Sequence[int]) -> list[tuple[i
     return sorted(simplices)
 
 
-@dataclass(frozen=True)
-class DelzantVertexReport:
+class DelzantVertexReport(NamedTuple):
     vertex: Point
     edge_directions: tuple[tuple[int, ...], ...]
     determinant: Optional[int]
     ok: bool
 
 
-@dataclass(frozen=True)
-class DelzantReport:
+class DelzantReport(NamedTuple):
     ok: bool
     vertices: tuple[DelzantVertexReport, ...]
 
 
 class LatticePolytope:
-    """Full-dimensional lattice polytope with exact V- and H-representations;
-    the facets are derived from the given vertices, which ``from_vertices``
-    checks and reduces to the extreme ones."""
+    """Full-dimensional lattice polytope with exact V- and H-representations:
+    the vertices are the extreme points among the given ones, sorted, and the
+    facets are derived from them.  ``from_vertices`` checks its input first."""
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
-        self.vertices: tuple[Point, ...] = tuple(sorted(tuple(v) for v in vertices))
+        pts = sorted({tuple(v) for v in vertices})
+        self.vertices: tuple[Point, ...] = tuple(pts[i] for i in extreme_point_indices(pts))
         self.facets: tuple[Facet, ...] = tuple(Facet(n, c) for n, c, _ in hull_facets(self.vertices))
         self.dim: int = len(self.vertices[0])
 
@@ -194,8 +191,7 @@ class LatticePolytope:
             raise ValueError(
                 f"polytope is not full-dimensional in Z^{d}; give >= {d + 1} affinely spanning vertices"
             )
-        pts = sorted(set(pts))
-        return cls([pts[i] for i in extreme_point_indices(pts)])
+        return cls(pts)
 
     def __repr__(self):
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)}, facets={len(self.facets)})"

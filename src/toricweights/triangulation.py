@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, KeysView, Optional, Sequence
+from typing import Iterable, KeysView, NamedTuple, Optional, Sequence
 
 from .lp import Constraint, LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
@@ -112,19 +111,23 @@ class Triangulation:
         return f"Triangulation({list(map(list, self.simplices))})"
 
 
-@dataclass(frozen=True)
-class Lifting:
-    """Integer heights on the configuration, normalized so max(heights) == 0."""
-
+class _Heights(NamedTuple):
     heights: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.heights:
+
+class Lifting(_Heights):
+    """Integer heights on the configuration, normalized so max(heights) == 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, heights: tuple[int, ...]):
+        if not heights:
             raise ValueError("empty lifting")
-        if any(type(h) is not int for h in self.heights):  # a bool would pass as 0 or 1
+        if any(type(h) is not int for h in heights):  # a bool would pass as 0 or 1
             raise ValueError("lifting heights must be integers")
-        if max(self.heights) != 0:
+        if max(heights) != 0:
             raise ValueError("lifting must be normalized to max height 0")
+        return tuple.__new__(cls, (heights,))
 
     @classmethod
     def normalized(cls, heights: Sequence[int]) -> "Lifting":
@@ -134,16 +137,16 @@ class Lifting:
         return cls(tuple(h - top for h in heights))
 
     @classmethod
-    def from_rationals(cls, values: Sequence) -> "Lifting":
+    def from_rationals(cls, values: Sequence[int | Fraction]) -> "Lifting":
         """Clear denominators and renormalize; cones of liftings are invariant
         under positive scaling and adding constants."""
-        fracs = [Fraction(v) for v in values]
-        scale = lcm(*(f.denominator for f in fracs))
-        return cls.normalized([int(f * scale) for f in fracs])
+        if any(type(v) is bool or not isinstance(v, (int, Fraction)) for v in values):
+            raise TypeError("from_rationals needs int or Fraction values")
+        scale = lcm(*(v.denominator for v in values))
+        return cls.normalized([v.numerator * (scale // v.denominator) for v in values])
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     """Projection of the lower facets of a lifted configuration.
 
     Cells are the index sets of the facet vertices, each sorted and in sorted
@@ -199,14 +202,16 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
     return Subdivision(tuple(cells), simplicial)
 
 
-@dataclass(frozen=True)
-class RegularityCertificate:
-    """Witness lifting strictly inside the cone of liftings inducing T, or,
-    when no such lifting exists, the cone system, whose irreducible
-    infeasible subsystem is read off a Gordan certificate on first read."""
-
+class _Certificate(NamedTuple):
     witness: Optional[Lifting]
     system: Optional[LinearSystem] = None
+
+
+class RegularityCertificate(_Certificate):
+    """Witness lifting strictly inside the cone of liftings inducing T, or,
+    when no such lifting exists, the cone system, whose irreducible
+    infeasible subsystem is read off a Gordan certificate on first read and
+    kept in the instance's ``__dict__``."""
 
     @property
     def regular(self) -> bool:
@@ -303,7 +308,6 @@ def placing_triangulation(config: PointConfiguration, order: Optional[Sequence[i
     return Triangulation(config, placing_cells(config.points, order))
 
 
-@dataclass(frozen=True)
 class Flip:
     """A bistellar flip across a circuit.
 
@@ -315,13 +319,29 @@ class Flip:
     ``row`` is the cone row the circuit was read from, negative on
     ``removed``: its zero set is the wall between the two secondary cones.
     Applying the resulting flip at the same circuit returns the original.
+    Flips compare by ``(removed, inserted, simplices)``.
     """
 
-    removed: tuple[int, ...]
-    inserted: tuple[int, ...]
-    simplices: Simplices
-    config: PointConfiguration = field(repr=False, compare=False)
-    row: Constraint = field(repr=False, compare=False)
+    def __init__(self, removed: tuple[int, ...], inserted: tuple[int, ...], simplices: Simplices,
+                 config: PointConfiguration, row: Constraint):
+        self.removed = removed
+        self.inserted = inserted
+        self.simplices = simplices
+        self.config = config
+        self.row = row
+
+    def __eq__(self, other):
+        return isinstance(other, Flip) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"Flip(removed={self.removed!r}, inserted={self.inserted!r}, simplices={self.simplices!r})"
+
+    @property
+    def _key(self):
+        return self.removed, self.inserted, self.simplices
 
     @cached_property
     def result(self) -> Triangulation:
@@ -351,8 +371,9 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
         system = cone_system(tri)
     circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], Constraint] = {}
     for row in system.constraints:
-        removed = tuple(i for i, c in enumerate(row.nums) if c < 0)
-        circuits.setdefault((removed, tuple(i for i, c in enumerate(row.nums) if c > 0)), row)
+        nums = row.nums
+        removed = tuple(i for i, c in enumerate(nums) if c < 0)
+        circuits.setdefault((removed, tuple(i for i, c in enumerate(nums) if c > 0)), row)
     out = []
     # (plus, minus) order of affine_dependence: the side holding the smallest index first.
     for (removed, inserted), row in sorted(circuits.items(), key=lambda item: min(item[0], item[0][::-1])):
@@ -384,9 +405,9 @@ def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Op
     al = sum(map(mul, a, lam))
     mu = [aa * h - al * x for h, x in zip(lam, a)]
     bounds = []
-    for b in system.constraints:
-        bm = sum(map(mul, b.nums, mu))
-        ba = sum(map(mul, b.nums, a))
+    for b, _ in system.constraints:
+        bm = sum(map(mul, b, mu))
+        ba = sum(map(mul, b, a))
         if bm < 0:
             bounds.append(ba // -bm + 1)
         elif bm > 0 or ba >= 0:
@@ -431,8 +452,7 @@ def _try_flip(simplices: Simplices, faces: dict, removed: tuple[int, ...], inser
     return canonical_simplices(new_cells)
 
 
-@dataclass
-class EnumerationCaps:
+class EnumerationCaps(NamedTuple):
     max_triangulations: int = 1_000_000
     time_budget: Optional[float] = None
 
@@ -446,17 +466,19 @@ class EnumerationCapExceeded(RuntimeError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class EnumeratedTriangulation:
+class EnumeratedTriangulation(NamedTuple):
     id: int
     triangulation: Triangulation
     certificate: RegularityCertificate
 
 
-@dataclass
 class Enumeration:
-    config: PointConfiguration
-    entries: tuple[EnumeratedTriangulation, ...]
+    """The regular triangulations of ``config``, as entries sorted by
+    canonical form."""
+
+    def __init__(self, config: PointConfiguration, entries: tuple[EnumeratedTriangulation, ...]):
+        self.config = config
+        self.entries = entries
 
     def __len__(self):
         return len(self.entries)
@@ -472,6 +494,9 @@ class Enumeration:
 
     def canonical_forms(self) -> KeysView[Simplices]:
         return self.by_simplices.keys()
+
+    def __repr__(self):
+        return f"Enumeration(config={self.config!r}, entries={self.entries!r})"
 
 
 def enumerate_regular(

@@ -31,11 +31,11 @@ divided by L, in the units of g.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import rank
 from .functionals import (
@@ -57,24 +57,25 @@ HURWITZ = "hurwitz"
 _TRIAL_SCALE = lcm(*range(1, 7))
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     vector: tuple[int, ...]
     triangulation_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeightPolytope:
-    """``certificates[k]`` is the lifting that pins ``vertices[k]`` as the
-    unique minimiser of <., lambda> over the generators, or None when the
-    hull-membership LP decided that vertex."""
-
+class _Polytope(NamedTuple):
     kind: str
     ambient_dim: int
     generators: tuple[Generator, ...]
     vertices: tuple[tuple[int, ...], ...]
     affine_dim: int
     certificates: tuple[Optional[Lifting], ...]
+
+
+class WeightPolytope(_Polytope):
+    """``certificates[k]`` is the lifting that pins ``vertices[k]`` as the
+    unique minimiser of <., lambda> over the generators, or None when the
+    hull-membership LP decided that vertex.  Instances keep a ``__dict__``
+    for the ``vector_of`` cache."""
 
     @cached_property
     def vector_of(self) -> dict[int, tuple[int, ...]]:
@@ -86,8 +87,9 @@ class WeightPolytope:
 def _pins(vectors: Sequence[Sequence[int]], i: int, lam: Sequence[int]) -> bool:
     """Whether <vectors[i], lam> < <h, lam> for every other vector h, in
     integers.  The unique minimiser of a linear functional over a finite set
-    is a vertex of its convex hull."""
-    values = [pairing(v, lam) for v in vectors]
+    is a vertex of its convex hull.  ``lam`` is a ``Lifting``'s heights,
+    checked ints, so the products are taken without ``pairing``'s checks."""
+    values = [sum(map(mul, v, lam)) for v in vectors]
     return all(val > values[i] for j, val in enumerate(values) if j != i)
 
 
@@ -141,8 +143,7 @@ def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[int, tuple[tu
     return best, tuple(v for val, v in values if val == best)
 
 
-@dataclass(frozen=True)
-class SupportCheck:
+class SupportCheck(NamedTuple):
     """One support identity at ``lifting``: ``minimum`` over the polytope
     against ``pairing_value``, which is None when the lower-hull
     triangulation is missing from the enumeration.  ``triangulation_id`` is
@@ -196,8 +197,7 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
     )
 
 
-@dataclass
-class IdentityFailure:
+class IdentityFailure(NamedTuple):
     triangulation_id: int
     trial: Optional[int]
     name: str
@@ -205,13 +205,12 @@ class IdentityFailure:
     rhs: object
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     seed: int
     trials: int
     triangulations: int
-    checks: int = 0
-    failures: list[IdentityFailure] = field(default_factory=list)
+    checks: int
+    failures: list[IdentityFailure]
 
     @property
     def passed(self) -> bool:
@@ -229,14 +228,16 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     n = q.dim
     deg = analysis.degrees
     rng = random.Random(seed)
-    report = IdentityReport(seed, trials, len(analysis.enumeration))
+    checks = 0
+    failures = []
 
     def check(tid, trial, name, lhs, rhs):
-        report.checks += 1
+        nonlocal checks
+        checks += 1
         if lhs != rhs:
             if trial is not None:  # the values of _TRIAL_SCALE * g, in units of g
                 lhs, rhs = Fraction(lhs, _TRIAL_SCALE), Fraction(rhs, _TRIAL_SCALE)
-            report.failures.append(IdentityFailure(tid, trial, name, lhs, rhs))
+            failures.append(IdentityFailure(tid, trial, name, lhs, rhs))
 
     affine_reference: Optional[list[tuple[int, int]]] = None
     affine_fns = [[1] * len(config)] + [[p[j] for p in config.points] for j in range(n)]
@@ -270,16 +271,15 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
             check(tid, trial, "volume pairing", char_pairing(gkz, g), volume)
             check(tid, trial, "boundary pairing", char_pairing(bd, g), boundary)
             check(tid, trial, "donaldson pairing", donaldson_total(q, boundary, volume), char_pairing(mixed, g))
-    return report
+    return IdentityReport(seed, trials, len(analysis.enumeration), checks, failures)
 
 
-@dataclass
-class SupportTrialReport:
+class SupportTrialReport(NamedTuple):
     seed: int
     requested: int
-    applicable: int = 0
-    attempts: int = 0
-    failures: list[SupportCheck] = field(default_factory=list)
+    applicable: int
+    attempts: int
+    failures: list[SupportCheck]
 
     @property
     def passed(self) -> bool:
@@ -292,18 +292,18 @@ def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrial
     order: Chow support, Hurwitz support, Aubin."""
     rng = random.Random(seed)
     n1 = len(analysis.config)
-    report = SupportTrialReport(seed, count)
-    while report.applicable < count and report.attempts < 200 * count:
-        report.attempts += 1
+    applicable = attempts = 0
+    failures = []
+    while applicable < count and attempts < 200 * count:
+        attempts += 1
         lam = Lifting.normalized([rng.randrange(-30, 1) for _ in range(n1)])
         checks = support_checks(analysis, lam)
         if checks is None:
             continue
-        report.applicable += 1
-        report.failures += [chk for chk in checks if chk.status != "pass"]
-    if report.applicable < count:
+        applicable += 1
+        failures += [chk for chk in checks if chk.status != "pass"]
+    if applicable < count:
         raise RuntimeError(
-            f"only {report.applicable} of {count} liftings had simplicial lower hulls "
-            f"after {report.attempts} attempts"
+            f"only {applicable} of {count} liftings had simplicial lower hulls after {attempts} attempts"
         )
-    return report
+    return SupportTrialReport(seed, count, applicable, attempts, failures)

@@ -1,5 +1,5 @@
-"""Internal consistency checks raise RuntimeError, so they survive
-``python -O`` (which strips ``assert``)."""
+"""Internal consistency checks raise RuntimeError and constructor checks
+raise ValueError, so they survive ``python -O`` (which strips ``assert``)."""
 
 import ast
 import json
@@ -17,12 +17,12 @@ from fractions import Fraction
 from toricweights import lp, triangulation
 from toricweights.lp import Constraint, LinearSystem
 from toricweights.polytope import LatticePolytope, lattice_points
-from toricweights.triangulation import Triangulation, placing_triangulation
+from toricweights.triangulation import Lifting, Triangulation, placing_triangulation
 
-def message(fn, *args):
+def message(fn, *args, error=RuntimeError):
     try:
         fn(*args)
-    except RuntimeError as e:
+    except error as e:
         return str(e)
     return None
 
@@ -43,6 +43,10 @@ print(json.dumps({
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
     "feasible_strict": message(lp.feasible_strict, LinearSystem((Constraint((1,), 1),), 1)),
     "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
+    "empty lifting": message(Lifting, (), error=ValueError),
+    "bool height": message(Lifting, (0, True), error=ValueError),
+    "unnormalized lifting": message(Lifting, (1, 0), error=ValueError),
+    "short row": message(LinearSystem, (Constraint((1,), 1),), 2, error=ValueError),
 }))
 """
 
@@ -57,6 +61,10 @@ def test_validation_raises_under_optimize():
     assert result.pop("debug") is False
     assert result["feasible_strict"] == "simplex returned an invalid witness"
     assert result["carry_witness"] == "carried witness violates the neighbour's cone system"
+    assert result["empty lifting"] == "empty lifting"
+    assert result["bool height"] == "lifting heights must be integers"
+    assert result["unnormalized lifting"] == "lifting must be normalized to max height 0"
+    assert result["short row"] == "constraints must have 2 coefficients"
     assert all(result.values()), result
 
 

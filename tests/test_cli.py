@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -198,9 +197,7 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     from toricweights.weights import IdentityFailure, IdentityReport
 
     def failing(analysis, trials=20, seed=0):
-        rep = IdentityReport(seed, trials, len(analysis.enumeration))
-        rep.failures.append(IdentityFailure(0, 0, "forced", 0, 1))
-        return rep
+        return IdentityReport(seed, trials, len(analysis.enumeration), 1, [IdentityFailure(0, 0, "forced", 0, 1)])
 
     monkeypatch.setattr(cli, "verify_identities", failing)
     code, doc = run_machine(capsys, "verify", "--input", str(DATA / "segment2.json"))
@@ -212,13 +209,14 @@ def test_verify_prints_null_pairing_for_a_missing_triangulation(monkeypatch, cap
     # With a triangulation dropped from the enumeration, a lifting whose
     # lower hull is that triangulation has nothing to pair with and fails.
     import toricweights.cli as cli
+    from toricweights.triangulation import Enumeration
 
     analyze = cli._analyze
 
     def dropping(args):
         a = analyze(args)
         entries = a.enumeration.entries[1:]
-        return dataclasses.replace(a, enumeration=dataclasses.replace(a.enumeration, entries=entries))
+        return a._replace(enumeration=Enumeration(a.enumeration.config, entries))
 
     monkeypatch.setattr(cli, "_analyze", dropping)
     code, doc = run_machine(capsys, "verify", "--input", str(DATA / "segment2.json"), "--trials", "10")

@@ -154,6 +154,10 @@ def test_pairing_examples():
         pairing((1, 2), (1, 2, 3))
     with pytest.raises(TypeError):
         pairing((1, 2), (0.5, 1))
+    # A bool entry was read as 0 or 1: pairing((1, 2), (True, 0)) was 1.
+    for x, g in (((1, 2), (True, 0)), ((False, 2), (1, 0))):
+        with pytest.raises(TypeError, match="bool"):
+            pairing(x, g)
 
 
 def test_degrees_examples():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CUBE, DOUBLE_SIMPLEX, NON_DELZANT, SEGMENT2, SQUARE, UNIT_SIMPLEX, config_of
+from toricweights import polytope
 from toricweights.exact import det, lattice_index, primitive
 from toricweights.functionals import PLFunction
 from toricweights.polytope import (
@@ -49,6 +50,22 @@ def test_constructor_derives_the_facets():
     assert facet_set(q) == {((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)}
     assert not q.contains((-3, 100))
     assert q == LatticePolytope.from_vertices([[0, 0], [1, 0], [0, 1]])
+
+
+def test_constructor_keeps_only_the_extreme_vertices(monkeypatch):
+    # (1, 0) lies on the edge from (0, 0) to (2, 0): it was listed as a
+    # vertex, and the Delzant report covered it.
+    q = LatticePolytope([[0, 0], [1, 0], [2, 0], [0, 1]])
+    assert q.vertices == ((0, 0), (0, 1), (2, 0))
+    rep = q.delzant
+    assert [r.vertex for r in rep.vertices] == [(0, 0), (0, 1), (2, 0)]
+    assert not rep.ok and [r.vertex for r in rep.vertices if not r.ok] == [(0, 1)]
+    # from_vertices leaves the reduction to the constructor: one LP pass.
+    calls = []
+    original = polytope.extreme_point_indices
+    monkeypatch.setattr(polytope, "extreme_point_indices", lambda pts: calls.append(pts) or original(pts))
+    assert LatticePolytope.from_vertices([[0, 0], [1, 0], [2, 0], [0, 1], [1, 0]]) == q
+    assert calls == [[(0, 0), (0, 1), (1, 0), (2, 0)]]
 
 
 def test_degenerate_input_rejected():

@@ -16,6 +16,7 @@ from toricweights.lp import LinearSystem, feasible_strict
 from toricweights.triangulation import (
     EnumerationCapExceeded,
     EnumerationCaps,
+    Flip,
     Lifting,
     Triangulation,
     carry_witness,
@@ -125,6 +126,27 @@ def test_lifting_rejects_bool_heights():
             Lifting.normalized(heights)
         with pytest.raises(ValueError, match="integers"):
             lower_hull_subdivision(config_of(SQUARE), heights)
+
+
+def test_from_rationals_clears_denominators_and_rejects_bools_and_floats():
+    # [True, 0, 0.5] was read as [1, 0, 1/2] and gave Lifting(heights=(0, -2, -1)).
+    assert Lifting.from_rationals([Fraction(1, 2), 0, Fraction(-1, 3)]) == Lifting((0, -3, -5))
+    for values in ([True, 0, Fraction(1, 2)], [0, 0.5], [0, "1/2"]):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Lifting.from_rationals(values)
+
+
+def test_records_keep_their_reprs_and_flips_compare_without_config_and_row():
+    cfg = config_of(SQUARE)
+    placing = placing_triangulation(cfg)
+    assert repr(is_regular(placing)) == (
+        "RegularityCertificate(witness=Lifting(heights=(0, -1, -1, -1)), system=None)"
+    )
+    (flip,) = flips(placing)
+    assert repr(flip) == "Flip(removed=(0, 3), inserted=(1, 2), simplices=((0, 1, 3), (0, 2, 3)))"
+    twin = Flip(flip.removed, flip.inserted, flip.simplices, None, None)
+    assert twin == flip and hash(twin) == hash(flip)
+    assert flip != (flip.removed, flip.inserted, flip.simplices)
 
 
 def test_is_regular_fine_segment():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -11,7 +10,7 @@ from conftest import DOUBLE_SIMPLEX
 from toricweights import functionals, polytope, vectors, weights
 from toricweights.pipeline import analyze
 from toricweights.polytope import extreme_point_indices
-from toricweights.triangulation import Lifting, Triangulation, lower_hull_subdivision
+from toricweights.triangulation import Enumeration, Lifting, Triangulation, lower_hull_subdivision
 from toricweights.vectors import gkz_vector
 from toricweights.weights import (
     CHOW,
@@ -265,7 +264,7 @@ def test_support_trials_report_chow_and_aubin_failures(segment):
     # Shifting the Chow polytope by (1, 1, 1) moves min <x, lam> by
     # sum(lam), which is negative for every lifting but the flat one.
     shifted = tuple(tuple(x + 1 for x in v) for v in segment.chow.vertices)
-    broken = dataclasses.replace(segment, chow=dataclasses.replace(segment.chow, vertices=shifted))
+    broken = segment._replace(chow=segment.chow._replace(vertices=shifted))
     rep = run_support_trials(broken, count=20, seed=1)
     assert rep.failures
     assert all(f.kind == CHOW for f in rep.failures)
@@ -290,8 +289,8 @@ def test_support_trials_validate_no_triangulation(square, monkeypatch):
 
 def test_support_trials_fail_on_a_triangulation_missing_from_the_enumeration(segment):
     missing = segment.enumeration.entries[0]
-    enumeration = dataclasses.replace(segment.enumeration, entries=segment.enumeration.entries[1:])
-    broken = dataclasses.replace(segment, enumeration=enumeration)
+    enumeration = Enumeration(segment.enumeration.config, segment.enumeration.entries[1:])
+    broken = segment._replace(enumeration=enumeration)
     rep = run_support_trials(broken, count=20, seed=1)
     assert not rep.passed
     assert rep.failures and all(f.pairing_value is None for f in rep.failures)
