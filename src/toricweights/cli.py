@@ -85,15 +85,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     if not args.skip_delzant_check:
         rep = q.delzant
         delzant = rep.ok
-        delzant_report = [
-            {
-                "vertex": list(r.vertex),
-                "edge_directions": [list(d) for d in r.edge_directions],
-                "determinant": r.determinant,
-                "ok": r.ok,
-            }
-            for r in rep.vertices
-        ]
+        delzant_report = [r._asdict() for r in rep.vertices]
         if not rep.ok:
             bad = [list(r.vertex) for r in rep.vertices if not r.ok]
             warnings.append(f"not Delzant: smoothness fails at vertices {bad}")
@@ -102,8 +94,8 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     report = _common(args) | {
         "polytope": {
             "dim": q.dim,
-            "vertices": [list(v) for v in q.vertices],
-            "facets": [{"normal": list(f.normal), "offset": f.offset} for f in q.facets],
+            "vertices": q.vertices,
+            "facets": [f._asdict() for f in q.facets],
         },
         "delzant": delzant,
         "delzant_report": delzant_report,
@@ -128,15 +120,15 @@ def _analyze(args: argparse.Namespace) -> Analysis:
 def _triangulation_entry(entry) -> dict:
     return {
         "id": entry.id,
-        "simplices": [list(s) for s in entry.triangulation.simplices],
-        "witness": list(entry.certificate.witness.heights),
-        "used_points": list(entry.triangulation.used_points),
+        "simplices": entry.triangulation.simplices,
+        "witness": entry.certificate.witness.heights,
+        "used_points": entry.triangulation.used_points,
     }
 
 
 def _certificates(poly) -> list:
     """Certifying lifting heights per vertex; null where the LP decided."""
-    return [None if c is None else list(c.heights) for c in poly.certificates]
+    return [None if c is None else c.heights for c in poly.certificates]
 
 
 def cmd_triangulations(args: argparse.Namespace) -> tuple[dict, int]:
@@ -155,8 +147,8 @@ def cmd_vectors(args: argparse.Namespace) -> tuple[dict, int]:
     rows = [
         {
             "id": e.id,
-            "simplices": [list(s) for s in e.triangulation.simplices],
-            "vector": list(fn(e.triangulation)),
+            "simplices": e.triangulation.simplices,
+            "vector": fn(e.triangulation),
         }
         for e in analysis.enumeration
     ]
@@ -171,10 +163,10 @@ def cmd_polytope(args: argparse.Namespace) -> tuple[dict, int]:
         "kind": poly.kind,
         "ambient_dim": poly.ambient_dim,
         "affine_dim": poly.affine_dim,
-        "vertices": [list(v) for v in poly.vertices],
+        "vertices": poly.vertices,
         "vertex_certificates": _certificates(poly),
         "generators": [
-            {"vector": list(g.vector), "triangulations": list(g.triangulation_ids)}
+            {"vector": g.vector, "triangulations": g.triangulation_ids}
             for g in poly.generators
         ],
         "warnings": analysis.warnings,
@@ -202,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             "pass": supports.passed,
             "liftings": supports.applicable,
             "failures": [
-                {"kind": f.kind, "lifting": list(f.lifting.heights), "minimum": frac_str(f.minimum),
+                {"kind": f.kind, "lifting": f.lifting.heights, "minimum": frac_str(f.minimum),
                  "pairing": None if f.pairing_value is None else frac_str(f.pairing_value)}
                 for f in supports.failures
             ],
@@ -212,8 +204,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     report = _common(args) | {
         "count": len(analysis.enumeration),
         "triangulations": [_triangulation_entry(e) for e in analysis.enumeration],
-        "chow_vertices": [list(v) for v in analysis.chow.vertices],
-        "hurwitz_vertices": [list(v) for v in analysis.hurwitz.vertices],
+        "chow_vertices": analysis.chow.vertices,
+        "hurwitz_vertices": analysis.hurwitz.vertices,
         "chow_vertex_certificates": _certificates(analysis.chow),
         "hurwitz_vertex_certificates": _certificates(analysis.hurwitz),
         "deg_chow": analysis.degrees.chow,
@@ -264,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-triangulations", type=int, default=1_000_000)
         p.add_argument("--time-budget", type=float, default=None, help="enumeration budget in seconds")
         p.add_argument("--format", choices=("human", "machine"), default="human")
-        p.add_argument("--skip-delzant-check", action="store_true")
+        if name == "check":
+            p.add_argument("--skip-delzant-check", action="store_true")
         if name == "vectors":
             p.add_argument("--kind", choices=("gkz", "boundary", "hurwitz"), default="gkz")
         if name == "polytope":

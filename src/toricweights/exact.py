@@ -96,7 +96,10 @@ def primitive(vector: IntVector) -> tuple[int, ...]:
 def integer_row(values: Sequence) -> tuple[list[int], int]:
     """Rational values as integer numerators over their least common positive
     denominator, hence in lowest terms.  Ints and Fractions are read as they
-    are; anything else goes through ``Fraction``."""
+    are; anything else goes through ``Fraction``.  Bools raise ``TypeError``:
+    read as 0 and 1, they would pass every exact check built on this."""
+    if bool in map(type, values):
+        raise TypeError("integer_row needs numbers, not bools")
     vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in vals))
     return [x.numerator * (den // x.denominator) for x in vals], den

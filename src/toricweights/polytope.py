@@ -88,14 +88,6 @@ def hull_facets(points: Sequence[Point]) -> list[tuple[tuple[int, ...], int, tup
     return sorted((n, c, on) for (n, c), on in seen.items())
 
 
-def in_convex_hull(point: Sequence, points: Sequence[Sequence]) -> bool:
-    """Exact test whether ``point`` is a convex combination of ``points``."""
-    rows = [[q[j] for q in points] for j in range(len(point))]
-    rows.append([1] * len(points))
-    rhs = list(point) + [1]
-    return nonnegative_feasible(rows, rhs) is not None
-
-
 def extreme_point_indices(
     points: Sequence[Sequence[int]], indices: Optional[Sequence[int]] = None
 ) -> list[int]:
@@ -108,13 +100,13 @@ def extreme_point_indices(
     pts = [tuple(p) for p in points]
     out = []
     for i in range(len(pts)) if indices is None else indices:
-        p = pts[i]
         others = [q for j, q in enumerate(pts) if j != i]
-        if not others:
-            out.append(i)
-            continue
-        if not in_convex_hull(p, others):
-            out.append(i)
+        if others:
+            rows = [[q[j] for q in others] for j in range(len(pts[i]))]
+            rows.append([1] * len(others))
+            if nonnegative_feasible(rows, [*pts[i], 1]) is not None:
+                continue
+        out.append(i)
     return out
 
 
@@ -308,19 +300,6 @@ class PointConfiguration:
             self._volumes[key] = vol
         return vol
 
-    def affinely_independent(self, indices: Sequence[int]) -> bool:
-        ids = list(indices)
-        base = self.points[ids[0]]
-        edges = [[self.points[i][j] - base[j] for j in range(self.dim)] for i in ids[1:]]
-        return rank(edges) == len(edges)
-
-    def is_massive(self, indices: Sequence[int]) -> bool:
-        """Whether an (n-1)-simplex lies in some facet of the polytope."""
-        ids = tuple(sorted(indices))
-        if len(ids) != self.dim or not self.affinely_independent(ids):
-            raise ValueError(f"is_massive expects an {self.dim - 1}-simplex ({self.dim} independent vertices)")
-        return self._lies_in_facet(ids)
-
     def _lies_in_facet(self, ids: tuple[int, ...]) -> bool:
         """Whether the points at the sorted indices ``ids`` all lie on one
         facet of the polytope; memoised, with no independence check."""
@@ -359,9 +338,6 @@ class PointConfiguration:
                 tests.append((k, itemgetter(*ids), dep, dep[ids.index(k)]))
             table.append((sigma, tuple(tests)))
         return tuple(table)
-
-    def vertex_indices(self) -> tuple[int, ...]:
-        return tuple(self.index[v] for v in self.polytope.vertices)
 
 
 def lattice_points(polytope: LatticePolytope) -> PointConfiguration:

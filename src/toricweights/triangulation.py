@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, KeysView, NamedTuple, Optional, Sequence
 
+from .exact import integer_row
 from .lp import Constraint, LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
@@ -36,11 +36,10 @@ class Triangulation:
     is shared by exactly two simplices or lies in a facet of the polytope.
     """
 
-    def __init__(self, config: PointConfiguration, simplices: Iterable[Sequence[int]], validate: bool = True):
+    def __init__(self, config: PointConfiguration, simplices: Iterable[Sequence[int]]):
         self.config = config
         self.simplices: Simplices = canonical_simplices(simplices)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.config.dim
@@ -135,15 +134,6 @@ class Lifting(_Heights):
             raise ValueError("lifting heights must be integers")
         top = max(heights)
         return cls(tuple(h - top for h in heights))
-
-    @classmethod
-    def from_rationals(cls, values: Sequence[int | Fraction]) -> "Lifting":
-        """Clear denominators and renormalize; cones of liftings are invariant
-        under positive scaling and adding constants."""
-        if any(type(v) is bool or not isinstance(v, (int, Fraction)) for v in values):
-            raise TypeError("from_rationals needs int or Fraction values")
-        scale = lcm(*(v.denominator for v in values))
-        return cls.normalized([v.numerator * (scale // v.denominator) for v in values])
 
 
 class Subdivision(NamedTuple):
@@ -281,7 +271,9 @@ def is_regular(tri: Triangulation, system: Optional[LinearSystem] = None) -> Reg
     witness = feasible_strict(system)
     if witness is None:
         return RegularityCertificate(None, system)
-    return RegularityCertificate(Lifting.from_rationals(witness))
+    # Cones of liftings are invariant under positive scaling, so the
+    # numerators over the least common denominator serve.
+    return RegularityCertificate(Lifting.normalized(integer_row(witness)[0]))
 
 
 def _irreducible_infeasible(system: LinearSystem) -> LinearSystem:
@@ -308,44 +300,23 @@ def placing_triangulation(config: PointConfiguration, order: Optional[Sequence[i
     return Triangulation(config, placing_cells(config.points, order))
 
 
-class Flip:
+class Flip(NamedTuple):
     """A bistellar flip across a circuit.
 
     ``removed`` and ``inserted`` are the two parts of the circuit: the
     triangulation contains the pattern of cofaces Z minus {j} for j in
     ``removed``, joined with a common link; the flip installs the opposite
     pattern.  ``simplices`` is the result's canonical form, a key to check
-    before ``result`` builds and validates the triangulation on first read.
-    ``row`` is the cone row the circuit was read from, negative on
-    ``removed``: its zero set is the wall between the two secondary cones.
-    Applying the resulting flip at the same circuit returns the original.
-    Flips compare by ``(removed, inserted, simplices)``.
+    before building and validating the triangulation it names.  ``row`` is
+    the cone row the circuit was read from, negative on ``removed``: its
+    zero set is the wall between the two secondary cones.  Applying the
+    resulting flip at the same circuit returns the original.
     """
 
-    def __init__(self, removed: tuple[int, ...], inserted: tuple[int, ...], simplices: Simplices,
-                 config: PointConfiguration, row: Constraint):
-        self.removed = removed
-        self.inserted = inserted
-        self.simplices = simplices
-        self.config = config
-        self.row = row
-
-    def __eq__(self, other):
-        return isinstance(other, Flip) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"Flip(removed={self.removed!r}, inserted={self.inserted!r}, simplices={self.simplices!r})"
-
-    @property
-    def _key(self):
-        return self.removed, self.inserted, self.simplices
-
-    @cached_property
-    def result(self) -> Triangulation:
-        return Triangulation(self.config, self.simplices)
+    removed: tuple[int, ...]
+    inserted: tuple[int, ...]
+    simplices: Simplices
+    row: Constraint
 
 
 def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Flip]:
@@ -379,7 +350,7 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
     for (removed, inserted), row in sorted(circuits.items(), key=lambda item: min(item[0], item[0][::-1])):
         simplices = _try_flip(tri.simplices, faces, removed, inserted)
         if simplices is not None:
-            out.append(Flip(removed, inserted, simplices, tri.config, row))
+            out.append(Flip(removed, inserted, simplices, row))
     return out
 
 
@@ -495,9 +466,6 @@ class Enumeration:
     def canonical_forms(self) -> KeysView[Simplices]:
         return self.by_simplices.keys()
 
-    def __repr__(self):
-        return f"Enumeration(config={self.config!r}, entries={self.entries!r})"
-
 
 def enumerate_regular(
     config: PointConfiguration,
@@ -539,7 +507,7 @@ def enumerate_regular(
             key = flip.simplices
             if key in found or key in rejected:
                 continue
-            nb = flip.result
+            nb = Triangulation(config, key)
             nb_system = cone_system(nb)
             carried = carry_witness(witness, flip.row, nb_system)
             cert = is_regular(nb, nb_system) if carried is None else RegularityCertificate(carried)

@@ -2,8 +2,10 @@
 the Fraction-tableau simplex that ``lp`` is checked against, the cone
 system built by one elimination per row, the lower hull found by
 exhaustive facet search, the flips found by scanning every simplex, the
-placing triangulation by one face functional per boundary face, and the
-Fraction integrals and Donaldson functional that look up each volume.
+placing triangulation by one face functional per boundary face, the
+Fraction integrals and Donaldson functional that look up each volume, and
+the massive-wall and vertex-index lookups the brute force and the lower
+hull read.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -24,7 +26,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from toricweights.exact import affine_combination, integer_row, solve_linear
+from toricweights.exact import affine_combination, integer_row, rank, solve_linear
 from toricweights.lp import Constraint, LinearSystem
 from toricweights.functionals import PLFunction
 from toricweights.polytope import LatticePolytope, Point, PointConfiguration, extreme_point_indices, hull_facets
@@ -86,6 +88,25 @@ def proper_pair(config: PointConfiguration, s: tuple[int, ...], t: tuple[int, ..
     return best is None or best[0] == 0
 
 
+def affinely_independent(config: PointConfiguration, indices: Sequence[int]) -> bool:
+    ids = list(indices)
+    base = config.points[ids[0]]
+    edges = [[config.points[i][j] - base[j] for j in range(config.dim)] for i in ids[1:]]
+    return rank(edges) == len(edges)
+
+
+def is_massive(config: PointConfiguration, indices: Sequence[int]) -> bool:
+    """Whether an (n-1)-simplex lies in some facet of the polytope."""
+    ids = tuple(sorted(indices))
+    if len(ids) != config.dim or not affinely_independent(config, ids):
+        raise ValueError(f"is_massive expects an {config.dim - 1}-simplex ({config.dim} independent vertices)")
+    return any(all(f.value(config.points[i]) == 0 for i in ids) for f in config.polytope.facets)
+
+
+def vertex_indices(config: PointConfiguration) -> tuple[int, ...]:
+    return tuple(config.index[v] for v in config.polytope.vertices)
+
+
 def all_triangulations(config: PointConfiguration, time_budget: float | None = None) -> set:
     """Canonical forms of every triangulation of the configuration."""
     start = time.monotonic()
@@ -108,7 +129,7 @@ def all_triangulations(config: PointConfiguration, time_budget: float | None = N
 
     def massive(wall):
         if wall not in massive_cache:
-            massive_cache[wall] = config.is_massive(wall)
+            massive_cache[wall] = is_massive(config, wall)
         return massive_cache[wall]
 
     proper_cache: dict[tuple, bool] = {}
@@ -379,7 +400,7 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
         facets = hull_facets(lifted)
     except ValueError:
         # Heights affine on the configuration: single trivial cell.
-        cell = config.vertex_indices()
+        cell = vertex_indices(config)
         return Subdivision((tuple(sorted(cell)),), len(cell) == n + 1)
     cells = []
     for normal, _offset, on in facets:

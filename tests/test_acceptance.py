@@ -53,7 +53,7 @@ def structural_invariants(analysis, orders=3, order_seed=17):
         sub = lower_hull_subdivision(cfg, entry.certificate.witness)
         assert sub.is_triangulation and sub.cells == tri.simplices
         for f in flips(tri):
-            assert any(g.result.simplices == tri.simplices for g in flips(f.result))
+            assert any(g.simplices == tri.simplices for g in flips(Triangulation(cfg, f.simplices)))
     base = analysis.enumeration.canonical_forms()
     rng = random.Random(order_seed)
     for _ in range(orders):

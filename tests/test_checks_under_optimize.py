@@ -28,13 +28,15 @@ def message(fn, *args, error=RuntimeError):
 
 # (0,0),(0,1),(0,2),(1,0),(1,1),(2,0): the first three points are collinear.
 config = lattice_points(LatticePolytope.from_vertices([[0, 0], [2, 0], [0, 2]]))
-broken = Triangulation(config, [(0, 1, 2), (0, 1, 3)], validate=False)
+# Built around validation, which would refuse it.
+broken = object.__new__(Triangulation)
+broken.config, broken.simplices = config, ((0, 1, 2), (0, 1, 3))
 # A witness of the placing triangulation, and its first flip wall.
 placing = placing_triangulation(config)
 system = triangulation.cone_system(placing)
 witness = triangulation.is_regular(placing, system).witness
 flip = triangulation.flips(placing, system)[0]
-beyond = triangulation.cone_system(flip.result)
+beyond = triangulation.cone_system(Triangulation(config, flip.simplices))
 triangulation.gcd = lambda *heights: -1  # a sign error in the normalisation
 lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars - 1)  # x = 1 breaks x < 0
 print(json.dumps({

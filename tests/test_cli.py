@@ -56,6 +56,23 @@ def test_check_skip_delzant(capsys):
     assert doc["warnings"] == []
 
 
+def test_skip_delzant_check_belongs_to_check(capsys, monkeypatch):
+    # sha256 of `check --input data/non_delzant_triangle.json
+    # --skip-delzant-check --format machine`, as it was when every
+    # subcommand accepted the flag; the others now refuse it.
+    monkeypatch.chdir(DATA.parent)
+    code, out = run(capsys, "check", "--input", "data/non_delzant_triangle.json", "--skip-delzant-check",
+                    "--format", "machine")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ded3b5891010473c7fc74075c2879a553370f217ec2aa79a4fcc5ef4b34fdd02"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["triangulations", "--input", "data/non_delzant_triangle.json", "--skip-delzant-check"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --skip-delzant-check" in capsys.readouterr().err
+
+
 def test_malformed_file_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [[0], [2],]}')

@@ -258,3 +258,10 @@ def test_integer_row():
     assert integer_row([2, -3, 0]) == ([2, -3, 0], 1)
     assert integer_row([Fraction(1, 2), Fraction(-2, 3), 1]) == ([3, -4, 6], 6)
     assert integer_row(["1/4", 2]) == ([1, 8], 4)
+
+
+@pytest.mark.parametrize("values", [[True, 2], [0, False], (Fraction(1, 2), True)])
+def test_integer_row_rejects_bools(values):
+    # [True, 2] was read as ([1, 2], 1).
+    with pytest.raises(TypeError, match="bools"):
+        integer_row(values)

@@ -227,3 +227,14 @@ def test_holds_rejects_float_coordinates():
         system.holds((0.5, 0))
     with pytest.raises(TypeError):
         system.holds((0, 0.5))
+
+
+def test_holds_rejects_bool_coordinates():
+    # -x < 0 held at x = True, read as 1.
+    with pytest.raises(TypeError, match="bools"):
+        LinearSystem((Constraint((-1,), 1),), 1).holds((True,))
+
+
+def test_nonnegative_feasible_rejects_bools():
+    with pytest.raises(TypeError, match="bools"):
+        nonnegative_feasible([[1, 2]], [True])

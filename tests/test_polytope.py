@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CUBE, DOUBLE_SIMPLEX, NON_DELZANT, SEGMENT2, SQUARE, UNIT_SIMPLEX, config_of
+import oracles
 from toricweights import polytope
 from toricweights.exact import det, lattice_index, primitive
 from toricweights.functionals import PLFunction
@@ -108,6 +109,12 @@ def test_non_int_entries_raise_type_error(call):
         call()
 
 
+def test_extreme_point_indices_rejects_bool_coordinates():
+    # (True, False) was read as (1, 0), between (0, 0) and (2, 0).
+    with pytest.raises(TypeError, match="bools"):
+        extreme_point_indices([[True, False], [0, 0], [2, 0], [0, 2]])
+
+
 def test_lattice_points_segment():
     cfg = config_of(SEGMENT2)
     assert cfg.points == ((0,), (1,), (2,))
@@ -183,25 +190,25 @@ def test_volumes(vertices, vol, bvol):
 
 def test_is_massive_square_boundary_edge():
     cfg = config_of(SQUARE)
-    assert cfg.is_massive([cfg.index[(0, 0)], cfg.index[(1, 0)]])
+    assert oracles.is_massive(cfg, [cfg.index[(0, 0)], cfg.index[(1, 0)]])
 
 
 def test_is_massive_square_diagonal():
     cfg = config_of(SQUARE)
-    assert not cfg.is_massive([cfg.index[(0, 0)], cfg.index[(1, 1)]])
+    assert not oracles.is_massive(cfg, [cfg.index[(0, 0)], cfg.index[(1, 1)]])
 
 
 def test_is_massive_double_simplex_interior_edge():
     cfg = config_of(DOUBLE_SIMPLEX)
-    assert not cfg.is_massive([cfg.index[(1, 0)], cfg.index[(0, 1)]])
+    assert not oracles.is_massive(cfg, [cfg.index[(1, 0)], cfg.index[(0, 1)]])
 
 
 def test_is_massive_rejects_wrong_dimension():
     cfg = config_of(SQUARE)
     with pytest.raises(ValueError):
-        cfg.is_massive([0])
+        oracles.is_massive(cfg, [0])
     with pytest.raises(ValueError):
-        cfg.is_massive([0, 1, 2])
+        oracles.is_massive(cfg, [0, 1, 2])
 
 
 def test_extreme_point_indices():

@@ -1,7 +1,7 @@
 """Smoke runs of the experiment scripts in scripts/, which use the public
 API (``analyze``, ``support_checks``) but are not imported by any test, of
-README's library quick tour, and a check that the benchmark's span tracer
-still finds what it wraps."""
+README's library quick tour, a check that the benchmark's span tracer
+still finds what it wraps, and a run of the benchmark's own tests."""
 
 import importlib
 import importlib.util
@@ -119,3 +119,16 @@ def test_tracer_hooks_read_the_verify_results(monkeypatch, capsys):
     assert metrics["weights.build.vertices"] > 0
     assert metrics["weights.verify_identities.checks"] > 0
     assert metrics["weights.run_support_trials.applicable"] == 3
+
+
+def test_benchmark_suite_passes():
+    # perfbench/tests pins tracer counters and hook reads on this package's
+    # return types.  It has its own conftest.py, and tests/* import from
+    # theirs by name, so the two suites are not collected in one session.
+    src = str(Path(toricweights.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/tests", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -396,14 +396,15 @@ def test_vertex_certificates_pin_their_vertex(corpus_analysis, kind):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
+    # The hull-membership LP of each point tested, recorded by that point.
     calls = []
-    original = polytope.in_convex_hull
+    original = polytope.nonnegative_feasible
 
-    def counting(point, points):
-        calls.append(tuple(point))
-        return original(point, points)
+    def counting(rows, rhs):
+        calls.append(tuple(rhs[:-1]))
+        return original(rows, rhs)
 
-    monkeypatch.setattr(polytope, "in_convex_hull", counting)
+    monkeypatch.setattr(polytope, "nonnegative_feasible", counting)
     return calls
 
 
