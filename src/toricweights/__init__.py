@@ -20,7 +20,7 @@ from .functionals import (
     pl_from_lifting,
     volume_total,
 )
-from .lp import Constraint, LinearSystem, feasible_strict
+from .lp import LinearSystem, feasible_strict
 from .pipeline import Analysis, analyze
 from .polytope import (
     DelzantReport,

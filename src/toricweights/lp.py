@@ -2,8 +2,8 @@
 package solves.
 
 - ``feasible_strict``: a point strictly inside a homogeneous cone, every row
-  ``(nums/den)·x < 0``; the rows are the secondary-cone inequalities of a
-  triangulation, the point its regularity witness.
+  ``row·x < 0`` for a tuple of ints; the rows are the secondary-cone
+  inequalities of a triangulation, the point its regularity witness.
 - ``nonnegative_feasible``: a point a >= 0 with A a = b, for hull membership
   and Gordan certificates.
 
@@ -19,45 +19,38 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import integer_row, pivot
-
-
-class Constraint(NamedTuple):
-    """The strict inequality ``(nums / den)·x < 0``: integer numerators over
-    one positive denominator in lowest terms, so equal rational rows compare
-    equal."""
-
-    nums: tuple[int, ...]
-    den: int
+from .exact import check_ints, integer_row, pivot
 
 
 class _System(NamedTuple):
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[tuple[int, ...], ...]
     dim: int
 
 
 class LinearSystem(_System):
-    """Strict rows on points of ``dim`` coordinates; every row has ``dim``
-    coefficients."""
+    """Strict rows ``row·x < 0`` on points of ``dim`` coordinates; every row
+    is a tuple of ``dim`` ints.  A positive factor does not change a strict
+    homogeneous row, so the rows carry no denominator."""
 
     __slots__ = ()
 
-    def __new__(cls, constraints: tuple[Constraint, ...], dim: int):
-        if any(len(nums) != dim for nums, _ in constraints):
+    def __new__(cls, constraints: tuple[tuple[int, ...], ...], dim: int):
+        if any(len(row) != dim for row in constraints):
             raise ValueError(f"constraints must have {dim} coefficients")
+        check_ints(constraints, "LinearSystem")
         return tuple.__new__(cls, (constraints, dim))
 
     def holds(self, point: Sequence) -> bool:
         """Exact test that every row is strict at a point of ints and
-        Fractions: the sign of one integer dot product per row, as both
-        denominators are positive.  The point must have ``dim`` coordinates,
-        also when there are no rows."""
+        Fractions: the sign of one integer dot product per row, as the
+        point's denominator is positive.  The point must have ``dim``
+        coordinates, also when there are no rows."""
         if len(point) != self.dim:
             raise ValueError(f"holds needs a point of length {self.dim}, got {len(point)}")
         if not all(isinstance(x, (int, Fraction)) for x in point):
             raise TypeError("holds needs int or Fraction coordinates")
         point_nums, _ = integer_row(point)
-        return all(sum(map(mul, nums, point_nums)) < 0 for nums, _ in self.constraints)
+        return all(sum(map(mul, row, point_nums)) < 0 for row in self.constraints)
 
 
 def _optimize(tab, dens, basis):
@@ -138,18 +131,18 @@ def feasible_strict(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
 
     Returns None when no such point exists.  Free variables are split into
     positive and negative parts u - v, and each row gets its own slack t_i:
-    row i reads (nums / den)·(u - v) + t_i = -1.
+    row i reads row_i·(u - v) + t_i = -1, over denominator 1.
     """
     d = system.dim
     cons = system.constraints
     # columns: u (d) | v (d) | one slack per row
     rows = []
-    for i, (nums, den) in enumerate(cons):
+    for i, nums in enumerate(cons):
         row = [*nums, *(-a for a in nums)] + [0] * (len(cons) + 1)
-        row[2 * d + i] = den
-        row[-1] = -den
+        row[2 * d + i] = 1
+        row[-1] = -1
         rows.append(row)
-    point = _feasible(rows, [den for _, den in cons], 2 * d + len(cons))
+    point = _feasible(rows, [1] * len(cons), 2 * d + len(cons))
     if point is None:
         return None
     witness = tuple(point[j] - point[d + j] for j in range(d))

@@ -27,8 +27,8 @@ from .exact import (
 from .lp import nonnegative_feasible
 
 Point = tuple[int, ...]
-# (k, getter of the heights at sigma + k, dependence of sigma + k, its coefficient at k)
-SideTest = tuple[int, Callable, tuple[int, ...], int]
+# (k, getter of the heights at sigma + k, cone row of (sigma, k) on sigma + k)
+SideTest = tuple[int, Callable, tuple[int, ...]]
 
 
 class Facet(NamedTuple):
@@ -95,9 +95,12 @@ def extreme_point_indices(
     among ``indices`` (default: all points) in the order given.
 
     Per-point exact LP: a point is extreme iff it is not a convex combination
-    of the others.
+    of the others.  Repeated points raise ``ValueError``: each copy would be
+    a combination of the other, and the vertex would be lost.
     """
     pts = [tuple(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("extreme_point_indices needs distinct points")
     out = []
     for i in range(len(pts)) if indices is None else indices:
         others = [q for j, q in enumerate(pts) if j != i]
@@ -318,13 +321,30 @@ class PointConfiguration:
             self._dependences[ids] = affine_dependence([self.points[i] for i in ids])
         return self._dependences[ids]
 
+    def cone_row(self, cell: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """The row a, indexed like the points, with a·h < 0 exactly when the
+        heights h lift point ``k`` strictly above their affine interpolation
+        on ``cell``: the primitive affine dependence of ``cell`` and ``k``,
+        signed negative at k (a positive multiple of k's barycentric
+        coordinates on the cell minus 1 at k), and 0 elsewhere."""
+        ids = tuple(sorted(cell + (k,)))
+        dep = self.dependence(ids)
+        at_k = 0 if dep is None else dep[ids.index(k)]
+        if at_k == 0:
+            raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
+        row = [0] * len(self)
+        for i, c in zip(ids, dep):
+            row[i] = -c if at_k > 0 else c
+        return tuple(row)
+
     @cached_property
     def lower_hull_tests(self) -> tuple[tuple[tuple[int, ...], tuple[SideTest, ...]], ...]:
         """(sigma, side tests) for each affinely independent (n+1)-subset
         sigma, in lexicographic order.  The side test of each other point k
-        is (k, getter of the heights at sigma + k, the dependence of
-        sigma + k, its coefficient at k), in the order of k.  Built on first
-        use from the memoised dependences, for every lifting's lower hull."""
+        is (k, getter of the heights at sigma + k, the entries of
+        ``cone_row(sigma, k)`` on sigma + k), in the order of k.  Built on
+        first use from the memoised dependences, for every lifting's lower
+        hull."""
         table = []
         for sigma in combinations(range(len(self)), self.dim + 1):
             if self.dependence(sigma) is not None:
@@ -333,9 +353,8 @@ class PointConfiguration:
             for k in range(len(self)):
                 if k in sigma:
                     continue
-                ids = tuple(sorted(sigma + (k,)))
-                dep = self.dependence(ids)
-                tests.append((k, itemgetter(*ids), dep, dep[ids.index(k)]))
+                on = itemgetter(*sorted(sigma + (k,)))
+                tests.append((k, on, on(self.cone_row(sigma, k))))
             table.append((sigma, tuple(tests)))
         return tuple(table)
 

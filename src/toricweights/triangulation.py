@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, KeysView, NamedTuple, Optional, Sequence
 
 from .exact import integer_row
-from .lp import Constraint, LinearSystem, feasible_strict, nonnegative_feasible
+from .lp import LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
 Simplices = tuple[tuple[int, ...], ...]
@@ -153,15 +153,15 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
 
     Each affinely independent (n+1)-subset sigma spans a non-vertical plane
     through its lifted points; a point k lies strictly below it exactly when
-    ``<dependence(sigma + k), h>`` and the coefficient at k have opposite
-    signs (as in ``_cone_row``).  sigma spans a lower facet when no point lies
-    strictly below, and the facet's points are sigma plus the points on the
-    plane.  Cell vertex sets are the extreme points of each facet; points
-    lying on a facet without being vertices of it are not part of the cell.
-    Heights affine on the configuration give a single cell, the polytope's
-    vertices.  The side tests are the configuration's ``lower_hull_tests``,
-    built once and shared by every lifting, so each lifting costs integer
-    dot products only.
+    ``config.cone_row(sigma, k)·h > 0``, and on it when that is 0.  sigma
+    spans a lower facet when no point lies strictly below, and the facet's
+    points are sigma plus the points on the plane.  Cell vertex sets are the
+    extreme points of each facet; points lying on a facet without being
+    vertices of it are not part of the cell.  Heights affine on the
+    configuration give a single cell, the polytope's vertices.  The side
+    tests are the configuration's ``lower_hull_tests``, built once and
+    shared by every lifting, so each lifting costs integer dot products
+    only.
     """
     if not isinstance(lifting, Lifting):
         lifting = Lifting.normalized(lifting)
@@ -172,9 +172,9 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
     facets = set()
     for sigma, tests in config.lower_hull_tests:
         on = list(sigma)
-        for k, heights_at, dep, at_k in tests:
-            side = sum(map(mul, dep, heights_at(h))) * at_k
-            if side < 0:
+        for k, heights_at, row in tests:
+            side = sum(map(mul, row, heights_at(h)))
+            if side > 0:
                 break
             if side == 0:
                 on.append(k)
@@ -212,29 +212,11 @@ class RegularityCertificate(_Certificate):
         return None if self.regular else _irreducible_infeasible(self.system)
 
 
-def _cone_row(config: PointConfiguration, cell: tuple[int, ...], k: int) -> Constraint:
-    """The strict inequality that lifts point ``k`` strictly above the affine
-    interpolation of the heights on ``cell``.  Its row is the affine dependence
-    of ``cell`` and ``k`` scaled to -1 at k (the barycentric coordinates of k
-    on the cell): the primitive dependence, negative at k, over |its value at
-    k|, hence in lowest terms."""
-    ids = tuple(sorted(cell + (k,)))
-    dep = config.dependence(ids)
-    at_k = 0 if dep is None else dep[ids.index(k)]
-    if at_k == 0:
-        raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
-    sign = -1 if at_k > 0 else 1
-    nums = [0] * len(config)
-    for i, c in zip(ids, dep):
-        nums[i] = sign * c
-    return Constraint(tuple(nums), abs(at_k))
-
-
 def cone_system(tri: Triangulation) -> LinearSystem:
     """Strict inequalities on liftings cutting out the open cone of liftings
     whose lower hull induces exactly this triangulation.
 
-    Every row is a ``_cone_row`` of the configuration's memoised affine
+    Every row is a ``config.cone_row`` of the configuration's memoised affine
     dependences: one fold inequality per interior wall (the point of the
     second cell opposite the wall lies strictly above the first cell's
     affine piece), and one per unused point (strictly above its home cell,
@@ -242,7 +224,7 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     """
     config = tri.config
     rows = [
-        _cone_row(config, s1, next(i for i in s2 if i not in wall))
+        config.cone_row(s1, next(i for i in s2 if i not in wall))
         for wall, (s1, s2) in tri.interior_walls.items()
     ]
     used = set(tri.used_points)
@@ -250,8 +232,8 @@ def cone_system(tri: Triangulation) -> LinearSystem:
         if k in used:
             continue
         for home in tri.simplices:
-            row = _cone_row(config, home, k)
-            if all(row.nums[i] >= 0 for i in home):
+            row = config.cone_row(home, k)
+            if all(row[i] >= 0 for i in home):
                 break
         else:
             raise RuntimeError(f"point {k} lies in no cell")
@@ -278,12 +260,11 @@ def is_regular(tri: Triangulation, system: Optional[LinearSystem] = None) -> Reg
 
 def _irreducible_infeasible(system: LinearSystem) -> LinearSystem:
     """Gordan: A x < 0 has no solution exactly when some y >= 0, sum(y) = 1,
-    has y^T A = 0 (scaling rows keeps y's support, so numerators serve).  A
-    basic y has independent support columns, so no y has a smaller support:
-    its support is an irreducible infeasible subsystem (Gleeson-Ryan 1990)."""
+    has y^T A = 0, so the LP's columns are the rows of A.  A basic y has
+    independent support columns, so no y has a smaller support: its support
+    is an irreducible infeasible subsystem (Gleeson-Ryan 1990)."""
     cons = system.constraints
-    rows = [[c.nums[j] for c in cons] for j in range(system.dim)] + [[1] * len(cons)]
-    y = nonnegative_feasible(rows, [0] * system.dim + [1])
+    y = nonnegative_feasible([*zip(*cons), [1] * len(cons)], [0] * system.dim + [1])
     if y is None:
         raise RuntimeError("infeasible cone system has no Gordan certificate")
     return LinearSystem(tuple(c for c, v in zip(cons, y) if v), system.dim)
@@ -308,15 +289,16 @@ class Flip(NamedTuple):
     ``removed``, joined with a common link; the flip installs the opposite
     pattern.  ``simplices`` is the result's canonical form, a key to check
     before building and validating the triangulation it names.  ``row`` is
-    the cone row the circuit was read from, negative on ``removed``: its
-    zero set is the wall between the two secondary cones.  Applying the
-    resulting flip at the same circuit returns the original.
+    the cone row (``config.cone_row``) the circuit was read from, negative
+    on ``removed``: its zero set is the wall between the two secondary
+    cones.  Applying the resulting flip at the same circuit returns the
+    original.
     """
 
     removed: tuple[int, ...]
     inserted: tuple[int, ...]
     simplices: Simplices
-    row: Constraint
+    row: tuple[int, ...]
 
 
 def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Flip]:
@@ -340,11 +322,10 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
                 faces.setdefault(f, []).append(s)
     if system is None:
         system = cone_system(tri)
-    circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], Constraint] = {}
+    circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
     for row in system.constraints:
-        nums = row.nums
-        removed = tuple(i for i, c in enumerate(nums) if c < 0)
-        circuits.setdefault((removed, tuple(i for i, c in enumerate(nums) if c > 0)), row)
+        removed = tuple(i for i, c in enumerate(row) if c < 0)
+        circuits.setdefault((removed, tuple(i for i, c in enumerate(row) if c > 0)), row)
     out = []
     # (plus, minus) order of affine_dependence: the side holding the smallest index first.
     for (removed, inserted), row in sorted(circuits.items(), key=lambda item: min(item[0], item[0][::-1])):
@@ -354,7 +335,7 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
     return out
 
 
-def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Optional[Lifting]:
+def carry_witness(witness: Lifting, row: tuple[int, ...], system: LinearSystem) -> Optional[Lifting]:
     """A witness for the other side of a flip wall, from a witness of this
     side, or None when the carried point misses the neighbour's cone.
 
@@ -371,12 +352,12 @@ def carry_witness(witness: Lifting, row: Constraint, system: LinearSystem) -> Op
     is a bug and raises.
     """
     lam = witness.heights
-    a = row.nums
+    a = row
     aa = sum(x * x for x in a)
     al = sum(map(mul, a, lam))
     mu = [aa * h - al * x for h, x in zip(lam, a)]
     bounds = []
-    for b, _ in system.constraints:
+    for b in system.constraints:
         bm = sum(map(mul, b, mu))
         ba = sum(map(mul, b, a))
         if bm < 0:

@@ -29,13 +29,5 @@ def boundary_vector(tri: Triangulation) -> tuple[int, ...]:
 
 
 def hurwitz_vector(tri: Triangulation) -> tuple[int, ...]:
-    """n * gkz - boundary, summed in one pass over both volume tables."""
     n = tri.config.dim
-    entries = [0] * len(tri.config)
-    for s, vol in tri.cell_volumes:
-        for i in s:
-            entries[i] += n * vol
-    for wall, vol in tri.massive_wall_volumes:
-        for i in wall:
-            entries[i] -= vol
-    return tuple(entries)
+    return tuple(n * g - b for g, b in zip(gkz_vector(tri), boundary_vector(tri)))

@@ -27,7 +27,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from toricweights.exact import affine_combination, integer_row, rank, solve_linear
-from toricweights.lp import Constraint, LinearSystem
+from toricweights.lp import LinearSystem
 from toricweights.functionals import PLFunction
 from toricweights.polytope import LatticePolytope, Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
@@ -301,17 +301,17 @@ def _feasible(rows, rhs, nvars):
 
 
 def max_slack_feasible(system: LinearSystem) -> bool:
-    """Whether every row ``(nums/den)·x < 0`` holds strictly at some x, as the
+    """Whether every row ``a·x < 0`` holds strictly at some x, as the
     two-phase LP decides it: columns u | v | s | one slack per row | cap
-    slack, each row (nums/den)·(u - v) + s + its slack = 0, the cap row
+    slack, each row a·(u - v) + s + its slack = 0, the cap row
     s + cap slack = 1, and the largest s positive."""
     d, cons = system.dim, system.constraints
     nvars = 2 * d + 2 + len(cons)
     rows = []
     for i, c in enumerate(cons):
         row = [Fraction(0)] * nvars
-        for j, a in enumerate(c.nums):
-            row[j], row[d + j] = Fraction(a, c.den), Fraction(-a, c.den)
+        for j, a in enumerate(c):
+            row[j], row[d + j] = Fraction(a), Fraction(-a)
         row[2 * d] = row[2 * d + 1 + i] = Fraction(1)
         rows.append(row)
     cap = [Fraction(0)] * nvars
@@ -368,9 +368,10 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     return LinearSystem(tuple(cons), npts)
 
 
-def _constraint(row: Sequence[Fraction]) -> Constraint:
-    nums, den = integer_row(row)
-    return Constraint(tuple(nums), den)
+def _constraint(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """The rational row's numerators over their least common denominator:
+    a positive multiple, so the same strict inequality."""
+    return tuple(integer_row(row)[0])
 
 
 # --- Lower hull by facet search ---------------------------------------------

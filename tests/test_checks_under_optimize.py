@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from toricweights import lp, triangulation
-from toricweights.lp import Constraint, LinearSystem
+from toricweights.lp import LinearSystem
 from toricweights.polytope import LatticePolytope, lattice_points
 from toricweights.triangulation import Lifting, Triangulation, placing_triangulation
 
@@ -43,12 +43,13 @@ print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
-    "feasible_strict": message(lp.feasible_strict, LinearSystem((Constraint((1,), 1),), 1)),
+    "feasible_strict": message(lp.feasible_strict, LinearSystem(((1,),), 1)),
     "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
     "empty lifting": message(Lifting, (), error=ValueError),
     "bool height": message(Lifting, (0, True), error=ValueError),
     "unnormalized lifting": message(Lifting, (1, 0), error=ValueError),
-    "short row": message(LinearSystem, (Constraint((1,), 1),), 2, error=ValueError),
+    "short row": message(LinearSystem, ((1,),), 2, error=ValueError),
+    "float row": message(LinearSystem, ((0.5,),), 1, error=TypeError),
 }))
 """
 
@@ -67,6 +68,7 @@ def test_validation_raises_under_optimize():
     assert result["bool height"] == "lifting heights must be integers"
     assert result["unnormalized lifting"] == "lifting must be normalized to max height 0"
     assert result["short row"] == "constraints must have 2 coefficients"
+    assert result["float row"] == "LinearSystem needs int entries"
     assert all(result.values()), result
 
 

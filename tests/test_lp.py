@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 from unittest import mock
 
 import pytest
@@ -10,14 +9,14 @@ import oracles
 from conftest import CUBE, DOUBLE_SIMPLEX, HEXAGON, config_of
 from toricweights import lp
 from toricweights.exact import integer_row
-from toricweights.lp import Constraint, LinearSystem, feasible_strict, nonnegative_feasible
+from toricweights.lp import LinearSystem, feasible_strict, nonnegative_feasible
 from toricweights.triangulation import cone_system, enumerate_regular
 
 
 def row_of(coeffs):
-    """The constraint (coeffs)·x < 0 for rational coeffs."""
-    nums, den = integer_row(coeffs)
-    return Constraint(tuple(nums), den)
+    """The int row of the strict inequality (coeffs)·x < 0 for rational
+    coeffs: their numerators over the least common denominator."""
+    return tuple(integer_row(coeffs)[0])
 
 
 def sys_of(*rows):
@@ -176,9 +175,6 @@ def test_feasible_strict_on_enumerated_cone_systems(vertices):
         assert feasible_strict(system) == with_oracle(feasible_strict, system)
 
 
-# ``Constraint`` holds its row as integer numerators over one denominator.
-
-
 @given(st.data())
 def test_holds_matches_fraction_evaluation(data):
     dim = data.draw(st.integers(min_value=1, max_value=4))
@@ -188,29 +184,6 @@ def test_holds_matches_fraction_evaluation(data):
     for row, strict in zip(rows, expected):
         assert sys_of(row).holds(point) == strict
     assert sys_of(*rows).holds(point) == all(expected)
-
-
-@given(st.lists(rational, min_size=1, max_size=4), st.integers(min_value=2, max_value=5))
-def test_equal_rational_rows_give_equal_constraints(row, k):
-    # The same values as unreduced strings "p*k/q*k": one row, one constraint,
-    # with numerators and denominator in lowest terms.
-    written = [f"{x.numerator * k}/{x.denominator * k}" for x in row]
-    c, same = row_of(row), row_of(written)
-    assert c == same and hash(c) == hash(same)
-    assert c.den > 0 and gcd(c.den, *c.nums) == 1
-    assert tuple(Fraction(x, c.den) for x in c.nums) == tuple(row)
-
-
-def test_constraint_rows_in_lowest_terms():
-    # Cone rows are built in lowest terms, as equality with the oracle's
-    # rational rows needs; some have a denominator above 1.
-    dens = set()
-    for vertices in (HEXAGON, DOUBLE_SIMPLEX):
-        for entry in enumerate_regular(config_of(vertices)):
-            for c in cone_system(entry.triangulation).constraints:
-                assert c.den > 0 and gcd(c.den, *c.nums) == 1
-                dens.add(c.den)
-    assert max(dens) > 1
 
 
 @pytest.mark.parametrize("row,point", [((1, 1, 1), (-1,)), ((1,), (-1, 5)), ((1, 1), ())])
@@ -232,9 +205,20 @@ def test_holds_rejects_float_coordinates():
 def test_holds_rejects_bool_coordinates():
     # -x < 0 held at x = True, read as 1.
     with pytest.raises(TypeError, match="bools"):
-        LinearSystem((Constraint((-1,), 1),), 1).holds((True,))
+        LinearSystem(((-1,),), 1).holds((True,))
 
 
 def test_nonnegative_feasible_rejects_bools():
     with pytest.raises(TypeError, match="bools"):
         nonnegative_feasible([[1, 2]], [True])
+
+
+@pytest.mark.parametrize("row", [(0.5,), (Fraction(1, 2),), (True,), (Fraction(-1),)])
+def test_rows_must_be_ints(row):
+    # A float row would put float arithmetic into holds and the simplex, and
+    # a bool would be read as 0 or 1; a Fraction, even an integral one, is
+    # not a row of ints.
+    with pytest.raises(TypeError, match="LinearSystem needs int entries"):
+        LinearSystem((row,), 1)
+    with pytest.raises(TypeError, match="LinearSystem needs int entries"):
+        LinearSystem(((1, 1), (row[0], 0)), 2)

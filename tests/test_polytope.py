@@ -218,6 +218,15 @@ def test_extreme_point_indices():
     assert extreme_point_indices(pts, [4, 2, 3]) == [2]
 
 
+def test_extreme_point_indices_rejects_repeated_points():
+    # Each copy of (0, 0) is a convex combination of the other, so the
+    # vertex (0, 0) was lost: [2, 3] came back.
+    with pytest.raises(ValueError, match="distinct"):
+        extreme_point_indices([(0, 0), (0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="distinct"):
+        extreme_point_indices([[0, 0], (1, 0), (0, 0), (0, 1)], [1])
+
+
 @given(st.permutations(range(4)))
 def test_placing_volume_is_order_independent(order):
     cfg = config_of(SQUARE)

