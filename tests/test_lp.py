@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -186,7 +187,32 @@ def test_holds_matches_fraction_evaluation(data):
     assert sys_of(*rows).holds(point) == all(expected)
 
 
-@pytest.mark.parametrize("row,point", [((1, 1, 1), (-1,)), ((1,), (-1, 5)), ((1, 1), ())])
+@given(st.lists(rational, min_size=1, max_size=4), st.integers(min_value=2, max_value=5))
+def test_equal_rational_rows_give_equal_constraints(row, k):
+    # The same values as unreduced strings "p*k/q*k": one int row, one
+    # system, with numerators and denominator in lowest terms.
+    written = [f"{x.numerator * k}/{x.denominator * k}" for x in row]
+    assert row_of(row) == row_of(written)
+    a, b = sys_of(row), sys_of(written)
+    assert a == b and hash(a) == hash(b)
+    nums, den = integer_row(written)
+    assert den > 0 and gcd(den, *nums) == 1
+    assert tuple(Fraction(x, den) for x in nums) == tuple(row)
+
+
+def test_constraint_rows_in_lowest_terms():
+    # Cone rows are primitive int rows, as equality of equal inequalities
+    # needs; some clear a denominator above 1, so an entry exceeds 1 in size.
+    big = 0
+    for vertices in (HEXAGON, DOUBLE_SIMPLEX):
+        for entry in enumerate_regular(config_of(vertices)):
+            for row in cone_system(entry.triangulation).constraints:
+                assert all(type(x) is int for x in row) and gcd(*row) == 1
+                big = max(big, *map(abs, row))
+    assert big > 1
+
+
+@pytest.mark.parametrize("row,point",[((1, 1, 1), (-1,)), ((1,), (-1, 5)), ((1, 1), ())])
 def test_holds_rejects_points_of_the_wrong_length(row, point):
     # A short point would test only a prefix of each row, a long one would
     # ignore its tail.
