@@ -33,7 +33,8 @@ class Triangulation:
     polytope.
 
     Construction validates the volume partition and that every wall ((n-1)-face)
-    is shared by exactly two simplices or lies in a facet of the polytope.
+    is shared by exactly two simplices, on opposite sides of it, or lies in a
+    facet of the polytope.
     """
 
     def __init__(self, config: PointConfiguration, simplices: Iterable[Sequence[int]]):
@@ -58,9 +59,21 @@ class Triangulation:
         for wall, owners in self.walls.items():
             if len(owners) > 2:
                 raise ValueError(f"wall {wall} shared by {len(owners)} simplices")
-            # Every cell has nonzero volume, so its walls are independent.
-            if len(owners) == 1 and not self.config._lies_in_facet(wall):
-                raise ValueError(f"wall {wall} is unmatched and not on the boundary")
+            if len(owners) == 1:
+                # Every cell has nonzero volume, so its walls are independent.
+                if not self.config._lies_in_facet(wall):
+                    raise ValueError(f"wall {wall} is unmatched and not on the boundary")
+                continue
+            # The points a and b opposite the wall lie on opposite sides of
+            # it exactly when their coefficients in the dependence of wall +
+            # a + b (the set the fold row reads) have the same sign.
+            a, b = (next(i for i in s if i not in wall) for s in owners)
+            if a == b:
+                raise ValueError(f"cell {owners[0]} is repeated")
+            ids = tuple(sorted(wall + (a, b)))
+            dep = self.config.dependence(ids)
+            if dep[ids.index(a)] * dep[ids.index(b)] <= 0:
+                raise ValueError(f"cells {owners[0]} and {owners[1]} lie on the same side of their wall {wall}")
 
     @cached_property
     def walls(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -192,24 +205,17 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
     return Subdivision(tuple(cells), simplicial)
 
 
-class _Certificate(NamedTuple):
-    witness: Optional[Lifting]
-    system: Optional[LinearSystem] = None
-
-
-class RegularityCertificate(_Certificate):
+class RegularityCertificate(NamedTuple):
     """Witness lifting strictly inside the cone of liftings inducing T, or,
-    when no such lifting exists, the cone system, whose irreducible
-    infeasible subsystem is read off a Gordan certificate on first read and
-    kept in the instance's ``__dict__``."""
+    when no such lifting exists, an irreducible infeasible subsystem of the
+    cone system, read off a Gordan certificate."""
+
+    witness: Optional[Lifting]
+    infeasible_subsystem: Optional[LinearSystem] = None
 
     @property
     def regular(self) -> bool:
         return self.witness is not None
-
-    @cached_property
-    def infeasible_subsystem(self) -> Optional[LinearSystem]:
-        return None if self.regular else _irreducible_infeasible(self.system)
 
 
 def cone_system(tri: Triangulation) -> LinearSystem:
@@ -245,14 +251,15 @@ def is_regular(tri: Triangulation, system: Optional[LinearSystem] = None) -> Reg
     """Decide regularity by exact LP on the cone system (``system``, when
     the caller already holds ``cone_system(tri)``).
 
-    Irregularity is a value, not an error: the certificate then keeps the
-    system, and reading its ``infeasible_subsystem`` solves one Gordan LP.
+    Irregularity is a value, not an error: the certificate then holds the
+    ``infeasible_subsystem`` that one more LP, a Gordan certificate, picks
+    out of the system.
     """
     if system is None:
         system = cone_system(tri)
     witness = feasible_strict(system)
     if witness is None:
-        return RegularityCertificate(None, system)
+        return RegularityCertificate(None, _irreducible_infeasible(system))
     # Cones of liftings are invariant under positive scaling, so the
     # numerators over the least common denominator serve.
     return RegularityCertificate(Lifting.normalized(integer_row(witness)[0]))
@@ -497,8 +504,6 @@ def enumerate_regular(
                 queue.append((nb, nb_system, cert.witness))
             else:
                 rejected.add(key)
-    if len(found) > caps.max_triangulations:
-        raise EnumerationCapExceeded("max triangulation cap", len(found))
     entries = tuple(
         EnumeratedTriangulation(i, tri, cert)
         for i, (key, (tri, cert)) in enumerate(sorted(found.items()))

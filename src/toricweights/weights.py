@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -62,26 +61,20 @@ class Generator(NamedTuple):
     triangulation_ids: tuple[int, ...]
 
 
-class _Polytope(NamedTuple):
+class WeightPolytope(NamedTuple):
+    """``certificates[k]`` is the lifting that pins ``vertices[k]`` as the
+    unique minimiser of <., lambda> over the generators, or None when the
+    hull-membership LP decided that vertex.  ``vectors[t]`` is the vector of
+    the enumeration's entry with id t (ids are positions), computed once by
+    ``build`` and read by the suites."""
+
     kind: str
     ambient_dim: int
     generators: tuple[Generator, ...]
     vertices: tuple[tuple[int, ...], ...]
     affine_dim: int
     certificates: tuple[Optional[Lifting], ...]
-
-
-class WeightPolytope(_Polytope):
-    """``certificates[k]`` is the lifting that pins ``vertices[k]`` as the
-    unique minimiser of <., lambda> over the generators, or None when the
-    hull-membership LP decided that vertex.  Instances keep a ``__dict__``
-    for the ``vector_of`` cache."""
-
-    @cached_property
-    def vector_of(self) -> dict[int, tuple[int, ...]]:
-        """Each source triangulation's id mapped to its vector, so the suites
-        read the vectors ``build`` computed once per entry."""
-        return {t: g.vector for g in self.generators for t in g.triangulation_ids}
+    vectors: tuple[tuple[int, ...], ...]
 
 
 def _pins(vectors: Sequence[Sequence[int]], i: int, lam: Sequence[int]) -> bool:
@@ -113,27 +106,26 @@ def certified_vertices(
 
 def build(kind: str, enumeration: Enumeration) -> WeightPolytope:
     """Assemble the weight polytope from an enumeration of all regular
-    triangulations.  Distinct triangulations with the same vector are merged
-    into one generator carrying all source ids."""
+    triangulations, whose ids are their positions.  Distinct triangulations
+    with the same vector are merged into one generator carrying all source
+    ids."""
     if kind not in (CHOW, HURWITZ):
         raise ValueError(f"unknown weight polytope kind {kind!r}")
     fn = gkz_vector if kind == CHOW else hurwitz_vector
+    by_id = tuple(fn(entry.triangulation) for entry in enumeration)
     grouped: dict[tuple[int, ...], list[int]] = {}
-    for entry in enumeration:
-        vec = fn(entry.triangulation)
-        grouped.setdefault(vec, []).append(entry.id)
-    generators = tuple(
-        Generator(vec, tuple(sorted(ids))) for vec, ids in sorted(grouped.items())
-    )
+    for tid, vec in enumerate(by_id):
+        grouped.setdefault(vec, []).append(tid)
+    generators = tuple(Generator(vec, tuple(ids)) for vec, ids in sorted(grouped.items()))
     vectors = [g.vector for g in generators]
-    witness = {entry.id: entry.certificate.witness for entry in enumeration}
-    candidates = [[witness[t] for t in g.triangulation_ids] for g in generators]
+    witnesses = [entry.certificate.witness for entry in enumeration]
+    candidates = [[witnesses[t] for t in g.triangulation_ids] for g in generators]
     certified = certified_vertices(vectors, candidates)
     vertices = tuple(vectors[i] for i, _ in certified)
     certificates = tuple(cert for _, cert in certified)
     base = vectors[0]
     adim = rank([[x - b for x, b in zip(v, base)] for v in vectors[1:]]) if len(vectors) > 1 else 0
-    return WeightPolytope(kind, len(base), generators, vertices, adim, certificates)
+    return WeightPolytope(kind, len(base), generators, vertices, adim, certificates, by_id)
 
 
 def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -164,7 +156,7 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
 
     A simplicial lower hull is the regular triangulation T_lam, which is
     looked up in the enumeration by its canonical cells, and its vectors in
-    the polytopes' ``vector_of``.  The support checks compare min <x, lam>
+    the polytopes' ``vectors``.  The support checks compare min <x, lam>
     over each polytope with <vector of T_lam, lam>; the Aubin check
     compares the Chow minimum with (n+1)! times the integral of the lower
     envelope, lam's heights on T_lam.  With T_lam missing every pairing is
@@ -186,7 +178,7 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
         tri = entry.triangulation
         envelope = PLFunction(tri, {i: h[i] for i in tri.used_points})
         tid = entry.id
-        gkz, hur = analysis.chow.vector_of[tid], analysis.hurwitz.vector_of[tid]
+        gkz, hur = analysis.chow.vectors[tid], analysis.hurwitz.vectors[tid]
         values = (pairing(gkz, h), pairing(hur, h), volume_total(envelope))
     chow_min, chow_argmin = support_min(analysis.chow, h)
     hurwitz_min, hurwitz_argmin = support_min(analysis.hurwitz, h)
@@ -222,7 +214,7 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     random rational functions, checked as their integer multiples by
     ``_TRIAL_SCALE``; also asserts the constant-sum invariants and the
     T-independence of affine pairings.  The GKZ and Hurwitz vectors are the
-    ones the polytopes were built from (``vector_of``)."""
+    ones the polytopes were built from (their ``vectors``)."""
     config = analysis.config
     q = config.polytope
     n = q.dim
@@ -244,7 +236,7 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     for entry in analysis.enumeration:
         tri = entry.triangulation
         tid = entry.id
-        gkz, hur = analysis.chow.vector_of[tid], analysis.hurwitz.vector_of[tid]
+        gkz, hur = analysis.chow.vectors[tid], analysis.hurwitz.vectors[tid]
         bd = boundary_vector(tri)
         check(tid, None, "gkz sum", sum(gkz), (n + 1) * q.volume)
         check(tid, None, "boundary sum", sum(bd), n * q.boundary_volume)

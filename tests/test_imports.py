@@ -32,3 +32,11 @@ def test_import_loads_no_dataclasses_or_inspect():
     result = json.loads(proc.stdout)
     assert result["file"].startswith(src)
     assert result["loaded"] == []
+
+
+def test_exported_records_keep_no_dict():
+    # The records are plain NamedTuples (or validating subclasses with empty
+    # __slots__), so no instance carries a __dict__ cache beside its fields.
+    records = [obj for obj in vars(toricweights).values() if isinstance(obj, type) and issubclass(obj, tuple)]
+    assert records
+    assert [cls.__name__ for cls in records if cls.__dictoffset__ != 0] == []

@@ -41,6 +41,29 @@ def test_triangulation_validates_walls():
         Triangulation(cfg, [(0, 1, 3), (0, 1, 2)])  # overlapping pair
 
 
+@pytest.mark.parametrize(
+    "vertices, cells, message",
+    [
+        (SEGMENT2, [(0, 1, 2)], r"cell \(0, 1, 2\) is not an 1-simplex"),
+        (SEGMENT2, [(0, 1), (1, 3)], r"cell \(1, 3\) has out-of-range vertex indices"),
+        (SEGMENT3, [(0, 1), (1, 2), (1, 2)], r"wall \(1,\) shared by 3 simplices"),
+        # Total volume 2 and every wall in two cells, but both are one cell.
+        (SQUARE, [(0, 1, 2), (0, 1, 2)], r"cell \(0, 1, 2\) is repeated"),
+        # Points 0-3 are the left unit square of [0,2] x [0,1]: its four
+        # triangles cover it twice, with the right total volume, and leave
+        # the right square bare; both cells on the wall (0, 1) lie right of it.
+        (
+            [[0, 0], [2, 0], [0, 1], [2, 1]],
+            [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+            r"same side of their wall \(0, 1\)",
+        ),
+    ],
+)
+def test_triangulation_rejects_malformed_cells(vertices, cells, message):
+    with pytest.raises(ValueError, match=message):
+        Triangulation(config_of(vertices), cells)
+
+
 def test_placing_segment_fine():
     cfg = config_of(SEGMENT2)
     t = placing_triangulation(cfg, (0, 1, 2))
@@ -132,7 +155,7 @@ def test_certificate_keeps_its_repr_and_flips_are_plain_records():
     cfg = config_of(SQUARE)
     placing = placing_triangulation(cfg)
     assert repr(is_regular(placing)) == (
-        "RegularityCertificate(witness=Lifting(heights=(0, -1, -1, -1)), system=None)"
+        "RegularityCertificate(witness=Lifting(heights=(0, -1, -1, -1)), infeasible_subsystem=None)"
     )
     (flip,) = flips(placing)
     assert flip == ((0, 3), (1, 2), ((0, 1, 3), (0, 2, 3)), (-1, 1, 1, -1))
@@ -174,18 +197,18 @@ def spiral_triangulation():
     return cfg, Triangulation(cfg, cells)
 
 
-def test_irreducible_subsystem_is_computed_on_first_read(monkeypatch):
-    # Regularity needs one LP; the Gordan certificate is one more LP, solved
-    # only when the infeasible subsystem is read, and only once.
+def test_irreducible_subsystem_is_computed_inside_is_regular(monkeypatch):
+    # Irregularity costs one strict-cone LP and one Gordan LP, both inside
+    # is_regular; reading the subsystem solves nothing and gives the same
+    # object every time.
     _, tri = spiral_triangulation()
     strict, gordan = [], []
     lp_strict, lp_gordan = triangulation.feasible_strict, triangulation.nonnegative_feasible
     monkeypatch.setattr(triangulation, "feasible_strict", lambda *args: strict.append(args) or lp_strict(*args))
     monkeypatch.setattr(triangulation, "nonnegative_feasible", lambda *args: gordan.append(args) or lp_gordan(*args))
     cert = is_regular(tri)
-    assert not cert.regular and len(strict) == 1 and gordan == []
+    assert not cert.regular and len(strict) == 1 and len(gordan) == 1
     sub = cert.infeasible_subsystem
-    assert len(strict) == 1 and len(gordan) == 1
     assert cert.infeasible_subsystem is sub and len(strict) == 1 and len(gordan) == 1
 
 
@@ -228,6 +251,31 @@ def test_irreducible_subsystems_of_spiral_flip_neighbours():
         assert feasible_strict(LinearSystem(rows, dim)) is None
         for i in range(len(rows)):
             assert feasible_strict(LinearSystem(rows[:i] + rows[i + 1 :], dim)) is not None
+
+
+def test_enumeration_rejects_the_irregular_flip_results(monkeypatch):
+    # The "mother of all examples": two nested triangles, the outer one 4
+    # times the unit simplex.  Of its 18 triangulations the two spirals are
+    # irregular, and both are flip results of regular ones, so the search
+    # meets and rejects them, each with an infeasible subsystem.
+    cfg = polytope.PointConfiguration(
+        polytope.LatticePolytope.from_vertices(SPIRAL_OUTER),
+        sorted([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)]),
+    )
+    brute = all_triangulations(cfg)
+    regular = {c for c in brute if oracles.max_slack_feasible(oracles.cone_system(Triangulation(cfg, c)))}
+    assert len(brute) == 18 and len(regular) == 16
+    certs = {}
+    original = triangulation.is_regular
+    monkeypatch.setattr(
+        triangulation, "is_regular", lambda tri, *args: certs.setdefault(tri.simplices, original(tri, *args))
+    )
+    assert enumerate_regular(cfg).canonical_forms() == regular
+    rejected = {key: cert for key, cert in certs.items() if not cert.regular}
+    assert set(rejected) == brute - regular
+    for cert in rejected.values():
+        assert cert.infeasible_subsystem.constraints
+        assert feasible_strict(cert.infeasible_subsystem) is None
 
 
 def test_certificate_round_trip(square, double_simplex):
@@ -277,6 +325,12 @@ def test_enumeration_cap_is_loud():
     cfg = config_of(SQUARE)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_regular(cfg, caps=EnumerationCaps(max_triangulations=1))
+
+
+def test_enumeration_time_budget_is_loud():
+    with pytest.raises(EnumerationCapExceeded) as err:
+        enumerate_regular(config_of(SQUARE), caps=EnumerationCaps(time_budget=0))
+    assert err.value.reason == "time budget" and err.value.found >= 1
 
 
 def test_enumeration_volume_partition(double_simplex):
@@ -680,14 +734,14 @@ def test_enumeration_validates_each_triangulation_once(monkeypatch):
 def test_grid_enumeration_builds_each_cone_system_once(monkeypatch):
     # A kept triangulation's cone system serves both its regularity LP and
     # its flips: 387 systems on the 3x3 grid (774 when each built its own).
-    # Regular certificates still keep no rows.
+    # Regular certificates keep no rows.
     built = []
     original = triangulation.cone_system
     monkeypatch.setattr(triangulation, "cone_system", lambda tri: built.append(tri.simplices) or original(tri))
     enum = enumerate_regular(config_of(GRID3X3))
     assert len(enum) == 387
     assert len(built) == len(set(built)) == 387
-    assert all(entry.certificate.system is None for entry in enum)
+    assert all(entry.certificate.infeasible_subsystem is None for entry in enum)
 
 
 def test_grid_enumeration_tries_each_candidate_circuit_once(monkeypatch):
