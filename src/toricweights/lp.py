@@ -10,7 +10,8 @@ package solves.
 Both are plain nonnegative feasibility, decided by one phase-1 simplex with
 Bland's rule.  A homogeneous strict system ``A·x < 0`` has a solution exactly
 when ``A·x <= -1`` has one (scale any solution), so the cone is searched as
-``A·(u - v) + t = -1`` with u, v, t >= 0.
+``A·x + t = -1`` with x, t >= 0: every row sums to 0, as an affine dependence
+does, so a constant added to every coordinate shifts any solution to x >= 0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class _System(NamedTuple):
 
 class LinearSystem(_System):
     """Strict rows ``row·x < 0`` on points of ``dim`` coordinates; every row
-    is a tuple of ``dim`` ints.  A positive factor does not change a strict
+    is a tuple of ``dim`` ints summing to 0, as a cone row (an affine
+    dependence) does.  A positive factor does not change a strict
     homogeneous row, so the rows carry no denominator."""
 
     __slots__ = ()
@@ -38,6 +40,8 @@ class LinearSystem(_System):
         if any(len(row) != dim for row in constraints):
             raise ValueError(f"constraints must have {dim} coefficients")
         check_ints(constraints, "LinearSystem")
+        if any(sum(row) for row in constraints):
+            raise ValueError("constraint rows must sum to 0")
         return tuple.__new__(cls, (constraints, dim))
 
     def holds(self, point: Sequence) -> bool:
@@ -121,7 +125,9 @@ def _feasible(rows, dens, nvars):
 def nonnegative_feasible(rows: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
     """A point a >= 0 with rows @ a == rhs, or None: convex-combination
     memberships, whose variables are naturally nonnegative."""
-    split = [integer_row([*row, r]) for row, r in zip(rows, rhs)]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("rows must share one length")
+    split = [integer_row([*row, r]) for row, r in zip(rows, rhs, strict=True)]
     point = _feasible([nums for nums, _ in split], [den for _, den in split], len(rows[0]) if rows else 0)
     return None if point is None else tuple(point)
 
@@ -129,23 +135,17 @@ def nonnegative_feasible(rows: Sequence[Sequence], rhs: Sequence) -> Optional[tu
 def feasible_strict(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     """Exact rational point satisfying every row of the system strictly.
 
-    Returns None when no such point exists.  Free variables are split into
-    positive and negative parts u - v, and each row gets its own slack t_i:
-    row i reads row_i·(u - v) + t_i = -1, over denominator 1.
+    Returns None when no such point exists.  Each row gets its own slack
+    t_i: row i reads row_i·x + t_i = -1 with x, t >= 0, over denominator 1.
+    Rows sum to 0, so x >= 0 loses no point of the cone up to translation.
     """
-    d = system.dim
-    cons = system.constraints
-    # columns: u (d) | v (d) | one slack per row
-    rows = []
-    for i, nums in enumerate(cons):
-        row = [*nums, *(-a for a in nums)] + [0] * (len(cons) + 1)
-        row[2 * d + i] = 1
-        row[-1] = -1
-        rows.append(row)
-    point = _feasible(rows, [1] * len(cons), 2 * d + len(cons))
+    d, m = system.dim, len(system.constraints)
+    # columns: x (d) | one slack per row
+    rows = [[*nums, *(int(j == i) for j in range(m)), -1] for i, nums in enumerate(system.constraints)]
+    point = _feasible(rows, [1] * m, d + m)
     if point is None:
         return None
-    witness = tuple(point[j] - point[d + j] for j in range(d))
+    witness = tuple(point[:d])
     if not system.holds(witness):
         raise RuntimeError("simplex returned an invalid witness")
     return witness

@@ -180,8 +180,8 @@ class LatticePolytope:
         if not pts:
             raise ValueError("no vertices given")
         d = len(pts[0])
-        if any(len(p) != d for p in pts):
-            raise ValueError("vertices must share one dimension")
+        if d == 0 or any(len(p) != d for p in pts):
+            raise ValueError("vertices must share one positive dimension")
         if len(set(pts)) <= d or rank([[p[j] - pts[0][j] for j in range(d)] for p in pts[1:]]) < d:
             raise ValueError(
                 f"polytope is not full-dimensional in Z^{d}; give >= {d + 1} affinely spanning vertices"

@@ -139,13 +139,13 @@ class Lifting(_Heights):
             raise ValueError("lifting heights must be integers")
         if max(heights) != 0:
             raise ValueError("lifting must be normalized to max height 0")
-        return tuple.__new__(cls, (heights,))
+        return tuple.__new__(cls, (tuple(heights),))
 
     @classmethod
     def normalized(cls, heights: Sequence[int]) -> "Lifting":
         if any(type(h) is not int for h in heights):
             raise ValueError("lifting heights must be integers")
-        top = max(heights)
+        top = max(heights, default=0)
         return cls(tuple(h - top for h in heights))
 
 

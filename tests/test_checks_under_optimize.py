@@ -38,17 +38,18 @@ witness = triangulation.is_regular(placing, system).witness
 flip = triangulation.flips(placing, system)[0]
 beyond = triangulation.cone_system(Triangulation(config, flip.simplices))
 triangulation.gcd = lambda *heights: -1  # a sign error in the normalisation
-lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars - 1)  # x = 1 breaks x < 0
+lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars - 1)  # (1, 0) breaks x - y < 0
 print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
     "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
-    "feasible_strict": message(lp.feasible_strict, LinearSystem(((1,),), 1)),
+    "feasible_strict": message(lp.feasible_strict, LinearSystem(((1, -1),), 2)),
     "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
     "empty lifting": message(Lifting, (), error=ValueError),
     "bool height": message(Lifting, (0, True), error=ValueError),
     "unnormalized lifting": message(Lifting, (1, 0), error=ValueError),
     "short row": message(LinearSystem, ((1,),), 2, error=ValueError),
+    "row sum": message(LinearSystem, ((1, 0),), 2, error=ValueError),
     "float row": message(LinearSystem, ((0.5,),), 1, error=TypeError),
 }))
 """
@@ -68,6 +69,7 @@ def test_validation_raises_under_optimize():
     assert result["bool height"] == "lifting heights must be integers"
     assert result["unnormalized lifting"] == "lifting must be normalized to max height 0"
     assert result["short row"] == "constraints must have 2 coefficients"
+    assert result["row sum"] == "constraint rows must sum to 0"
     assert result["float row"] == "LinearSystem needs int entries"
     assert all(result.values()), result
 

@@ -21,13 +21,20 @@ def row_of(coeffs):
 
 
 def sys_of(*rows):
-    return LinearSystem(tuple(row_of(r) for r in rows), len(rows[0]))
+    """The strict system of the rational rows in one more coordinate z, each
+    row a read as [a | -sum(a)]: rows of a system sum to 0, and
+    [a | -sum(a)]·(x, z) = a·(x - z), so the translated system has a
+    solution exactly when the rows have one, and w[i] - w[-1] is one."""
+    ints = [row_of(r) for r in rows]
+    return LinearSystem(tuple((*r, -sum(r)) for r in ints), len(rows[0]) + 1)
 
 
 def test_open_interval():
     # x0 < x1 < 2*x0: an open sector of directions.
     w = feasible_strict(sys_of([1, -1], [-2, 1]))
-    assert w is not None and w[0] < w[1] < 2 * w[0]
+    assert w is not None
+    x0, x1 = w[0] - w[-1], w[1] - w[-1]
+    assert x0 < x1 < 2 * x0
 
 
 def test_empty_interval_infeasible():
@@ -60,6 +67,20 @@ def test_rowless_system_keeps_its_dimension():
         LinearSystem((), 2).holds((0,))
     with pytest.raises(ValueError):
         LinearSystem((row_of([1, 1]),), 3)
+
+
+def test_rows_must_sum_to_zero_and_the_lp_keeps_x_nonnegative():
+    # Cone rows are affine dependences, so a row off that subspace is refused,
+    # and the strict LP needs no negative part: d + m columns, x itself the
+    # witness.
+    with pytest.raises(ValueError, match="sum to 0"):
+        LinearSystem(((1, 0),), 2)
+    system = sys_of([1, -1], [-2, 1])
+    with mock.patch.object(lp, "_feasible", wraps=lp._feasible) as spy:
+        w = feasible_strict(system)
+    (call,) = spy.call_args_list
+    assert call.args[2] == system.dim + len(system.constraints)
+    assert system.holds(w) and min(w) >= 0
 
 
 def test_mixed_dimensions_rejected():
@@ -180,8 +201,8 @@ def test_feasible_strict_on_enumerated_cone_systems(vertices):
 def test_holds_matches_fraction_evaluation(data):
     dim = data.draw(st.integers(min_value=1, max_value=4))
     rows = data.draw(st.lists(st.lists(rational, min_size=dim, max_size=dim), min_size=1, max_size=4))
-    point = data.draw(st.lists(st.one_of(rational, coeff), min_size=dim, max_size=dim))
-    expected = [sum(c * x for c, x in zip(row, point)) < 0 for row in rows]
+    point = data.draw(st.lists(st.one_of(rational, coeff), min_size=dim + 1, max_size=dim + 1))
+    expected = [sum(c * (x - point[-1]) for c, x in zip(row, point)) < 0 for row in rows]
     for row, strict in zip(rows, expected):
         assert sys_of(row).holds(point) == strict
     assert sys_of(*rows).holds(point) == all(expected)
@@ -212,7 +233,7 @@ def test_constraint_rows_in_lowest_terms():
     assert big > 1
 
 
-@pytest.mark.parametrize("row,point",[((1, 1, 1), (-1,)), ((1,), (-1, 5)), ((1, 1), ())])
+@pytest.mark.parametrize("row,point",[((1, 1, 1), (-1,)), ((1,), (-1, 5, 0)), ((1, 1), ())])
 def test_holds_rejects_points_of_the_wrong_length(row, point):
     # A short point would test only a prefix of each row, a long one would
     # ignore its tail.
@@ -223,15 +244,28 @@ def test_holds_rejects_points_of_the_wrong_length(row, point):
 def test_holds_rejects_float_coordinates():
     system = sys_of([1, 1])
     with pytest.raises(TypeError):
-        system.holds((0.5, 0))
+        system.holds((0.5, 0, 0))
     with pytest.raises(TypeError):
-        system.holds((0, 0.5))
+        system.holds((0, 0, 0.5))
 
 
 def test_holds_rejects_bool_coordinates():
-    # -x < 0 held at x = True, read as 1.
+    # -x + y < 0 held at (x, y) = (True, 0), read as (1, 0).
     with pytest.raises(TypeError, match="bools"):
-        LinearSystem(((-1,),), 1).holds((True,))
+        LinearSystem(((-1, 1),), 2).holds((True, 0))
+
+
+def test_nonnegative_feasible_rejects_mismatched_shapes():
+    # zip would drop the unmatched equation: [[1, 2], [1, 1]] with right-hand
+    # side [1] read as x + 2y = 1 alone gave (1, 0), though with [1, 5] the
+    # full system is infeasible.
+    assert nonnegative_feasible([[1, 2], [1, 1]], [1, 5]) is None
+    with pytest.raises(ValueError):
+        nonnegative_feasible([[1, 2], [1, 1]], [1])
+    with pytest.raises(ValueError):
+        nonnegative_feasible([[1, 2]], [1, 5])
+    with pytest.raises(ValueError, match="one length"):
+        nonnegative_feasible([[1, 2], [1]], [1, 1])
 
 
 def test_nonnegative_feasible_rejects_bools():

@@ -76,6 +76,13 @@ def test_degenerate_input_rejected():
         LatticePolytope.from_vertices([[0, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("vertices", [[[]], [[], []]])
+def test_zero_length_vertices_rejected(vertices):
+    # They reached hull_facets, whose hyperplane normal raised IndexError.
+    with pytest.raises(ValueError, match="positive dimension"):
+        LatticePolytope.from_vertices(vertices)
+
+
 @pytest.mark.parametrize("coordinate", [2.7, 2.0, Fraction(5, 2), Fraction(2), True])
 def test_non_integer_coordinates_rejected(coordinate):
     # Each would be truncated to an int vertex, a different polytope.

@@ -139,6 +139,19 @@ def test_lifting_normalization():
             lower_hull_subdivision(config_of(SEGMENT2), heights)
 
 
+def test_lifting_stores_a_tuple():
+    # A list of heights was kept as given: unhashable, and unequal to the
+    # same heights as a tuple.
+    lifting = Lifting([0, -1])
+    assert lifting.heights == (0, -1) and lifting == Lifting((0, -1))
+    assert {lifting, Lifting((0, -1))} == {Lifting((0, -1))}
+
+
+def test_normalizing_no_heights_is_an_empty_lifting():
+    with pytest.raises(ValueError, match="empty lifting"):
+        Lifting.normalized([])
+
+
 def test_lifting_rejects_bool_heights():
     # A bool passed as 0 or 1: [True, 0, 0, 0] on the square was read as
     # [1, 0, 0, 0] and gave a triangulation.
