@@ -19,7 +19,7 @@ from .functionals import degrees
 from .pipeline import Analysis, analyze
 from .polytope import LatticePolytope, lattice_points
 from .triangulation import EnumerationCapExceeded, EnumerationCaps
-from .vectors import boundary_vector, gkz_vector, hurwitz_vector
+from .vectors import boundary_vector
 from .weights import run_support_trials, verify_identities
 
 EXIT_PASS = 0
@@ -143,12 +143,13 @@ def cmd_triangulations(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_vectors(args: argparse.Namespace) -> tuple[dict, int]:
     analysis = _analyze(args)
-    fn = {"gkz": gkz_vector, "boundary": boundary_vector, "hurwitz": hurwitz_vector}[args.kind]
+    # The polytopes hold each entry's GKZ and Hurwitz vector, by id.
+    built = {"gkz": analysis.chow.vectors, "hurwitz": analysis.hurwitz.vectors}.get(args.kind)
     rows = [
         {
             "id": e.id,
             "simplices": e.triangulation.simplices,
-            "vector": fn(e.triangulation),
+            "vector": boundary_vector(e.triangulation) if built is None else built[e.id],
         }
         for e in analysis.enumeration
     ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact import check_ints, integer_row, pivot
 
@@ -36,7 +36,8 @@ class LinearSystem(_System):
 
     __slots__ = ()
 
-    def __new__(cls, constraints: tuple[tuple[int, ...], ...], dim: int):
+    def __new__(cls, constraints: Iterable[Sequence[int]], dim: int):
+        constraints = tuple(map(tuple, constraints))
         if any(len(row) != dim for row in constraints):
             raise ValueError(f"constraints must have {dim} coefficients")
         check_ints(constraints, "LinearSystem")

@@ -265,6 +265,7 @@ class PointConfiguration:
         self.index: dict[Point, int] = {p: i for i, p in enumerate(self.points)}
         self._volumes: dict[tuple[int, ...], int] = {}
         self._dependences: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+        self._cone_rows: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._in_facet: dict[tuple[int, ...], bool] = {}
 
     @property
@@ -326,16 +327,22 @@ class PointConfiguration:
         heights h lift point ``k`` strictly above their affine interpolation
         on ``cell``: the primitive affine dependence of ``cell`` and ``k``,
         signed negative at k (a positive multiple of k's barycentric
-        coordinates on the cell minus 1 at k), and 0 elsewhere."""
-        ids = tuple(sorted(cell + (k,)))
-        dep = self.dependence(ids)
-        at_k = 0 if dep is None else dep[ids.index(k)]
-        if at_k == 0:
-            raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
-        row = [0] * len(self)
-        for i, c in zip(ids, dep):
-            row[i] = -c if at_k > 0 else c
-        return tuple(row)
+        coordinates on the cell minus 1 at k), and 0 elsewhere.  Memoised by
+        ``(cell, k)``, like ``dependence``: the cone systems of every
+        triangulation holding ``cell``, their flips and the lower-hull side
+        tests read the same row."""
+        row = self._cone_rows.get((cell, k))
+        if row is None:
+            ids = tuple(sorted(cell + (k,)))
+            dep = self.dependence(ids)
+            at_k = 0 if dep is None else dep[ids.index(k)]
+            if at_k == 0:
+                raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
+            entries = [0] * len(self)
+            for i, c in zip(ids, dep):
+                entries[i] = -c if at_k > 0 else c
+            row = self._cone_rows[cell, k] = tuple(entries)
+        return row
 
     @cached_property
     def lower_hull_tests(self) -> tuple[tuple[tuple[int, ...], tuple[SideTest, ...]], ...]:

@@ -132,21 +132,23 @@ class Lifting(_Heights):
 
     __slots__ = ()
 
-    def __new__(cls, heights: tuple[int, ...]):
+    def __new__(cls, heights: Iterable[int]):
+        heights = tuple(heights)
         if not heights:
             raise ValueError("empty lifting")
         if any(type(h) is not int for h in heights):  # a bool would pass as 0 or 1
             raise ValueError("lifting heights must be integers")
         if max(heights) != 0:
             raise ValueError("lifting must be normalized to max height 0")
-        return tuple.__new__(cls, (tuple(heights),))
+        return tuple.__new__(cls, (heights,))
 
     @classmethod
-    def normalized(cls, heights: Sequence[int]) -> "Lifting":
+    def normalized(cls, heights: Iterable[int]) -> "Lifting":
+        heights = tuple(heights)
         if any(type(h) is not int for h in heights):
             raise ValueError("lifting heights must be integers")
         top = max(heights, default=0)
-        return cls(tuple(h - top for h in heights))
+        return cls(h - top for h in heights)
 
 
 class Subdivision(NamedTuple):
@@ -322,11 +324,7 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
     point has one dependence).  A removed side {p} has p interior to the
     face Z - p, so p is unused and its home cell holds Z - p.
     """
-    faces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for s in tri.simplices:
-        for size in range(1, len(s) + 1):
-            for f in combinations(s, size):
-                faces.setdefault(f, []).append(s)
+    cells = [(frozenset(s), s) for s in tri.simplices]
     if system is None:
         system = cone_system(tri)
     circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
@@ -336,7 +334,7 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
     out = []
     # (plus, minus) order of affine_dependence: the side holding the smallest index first.
     for (removed, inserted), row in sorted(circuits.items(), key=lambda item: min(item[0], item[0][::-1])):
-        simplices = _try_flip(tri.simplices, faces, removed, inserted)
+        simplices = _try_flip(cells, removed, inserted)
         if simplices is not None:
             out.append(Flip(removed, inserted, simplices, row))
     return out
@@ -383,32 +381,30 @@ def carry_witness(witness: Lifting, row: tuple[int, ...], system: LinearSystem) 
     return Lifting(carried)
 
 
-def _try_flip(simplices: Simplices, faces: dict, removed: tuple[int, ...], inserted: tuple[int, ...]) -> Optional[Simplices]:
+def _try_flip(cells: Sequence[tuple[frozenset, tuple]], removed: tuple[int, ...], inserted: tuple[int, ...]) -> Optional[Simplices]:
     """The canonical simplices after the flip at the circuit (removed |
-    inserted) if the triangulation supports it: all cofaces on the removed
-    side, looked up in ``faces`` (face -> simplices), share one link."""
-    circuit = tuple(sorted(removed + inserted))
+    inserted) if the triangulation supports it: the cells holding each
+    coface on the removed side, found by subset tests on ``cells`` (vertex
+    set, cell) in canonical order, share one link.  Kept cells are not
+    sorted again."""
+    circuit = frozenset(removed + inserted)
     link: Optional[frozenset[frozenset[int]]] = None
     to_remove: set[tuple[int, ...]] = set()
     for j in removed:
-        coface = tuple(i for i in circuit if i != j)
-        owners = faces.get(coface)
+        coface = circuit - {j}
+        owners = [(vs, s) for vs, s in cells if coface <= vs]
         if not owners:
             return None
-        this_link = frozenset(frozenset(s).difference(coface) for s in owners)
+        this_link = frozenset(vs - coface for vs, _ in owners)
         if link is None:
             link = this_link
         elif link != this_link:
             return None
-        to_remove.update(owners)
+        to_remove.update(s for _, s in owners)
     if link is None:
         raise RuntimeError("flip has an empty removed side")
-    new_cells = [s for s in simplices if s not in to_remove]
-    for k in inserted:
-        coface = {i for i in circuit if i != k}
-        for l in link:
-            new_cells.append(coface | l)
-    return canonical_simplices(new_cells)
+    added = [tuple(sorted((circuit - {k}) | l)) for k in inserted for l in link]
+    return tuple(sorted([s for _, s in cells if s not in to_remove] + added))
 
 
 class EnumerationCaps(NamedTuple):
@@ -419,10 +415,13 @@ class EnumerationCaps(NamedTuple):
 class EnumerationCapExceeded(RuntimeError):
     """Raised when enumeration would be incomplete; never a silent truncation."""
 
-    def __init__(self, reason: str, found: int):
-        super().__init__(f"incomplete enumeration ({reason}) after {found} triangulations")
+    def __init__(self, reason: str, found: int, rejected: int, lps: int):
+        counts = f"{found} triangulations, {rejected} rejected, {lps} strict-cone LPs"
+        super().__init__(f"incomplete enumeration ({reason}) after {counts}")
         self.reason = reason
         self.found = found
+        self.rejected = rejected
+        self.lps = lps
 
 
 class EnumeratedTriangulation(NamedTuple):
@@ -464,14 +463,16 @@ def enumerate_regular(
     triangulations, seeded by a placing triangulation.
 
     Complete because regular triangulations are connected by flips (they are
-    the vertices of the secondary polytope, flips its edges).  Each kept
-    triangulation's cone system is built once, for its regularity test and
-    its flips, and held, with its witness, only while it is queued.  A
-    neighbour's witness is carried across the flip wall from the witness of
-    the triangulation it was reached from (``carry_witness``); the exact LP
-    (``is_regular``) runs for the seed and on a miss only.  Entries are
-    sorted by canonical form, so ids, like the canonical forms, do not
-    depend on the seed ``order``; witness heights do.
+    the vertices of the secondary polytope, flips its edges).  Each
+    triangulation reached is built, and its cone system and its flips
+    computed, once; a kept one holds its witness and its flips only while it
+    is queued.  A neighbour's witness is carried across a flip wall
+    (``carry_witness``): first from the triangulation it was reached from,
+    then from each of its own flip results already found, and only when
+    every carry misses does the exact LP (``is_regular``) decide, as it
+    does for the seed.  Entries are sorted by canonical form, so ids, like
+    the canonical forms, do not depend on the seed ``order``; witness
+    heights do.
     """
     caps = caps or EnumerationCaps()
     start = time.monotonic()
@@ -484,24 +485,31 @@ def enumerate_regular(
         seed.simplices: (seed, cert)
     }
     rejected: set[Simplices] = set()
-    queue = deque([(seed, system, cert.witness)])
+    lps = 1
+    queue = deque([(seed.simplices, cert.witness, flips(seed, system))])
     while queue:
         if len(found) > caps.max_triangulations:
-            raise EnumerationCapExceeded("max triangulation cap", len(found))
+            raise EnumerationCapExceeded("max triangulation cap", len(found), len(rejected), lps)
         if caps.time_budget is not None and time.monotonic() - start > caps.time_budget:
-            raise EnumerationCapExceeded("time budget", len(found))
-        tri, system, witness = queue.popleft()
-        for flip in flips(tri, system):
+            raise EnumerationCapExceeded("time budget", len(found), len(rejected), lps)
+        parent, witness, parent_flips = queue.popleft()
+        for flip in parent_flips:
             key = flip.simplices
             if key in found or key in rejected:
                 continue
             nb = Triangulation(config, key)
             nb_system = cone_system(nb)
+            nb_flips = flips(nb, nb_system)
             carried = carry_witness(witness, flip.row, nb_system)
+            for back in nb_flips:
+                if carried is None and back.simplices in found and back.simplices != parent:
+                    their = found[back.simplices][1].witness
+                    carried = carry_witness(their, tuple(-x for x in back.row), nb_system)
+            lps += carried is None
             cert = is_regular(nb, nb_system) if carried is None else RegularityCertificate(carried)
             if cert.regular:
                 found[key] = (nb, cert)
-                queue.append((nb, nb_system, cert.witness))
+                queue.append((key, cert.witness, nb_flips))
             else:
                 rejected.add(key)
     entries = tuple(

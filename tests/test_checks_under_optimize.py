@@ -42,7 +42,7 @@ lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars 
 print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
-    "try_flip": message(triangulation._try_flip, placing_triangulation(config).simplices, {}, (), (0,)),
+    "try_flip": message(triangulation._try_flip, (), (), (0,)),
     "feasible_strict": message(lp.feasible_strict, LinearSystem(((1, -1),), 2)),
     "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
     "empty lifting": message(Lifting, (), error=ValueError),

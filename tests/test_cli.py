@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from toricweights import cli, vectors, weights
 from toricweights.cli import EXIT_CAP, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 
 DATA = Path(__file__).parent.parent / "data"
@@ -129,6 +130,25 @@ def test_vectors_hurwitz(capsys):
     assert sorted(tuple(r["vector"]) for r in doc["vectors"]) == [(0, 2, 0), (1, 0, 1)]
 
 
+@pytest.mark.parametrize("kind", ["gkz", "hurwitz"])
+def test_vectors_prints_the_vectors_the_polytopes_hold(capsys, monkeypatch, kind):
+    # Each entry's GKZ and Hurwitz vector is computed once, by build, and
+    # `vectors` reads it off the polytope: computing it afresh made one more
+    # call per entry.  Each hurwitz_vector call reads one gkz_vector.
+    calls = []
+    for name in ("gkz_vector", "hurwitz_vector"):
+        original = getattr(vectors, name)
+        counting = lambda tri, name=name, original=original: calls.append(name) or original(tri)
+        monkeypatch.setattr(weights, name, counting)
+        monkeypatch.setattr(vectors, name, counting)
+        monkeypatch.setattr(cli, name, counting, raising=False)
+    code, doc = run_machine(capsys, "vectors", "--input", str(DATA / "double_simplex.json"), "--kind", kind)
+    assert code == EXIT_PASS
+    ntri = len(doc["vectors"])
+    assert ntri == 14
+    assert (calls.count("gkz_vector"), calls.count("hurwitz_vector")) == (2 * ntri, ntri)
+
+
 def test_vectors_boundary(capsys):
     code, doc = run_machine(
         capsys, "vectors", "--input", str(DATA / "segment2.json"), "--kind", "boundary"
@@ -247,14 +267,17 @@ def test_verify_prints_null_pairing_for_a_missing_triangulation(monkeypatch, cap
 # run from the repository root (the output echoes the input path).  The
 # output prints witnesses: the pins of inputs with more than two regular
 # triangulations were re-recorded when witnesses were first carried across
-# flip walls.  The rest of each output is pinned apart from witnesses below.
+# flip walls, and the unit cube's again when a missed carry was retried from
+# the neighbour's other flip results already found, before the LP (13 cone
+# LPs instead of 18 move its witnesses).  The rest of each output is pinned
+# apart from witnesses below.
 VERIFY_DIGESTS = {
     "double_simplex.json": "6c95dab04f67db84c76163b13c26d9206ef86aea949a529b9e4a721fce005568",
     "non_delzant_triangle.json": "91c48a62f74ddf490a399cdf97d8ac536af26cc309167c5f89150afb7c3ecbbd",
     "octahedron.json": "8d86152eedbc13fd3f47608b75ad56177c729e9dd26413f3224dd59181c6e933",
     "segment2.json": "cf177d4a35d8bb9396a5660e18cb7a3a2f48864e82be9cf76ed862a0262ee5fc",
     "segment3.json": "6197ca92e743d3b2bcf7e84c8e0ae5b08dad984d89f59a81193a901ad5a3967d",
-    "unit_cube.json": "f405aab8ae0278559629dc9e0f1734c50cc849938e9ffd3db52a2ea133e39992",
+    "unit_cube.json": "dd24f9fc6697fce87c8b3d8308ca5f24b0a67cfa098a1083faa65fb222108953",
     "unit_simplex.json": "b66703b2250d6a424e003cf152bb2cfcd74561481387bde74125120fb83a38e8",
     "unit_square.json": "251e4c0ec3e74473724f3d176ba3e9e781784cf415ca347db5da2e36140c321c",
 }
@@ -278,7 +301,8 @@ def test_verify_output_is_pinned(capsys, monkeypatch, name, digest):
 # `verify` (pinned above); `check` prints the volumes the placing
 # triangulation gives.  `triangulations` and `polytope` print witnesses, and
 # were re-recorded, like `verify`, when witnesses were first carried across
-# flip walls.
+# flip walls, and the unit cube's again, like its `verify` pin, when carries
+# from found neighbours came before the LP.
 OUTPUT_DIGESTS = {
     "double_simplex.json": {
         "check": "4e178e467528767518452552b5fd65ef4f7b5a798e9c069113f10fbdc5ac52bc",
@@ -327,12 +351,12 @@ OUTPUT_DIGESTS = {
     },
     "unit_cube.json": {
         "check": "a8b23f9c72b0592faeaaa70029bda00253795fb3ca202ee45f5f8b9551aaa206",
-        "triangulations": "3e350f1fa694932b189b0fbf4655185a3fa78e7efba86e82584595548af584ca",
+        "triangulations": "6fff5d7a4fb9675cebca283fc5d470be13a7c38c5b3e16723f1c4e25ad7f28a8",
         "vectors --kind gkz": "14d72496424dd4b5ee689fd0aeb02545e3831409c6ad0e7f354491a68f784bbf",
         "vectors --kind boundary": "877edf77287d14fe441661f1c70d0c5f08ec5e382b29e8661ca528d39f45f5ff",
         "vectors --kind hurwitz": "ad3bac2015fc1d21a112f9c8b0b144445af0f612556ba276137af98161099f4c",
-        "polytope --kind chow": "5f38f9e18c7aa467132ce3322b86b2d84857c0d18e7497244b24481f1bd3fde3",
-        "polytope --kind hurwitz": "2518b33fa97e7205d0fdefad051225d7d4cdb4ed591cd4f0acf9c64c4624d5bd",
+        "polytope --kind chow": "e69c514e4d6a6cf70f2c0dce6a7009f6a4fff51f08724d31c1b18ae65a1d2785",
+        "polytope --kind hurwitz": "6b7532882a75c592aea8106cf23a32c823a8ae98abbd9a0e56c208437b9795da",
     },
     "unit_simplex.json": {
         "check": "fb5d84d03f547f72dd1d5b222c99e3c5f0e099036855585423b32bbc280edf4b",

@@ -282,3 +282,12 @@ def test_rows_must_be_ints(row):
         LinearSystem((row,), 1)
     with pytest.raises(TypeError, match="LinearSystem needs int entries"):
         LinearSystem(((1, 1), (row[0], 0)), 2)
+
+
+def test_rows_are_stored_as_int_tuples():
+    # Rows were kept as given: a list of lists made the system unhashable
+    # and unequal to the same rows as tuples.  A generator is read once.
+    system = LinearSystem([[1, -1]], 2)
+    assert system.constraints == ((1, -1),) and system == LinearSystem(((1, -1),), 2)
+    assert {system, LinearSystem(((1, -1),), 2)} == {system}
+    assert LinearSystem(([1, -1] for _ in range(2)), 2).constraints == ((1, -1), (1, -1))

@@ -147,6 +147,16 @@ def test_lifting_stores_a_tuple():
     assert {lifting, Lifting((0, -1))} == {Lifting((0, -1))}
 
 
+def test_lifting_reads_its_heights_once():
+    # A generator was read three times (emptiness, the type scan, max), so
+    # the scan exhausted it: "max() arg is an empty sequence", and
+    # normalized reported an empty lifting.
+    assert Lifting(h for h in (0, -1)) == Lifting((0, -1))
+    assert Lifting.normalized(h for h in (3, 1, 2)) == Lifting((0, -2, -1))
+    with pytest.raises(ValueError, match="empty lifting"):
+        Lifting.normalized(h for h in ())
+
+
 def test_normalizing_no_heights_is_an_empty_lifting():
     with pytest.raises(ValueError, match="empty lifting"):
         Lifting.normalized([])
@@ -266,15 +276,21 @@ def test_irreducible_subsystems_of_spiral_flip_neighbours():
             assert feasible_strict(LinearSystem(rows[:i] + rows[i + 1 :], dim)) is not None
 
 
-def test_enumeration_rejects_the_irregular_flip_results(monkeypatch):
+def nested_triangles():
     # The "mother of all examples": two nested triangles, the outer one 4
-    # times the unit simplex.  Of its 18 triangulations the two spirals are
-    # irregular, and both are flip results of regular ones, so the search
-    # meets and rejects them, each with an infeasible subsystem.
-    cfg = polytope.PointConfiguration(
+    # times the unit simplex, and no other point.
+    return polytope.PointConfiguration(
         polytope.LatticePolytope.from_vertices(SPIRAL_OUTER),
         sorted([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)]),
     )
+
+
+def test_enumeration_rejects_the_irregular_flip_results(monkeypatch):
+    # Of the 18 triangulations of the nested triangles the two spirals are
+    # irregular, and both are flip results of regular ones, so the search
+    # meets them, every carried witness misses, and the LP rejects them,
+    # each with an infeasible subsystem.
+    cfg = nested_triangles()
     brute = all_triangulations(cfg)
     regular = {c for c in brute if oracles.max_slack_feasible(oracles.cone_system(Triangulation(cfg, c)))}
     assert len(brute) == 18 and len(regular) == 16
@@ -336,14 +352,29 @@ def test_enumerate_segment3(segment3):
 
 def test_enumeration_cap_is_loud():
     cfg = config_of(SQUARE)
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(EnumerationCapExceeded) as err:
         enumerate_regular(cfg, caps=EnumerationCaps(max_triangulations=1))
+    assert (err.value.found, err.value.rejected, err.value.lps) == (2, 0, 2)
+    assert "after 2 triangulations, 0 rejected, 2 strict-cone LPs" in str(err.value)
+
+
+def test_enumeration_cap_reports_rejections_and_lps(monkeypatch):
+    # The cap is checked before each dequeue: by then the seed's flips have
+    # found three regular neighbours and one spiral, which a second LP
+    # rejected.  The reported LP count is the number of strict-cone LPs.
+    calls = []
+    monkeypatch.setattr(triangulation, "feasible_strict", lambda system: calls.append(system) or feasible_strict(system))
+    with pytest.raises(EnumerationCapExceeded) as err:
+        enumerate_regular(nested_triangles(), caps=EnumerationCaps(max_triangulations=1))
+    assert err.value.reason == "max triangulation cap"
+    assert (err.value.found, err.value.rejected, err.value.lps) == (4, 1, 2) and len(calls) == 2
 
 
 def test_enumeration_time_budget_is_loud():
     with pytest.raises(EnumerationCapExceeded) as err:
         enumerate_regular(config_of(SQUARE), caps=EnumerationCaps(time_budget=0))
-    assert err.value.reason == "time budget" and err.value.found >= 1
+    assert err.value.reason == "time budget"
+    assert (err.value.found, err.value.rejected, err.value.lps) == (1, 0, 1)
 
 
 def test_enumeration_volume_partition(double_simplex):
@@ -445,6 +476,7 @@ def test_three_by_three_grid_has_only_regular_triangulations():
 
 
 GRID3X3 = [[0, 0], [2, 0], [0, 2], [2, 2]]
+TWICE_SIMPLEX3 = [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 # sha256 of the JSON list of [simplices, witness heights] over the entries of
@@ -453,16 +485,20 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 # again when the cone LP became a single simplex phase, which moved one
 # carried witness there; the grid's and the hexagon's again when cone rows
 # became primitive int rows, solved as row·x <= -1 rather than as the
-# barycentric row (-1 at k) <= -1, which moved LP witnesses.  Witnesses are printed in machine output, so a
-# changed pivot sequence or carry rule must show here.
+# barycentric row (-1 at k) <= -1, which moved LP witnesses; all three again
+# when a missed carry was retried from the neighbour's other flip results
+# already found, before the LP, which replaces most LP witnesses by carried
+# ones.  Witnesses are printed in machine output, so a changed pivot
+# sequence or carry rule must show here.
 WITNESS_DIGESTS = [
-    (GRID3X3, 387, "08f0f35a4ed02427dfa0afb3400f749ef53778f5382fec8fda5865a5e639b9b1"),
-    (CUBE, 74, "2b7a7c7eb425f77d43a4b75de4e4947bad25bad3be14536e38eccbf381e4c44b"),
-    (HEXAGON, 32, "9c604fe89902cd8f91a11ab8e71711e3276c5dd58183c1f0f2366d542ddab07d"),
+    (GRID3X3, 387, "c115daf94b6dab456f35330e5af080e10b3c0e0f27ab7e3fdcbfdf1fe4572307"),
+    (CUBE, 74, "8f9cc367bb93ea9de42257e85d1361686a7577c0e444a893557ea1bad6ce756f"),
+    (HEXAGON, 32, "5abffad92af4750fa3169c936cddff71d9149d3ef0a5a9be0277c4130b243c55"),
 ]
 
 
-@pytest.mark.parametrize("vertices,count,digest", WITNESS_DIGESTS)
+# Named by input, so that re-recording a digest keeps the test's name.
+@pytest.mark.parametrize("vertices,count,digest", WITNESS_DIGESTS, ids=["grid3x3", "cube", "hexagon"])
 def test_witnesses_are_pinned(vertices, count, digest):
     enum = enumerate_regular(config_of(vertices))
     doc = [[e.triangulation.simplices, e.certificate.witness.heights] for e in enum]
@@ -471,12 +507,14 @@ def test_witnesses_are_pinned(vertices, count, digest):
 
 
 # sha256 of the JSON list of the entries' simplices, recorded while every
-# witness was an LP solution: the canonical forms and their order do not
-# depend on how the witnesses were found.
+# witness was an LP solution (2Δ³'s while the LP ran on every missed carry
+# from the parent): the canonical forms and their order do not depend on
+# how the witnesses were found.
 FORM_DIGESTS = [
     (GRID3X3, 387, "fdb21e527376549fd6e03dd6b2b235e84633ed8a18211b6eb9cdef04cac8630f"),
     (CUBE, 74, "3d5bfb2183dcd23667fe4bf56f3c3316cc445f5feab5ecb87807a57f6d0e1ffc"),
     (HEXAGON, 32, "4fec7ab48f0bf6b8e9b12fa22d0791f277480ae5d3e59543f7f3fba797c46ace"),
+    (TWICE_SIMPLEX3, 948, "378e2cda378f4b3681d2d94e4d3c081f9bf9a607fb377baf315f763b32eb1b31"),
 ]
 
 
@@ -501,11 +539,18 @@ def test_circuits_computed_once_per_point_set(monkeypatch):
     assert len(seen) == len(set(seen)) == 126
 
 
-@pytest.mark.parametrize("vertices,lps,bits", [(GRID3X3, 123, 16), (CUBE, 18, 14)])
+@pytest.mark.parametrize(
+    "vertices,lps,bits",
+    [(GRID3X3, 35, 17), (CUBE, 13, 14), (TWICE_SIMPLEX3, 51, 23)],
+    ids=["grid3x3", "cube", "twice_simplex3"],
+)
 def test_enumeration_solves_the_cone_lp_only_on_a_miss(monkeypatch, vertices, lps, bits):
-    # Witnesses are carried across flip walls; the LP runs for the seed and
-    # for each neighbour the carried witness misses (387 and 74 LPs when
-    # every triangulation had its own).  Carried witnesses stay small.
+    # Witnesses are carried across flip walls, from the parent and then from
+    # the neighbour's other flip results already found; the LP runs for the
+    # seed and for each neighbour every carry misses (387, 74 and 948 LPs
+    # when every triangulation had its own; 123, 18 and 182 when only the
+    # parent's witness was carried, with at most 16, 14 and 21 bits).
+    # Carried witnesses stay small.
     calls = []
     monkeypatch.setattr(triangulation, "feasible_strict", lambda system: calls.append(system) or feasible_strict(system))
     enum = enumerate_regular(config_of(vertices))
@@ -755,6 +800,16 @@ def test_grid_enumeration_builds_each_cone_system_once(monkeypatch):
     assert len(enum) == 387
     assert len(built) == len(set(built)) == 387
     assert all(entry.certificate.infeasible_subsystem is None for entry in enum)
+
+
+def test_grid_enumeration_computes_each_triangulations_flips_once(monkeypatch):
+    # A neighbour's flips are computed when it is reached, for the carries
+    # from found neighbours, and queued with it for its own turn.
+    computed = []
+    original = triangulation.flips
+    monkeypatch.setattr(triangulation, "flips", lambda tri, *args: computed.append(tri.simplices) or original(tri, *args))
+    enum = enumerate_regular(config_of(GRID3X3))
+    assert sorted(computed) == sorted(enum.canonical_forms())
 
 
 def test_grid_enumeration_tries_each_candidate_circuit_once(monkeypatch):
