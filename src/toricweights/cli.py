@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .functionals import degrees
-from .pipeline import Analysis, analyze
+from .pipeline import Analysis, analyze, polytope_warnings
 from .polytope import LatticePolytope, lattice_points
 from .triangulation import EnumerationCapExceeded, EnumerationCaps
 from .vectors import boundary_vector
@@ -79,32 +79,21 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     except ValueError as e:
         raise InputError(f"{args.input}: {e}") from None
     deg = degrees(q)
-    warnings = []
-    delzant = None
-    delzant_report = None
-    if not args.skip_delzant_check:
-        rep = q.delzant
-        delzant = rep.ok
-        delzant_report = [r._asdict() for r in rep.vertices]
-        if not rep.ok:
-            bad = [list(r.vertex) for r in rep.vertices if not r.ok]
-            warnings.append(f"not Delzant: smoothness fails at vertices {bad}")
-    if q.volume < 2:
-        warnings.append("degree (normalized volume) below 2; weight-polytope theory assumes degree >= 2")
+    delzant = None if args.skip_delzant_check else q.delzant
     report = _common(args) | {
         "polytope": {
             "dim": q.dim,
             "vertices": q.vertices,
             "facets": [f._asdict() for f in q.facets],
         },
-        "delzant": delzant,
-        "delzant_report": delzant_report,
+        "delzant": None if delzant is None else delzant.ok,
+        "delzant_report": None if delzant is None else [r._asdict() for r in delzant.vertices],
         "volume": q.volume,
         "boundary_volume": q.boundary_volume,
         "deg_chow": deg.chow,
         "deg_hurwitz": deg.hurwitz,
         "num_lattice_points": len(lattice_points(q)),
-        "warnings": warnings,
+        "warnings": polytope_warnings(q, delzant),
     }
     return report, EXIT_PASS
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .functionals import Degrees, degrees
-from .polytope import LatticePolytope, PointConfiguration, lattice_points
+from .polytope import DelzantReport, LatticePolytope, PointConfiguration, lattice_points
 from .triangulation import Enumeration, EnumerationCaps, enumerate_regular
 from .weights import CHOW, HURWITZ, WeightPolytope, build
 
@@ -20,13 +20,20 @@ class Analysis(NamedTuple):
 
     @property
     def warnings(self) -> list[str]:
-        out = []
-        if not self.polytope.delzant.ok:
-            bad = [r.vertex for r in self.polytope.delzant.vertices if not r.ok]
-            out.append(f"polytope is not Delzant (smoothness fails at vertices {bad})")
-        if self.polytope.volume < 2:
-            out.append("degree (normalized volume) is below 2; the weight-polytope theory assumes degree >= 2")
-        return out
+        return polytope_warnings(self.polytope, self.polytope.delzant)
+
+
+def polytope_warnings(q: LatticePolytope, delzant: Optional[DelzantReport]) -> list[str]:
+    """The warnings every command prints about its input: the vertices where
+    ``delzant``, the polytope's Delzant report (None when it was skipped),
+    finds smoothness failing, and a degree below 2."""
+    out = []
+    if delzant is not None and not delzant.ok:
+        bad = [r.vertex for r in delzant.vertices if not r.ok]
+        out.append(f"polytope is not Delzant (smoothness fails at vertices {bad})")
+    if q.volume < 2:
+        out.append("degree (normalized volume) is below 2; the weight-polytope theory assumes degree >= 2")
+    return out
 
 
 def analyze(

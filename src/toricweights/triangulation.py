@@ -30,17 +30,19 @@ def canonical_simplices(simplices: Iterable[Sequence[int]]) -> Simplices:
 
 class Triangulation:
     """A set of n-simplices (index tuples into the configuration) covering the
-    polytope.
+    polytope, with its cone system ``system``.
 
-    Construction validates the volume partition and that every wall ((n-1)-face)
-    is shared by exactly two simplices, on opposite sides of it, or lies in a
-    facet of the polytope.
+    Construction validates the cells and the volume partition, and that
+    every wall ((n-1)-face) is shared by at most two simplices or lies in a
+    facet of the polytope.  It then builds ``system = cone_system(self)``,
+    which refuses a repeated cell and two cells on one side of their wall.
     """
 
     def __init__(self, config: PointConfiguration, simplices: Iterable[Sequence[int]]):
         self.config = config
         self.simplices: Simplices = canonical_simplices(simplices)
         self._validate()
+        self.system: LinearSystem = cone_system(self)
 
     def _validate(self):
         n = self.config.dim
@@ -59,21 +61,9 @@ class Triangulation:
         for wall, owners in self.walls.items():
             if len(owners) > 2:
                 raise ValueError(f"wall {wall} shared by {len(owners)} simplices")
-            if len(owners) == 1:
-                # Every cell has nonzero volume, so its walls are independent.
-                if not self.config._lies_in_facet(wall):
-                    raise ValueError(f"wall {wall} is unmatched and not on the boundary")
-                continue
-            # The points a and b opposite the wall lie on opposite sides of
-            # it exactly when their coefficients in the dependence of wall +
-            # a + b (the set the fold row reads) have the same sign.
-            a, b = (next(i for i in s if i not in wall) for s in owners)
-            if a == b:
-                raise ValueError(f"cell {owners[0]} is repeated")
-            ids = tuple(sorted(wall + (a, b)))
-            dep = self.config.dependence(ids)
-            if dep[ids.index(a)] * dep[ids.index(b)] <= 0:
-                raise ValueError(f"cells {owners[0]} and {owners[1]} lie on the same side of their wall {wall}")
+            # Every cell has nonzero volume, so its walls are independent.
+            if len(owners) == 1 and not self.config._lies_in_facet(wall):
+                raise ValueError(f"wall {wall} is unmatched and not on the boundary")
 
     @cached_property
     def walls(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -225,16 +215,27 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     whose lower hull induces exactly this triangulation.
 
     Every row is a ``config.cone_row`` of the configuration's memoised affine
-    dependences: one fold inequality per interior wall (the point of the
+    dependences: one fold inequality per interior wall (the point b of the
     second cell opposite the wall lies strictly above the first cell's
     affine piece), and one per unused point (strictly above its home cell,
-    the first cell, in order, that contains it).
+    the first cell, in order, that contains it).  The fold row, b's
+    barycentric coordinates on the first cell up to a positive factor, is
+    also the wall's side test: it is negative at that cell's point a
+    opposite the wall exactly when the two cells lie on opposite sides, so
+    a repeated cell or two cells on one side of their wall raise
+    ``ValueError``.  The constructor calls this once and keeps the result
+    as ``tri.system``.
     """
     config = tri.config
-    rows = [
-        config.cone_row(s1, next(i for i in s2 if i not in wall))
-        for wall, (s1, s2) in tri.interior_walls.items()
-    ]
+    rows = []
+    for wall, (s1, s2) in tri.interior_walls.items():
+        a, b = (next(i for i in s if i not in wall) for s in (s1, s2))
+        if a == b:
+            raise ValueError(f"cell {s1} is repeated")
+        row = config.cone_row(s1, b)
+        if row[a] >= 0:
+            raise ValueError(f"cells {s1} and {s2} lie on the same side of their wall {wall}")
+        rows.append(row)
     used = set(tri.used_points)
     for k in range(len(config)):
         if k in used:
@@ -249,19 +250,16 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     return LinearSystem(tuple(rows), len(config))
 
 
-def is_regular(tri: Triangulation, system: Optional[LinearSystem] = None) -> RegularityCertificate:
-    """Decide regularity by exact LP on the cone system (``system``, when
-    the caller already holds ``cone_system(tri)``).
+def is_regular(tri: Triangulation) -> RegularityCertificate:
+    """Decide regularity by exact LP on the cone system ``tri.system``.
 
     Irregularity is a value, not an error: the certificate then holds the
     ``infeasible_subsystem`` that one more LP, a Gordan certificate, picks
     out of the system.
     """
-    if system is None:
-        system = cone_system(tri)
-    witness = feasible_strict(system)
+    witness = feasible_strict(tri.system)
     if witness is None:
-        return RegularityCertificate(None, _irreducible_infeasible(system))
+        return RegularityCertificate(None, _irreducible_infeasible(tri.system))
     # Cones of liftings are invariant under positive scaling, so the
     # numerators over the least common denominator serve.
     return RegularityCertificate(Lifting.normalized(integer_row(witness)[0]))
@@ -310,12 +308,11 @@ class Flip(NamedTuple):
     row: tuple[int, ...]
 
 
-def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Flip]:
+def flips(tri: Triangulation) -> list[Flip]:
     """All supported bistellar flips of the triangulation, in circuit order.
 
-    Each row of ``cone_system(tri)`` (``system``, when the caller already
-    holds it), a cell plus a point k outside it, is
-    the dependence of a circuit Z, negative at k, and the cell holds the
+    Each row of ``tri.system``, a cell plus a point k outside it, is the
+    dependence of a circuit Z, negative at k, and the cell holds the
     coface Z - k: the negative side is the one a flip removes.  No
     triangulation holds cofaces from both sides (Z's Radon point is interior
     to both hulls), so each circuit is tried once.  Every supported flip has
@@ -325,10 +322,8 @@ def flips(tri: Triangulation, system: Optional[LinearSystem] = None) -> list[Fli
     face Z - p, so p is unused and its home cell holds Z - p.
     """
     cells = [(frozenset(s), s) for s in tri.simplices]
-    if system is None:
-        system = cone_system(tri)
     circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-    for row in system.constraints:
+    for row in tri.system.constraints:
         removed = tuple(i for i, c in enumerate(row) if c < 0)
         circuits.setdefault((removed, tuple(i for i, c in enumerate(row) if c > 0)), row)
     out = []
@@ -464,9 +459,9 @@ def enumerate_regular(
 
     Complete because regular triangulations are connected by flips (they are
     the vertices of the secondary polytope, flips its edges).  Each
-    triangulation reached is built, and its cone system and its flips
-    computed, once; a kept one holds its witness and its flips only while it
-    is queued.  A neighbour's witness is carried across a flip wall
+    triangulation reached is built once, which builds its cone system
+    (``tri.system``), and its flips are computed once; a kept one holds its
+    witness and its flips only while it is queued.  A neighbour's witness is carried across a flip wall
     (``carry_witness``): first from the triangulation it was reached from,
     then from each of its own flip results already found, and only when
     every carry misses does the exact LP (``is_regular``) decide, as it
@@ -477,8 +472,7 @@ def enumerate_regular(
     caps = caps or EnumerationCaps()
     start = time.monotonic()
     seed = placing_triangulation(config, order)
-    system = cone_system(seed)
-    cert = is_regular(seed, system)
+    cert = is_regular(seed)
     if not cert.regular:
         raise RuntimeError("placing triangulation tested irregular; this is a bug")
     found: dict[Simplices, tuple[Triangulation, RegularityCertificate]] = {
@@ -486,7 +480,7 @@ def enumerate_regular(
     }
     rejected: set[Simplices] = set()
     lps = 1
-    queue = deque([(seed.simplices, cert.witness, flips(seed, system))])
+    queue = deque([(seed.simplices, cert.witness, flips(seed))])
     while queue:
         if len(found) > caps.max_triangulations:
             raise EnumerationCapExceeded("max triangulation cap", len(found), len(rejected), lps)
@@ -498,15 +492,14 @@ def enumerate_regular(
             if key in found or key in rejected:
                 continue
             nb = Triangulation(config, key)
-            nb_system = cone_system(nb)
-            nb_flips = flips(nb, nb_system)
-            carried = carry_witness(witness, flip.row, nb_system)
+            nb_flips = flips(nb)
+            carried = carry_witness(witness, flip.row, nb.system)
             for back in nb_flips:
                 if carried is None and back.simplices in found and back.simplices != parent:
                     their = found[back.simplices][1].witness
-                    carried = carry_witness(their, tuple(-x for x in back.row), nb_system)
+                    carried = carry_witness(their, tuple(-x for x in back.row), nb.system)
             lps += carried is None
-            cert = is_regular(nb, nb_system) if carried is None else RegularityCertificate(carried)
+            cert = is_regular(nb) if carried is None else RegularityCertificate(carried)
             if cert.regular:
                 found[key] = (nb, cert)
                 queue.append((key, cert.witness, nb_flips))

@@ -31,17 +31,23 @@ config = lattice_points(LatticePolytope.from_vertices([[0, 0], [2, 0], [0, 2]]))
 # Built around validation, which would refuse it.
 broken = object.__new__(Triangulation)
 broken.config, broken.simplices = config, ((0, 1, 2), (0, 1, 3))
+# Folded cells, which the cone system refuses inside the constructor: the
+# unit square's one cell twice, and the four triangles on the left unit
+# square of [0,2] x [0,1] (its points 0-3), which cover it twice.
+square = lattice_points(LatticePolytope.from_vertices([[0, 0], [0, 1], [1, 0], [1, 1]]))
+strip = lattice_points(LatticePolytope.from_vertices([[0, 0], [2, 0], [0, 1], [2, 1]]))
 # A witness of the placing triangulation, and its first flip wall.
 placing = placing_triangulation(config)
-system = triangulation.cone_system(placing)
-witness = triangulation.is_regular(placing, system).witness
-flip = triangulation.flips(placing, system)[0]
+witness = triangulation.is_regular(placing).witness
+flip = triangulation.flips(placing)[0]
 beyond = triangulation.cone_system(Triangulation(config, flip.simplices))
 triangulation.gcd = lambda *heights: -1  # a sign error in the normalisation
 lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars - 1)  # (1, 0) breaks x - y < 0
 print(json.dumps({
     "debug": __debug__,
     "cone_system": message(triangulation.cone_system, broken),
+    "repeated cell": message(Triangulation, square, [(0, 1, 2), (0, 1, 2)], error=ValueError),
+    "same side": message(Triangulation, strip, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], error=ValueError),
     "try_flip": message(triangulation._try_flip, (), (), (0,)),
     "feasible_strict": message(lp.feasible_strict, LinearSystem(((1, -1),), 2)),
     "carry_witness": message(triangulation.carry_witness, witness, flip.row, beyond),
@@ -63,6 +69,8 @@ def test_validation_raises_under_optimize():
     )
     result = json.loads(proc.stdout)
     assert result.pop("debug") is False
+    assert result["repeated cell"] == "cell (0, 1, 2) is repeated"
+    assert result["same side"] == "cells (0, 1, 2) and (0, 1, 3) lie on the same side of their wall (0, 1)"
     assert result["feasible_strict"] == "simplex returned an invalid witness"
     assert result["carry_witness"] == "carried witness violates the neighbour's cone system"
     assert result["empty lifting"] == "empty lifting"

@@ -36,7 +36,7 @@ def test_check_non_delzant_names_vertex(capsys):
     code, doc = run_machine(capsys, "check", "--input", str(DATA / "non_delzant_triangle.json"))
     assert code == EXIT_PASS
     assert doc["delzant"] is False
-    assert "[0, 1]" in doc["warnings"][0]
+    assert "(0, 1)" in doc["warnings"][0]
     bad = [r for r in doc["delzant_report"] if not r["ok"]]
     assert bad[0]["vertex"] == [0, 1]
 
@@ -302,7 +302,9 @@ def test_verify_output_is_pinned(capsys, monkeypatch, name, digest):
 # triangulation gives.  `triangulations` and `polytope` print witnesses, and
 # were re-recorded, like `verify`, when witnesses were first carried across
 # flip walls, and the unit cube's again, like its `verify` pin, when carries
-# from found neighbours came before the LP.
+# from found neighbours came before the LP.  `check` on the non-Delzant
+# triangle, the octahedron and the unit simplex was re-recorded when it took
+# the other commands' wording of its warnings (`pipeline.polytope_warnings`).
 OUTPUT_DIGESTS = {
     "double_simplex.json": {
         "check": "4e178e467528767518452552b5fd65ef4f7b5a798e9c069113f10fbdc5ac52bc",
@@ -314,7 +316,7 @@ OUTPUT_DIGESTS = {
         "polytope --kind hurwitz": "c1bd1179f9bacb3409f0be0760a6ffc2e4a7eeccca5c8c99f84c86dffa605e4e",
     },
     "non_delzant_triangle.json": {
-        "check": "73ac5b27c592ea3d29651fe11c71e50333157b1a33f116b054a39a846e3d65f6",
+        "check": "b0fffca9bbabea7dc37cf3979b9ca363e67a6058eba17489a87ccdcf4bb61286",
         "triangulations": "b1581200c1ca64a9135df90d28a89143191fe4a56f9aa12e9dbe05effa2c04a0",
         "vectors --kind gkz": "8ac2642a9af3b3fa9e246a9a23e2fb1677c4b56e3ff312d858a21fe7e55ddebb",
         "vectors --kind boundary": "6418ea76b016b4fd90bf777b3217d55b50beb77e4b761320b9dc2b89d0494500",
@@ -323,7 +325,7 @@ OUTPUT_DIGESTS = {
         "polytope --kind hurwitz": "02a2a8666040ab387e8d0a414003e0ff56277b5fbcd0aa84235a14199b55c7ce",
     },
     "octahedron.json": {
-        "check": "c7cb86077813f4bb206bdbdd46c73e55af2cb50966dac03a56a850c311b43475",
+        "check": "b0ff36faba94a275eab672124590a537daf3fbde297bd5ce8617d9280be3eb9f",
         "triangulations": "b89c4533924663fd0edf84e8afa7d6582f9cad145bdbcc6939fc475bb16f5659",
         "vectors --kind gkz": "1f3b2bd85515d0c6df0f1494f50123b06094ba376aba21205d1a353a8b2b7b92",
         "vectors --kind boundary": "fbab01bc12740d211e50eccc5d730608b4ca49131f2d1d001018e281ffd8df70",
@@ -359,7 +361,7 @@ OUTPUT_DIGESTS = {
         "polytope --kind hurwitz": "6b7532882a75c592aea8106cf23a32c823a8ae98abbd9a0e56c208437b9795da",
     },
     "unit_simplex.json": {
-        "check": "fb5d84d03f547f72dd1d5b222c99e3c5f0e099036855585423b32bbc280edf4b",
+        "check": "796a5fb7009901eef4b90d47a63d05ac55df43c5352c5721dc19883bf02291fd",
         "triangulations": "c285526c22d5544fc4f6458f65ef235ebafe29875c5fef2acccd37286f6e89d5",
         "vectors --kind gkz": "f22842c553066c353b836d7ebb0c422e9368d6ec603c57f603a6be637aa74176",
         "vectors --kind boundary": "f6e498f7d6c771e6538621ed9d0f40910adebde28e95066b30c49b9aebd9d767",

@@ -568,9 +568,8 @@ def test_carried_witness_crosses_a_segment_wall():
     # max 0.
     cfg = config_of(SEGMENT3)
     seed = placing_triangulation(cfg)
-    system = cone_system(seed)
-    flip = flips(seed, system)[0]
-    lam = is_regular(seed, system).witness
+    flip = flips(seed)[0]
+    lam = is_regular(seed).witness
     assert lam.heights == (0, -2, -3, -3) and flip.row == (-1, 2, -1, 0)
     nb_system = cone_system(Triangulation(cfg, flip.simplices))
     assert nb_system.constraints == ((-1, 0, 3, -2), (1, -2, 1, 0))
@@ -584,9 +583,8 @@ def test_carried_witness_misses_when_the_wall_point_is_affine():
     # the wall, is affine: no neighbour row bounds c, and the LP decides.
     cfg = config_of(SQUARE)
     seed = placing_triangulation(cfg)
-    system = cone_system(seed)
-    (flip,) = flips(seed, system)
-    lam = is_regular(seed, system).witness
+    (flip,) = flips(seed)
+    lam = is_regular(seed).witness
     assert carry_witness(lam, flip.row, cone_system(Triangulation(cfg, flip.simplices))) is None
 
 
@@ -790,9 +788,9 @@ def test_enumeration_validates_each_triangulation_once(monkeypatch):
 
 
 def test_grid_enumeration_builds_each_cone_system_once(monkeypatch):
-    # A kept triangulation's cone system serves both its regularity LP and
-    # its flips: 387 systems on the 3x3 grid (774 when each built its own).
-    # Regular certificates keep no rows.
+    # A triangulation builds its cone system when it is constructed and keeps
+    # it for its regularity LP and its flips: 387 systems on the 3x3 grid
+    # (774 when each built its own).  Regular certificates keep no rows.
     built = []
     original = triangulation.cone_system
     monkeypatch.setattr(triangulation, "cone_system", lambda tri: built.append(tri.simplices) or original(tri))
@@ -800,6 +798,23 @@ def test_grid_enumeration_builds_each_cone_system_once(monkeypatch):
     assert len(enum) == 387
     assert len(built) == len(set(built)) == 387
     assert all(entry.certificate.infeasible_subsystem is None for entry in enum)
+
+
+def test_built_triangulation_keeps_its_cone_system(monkeypatch):
+    # Validation reads each wall's side off its fold row, so once the rows
+    # are memoised building a triangulation looks up no dependence (the
+    # sign test on config.dependence made 8 calls here), and is_regular and
+    # flips read the kept system instead of building it again (2 calls).
+    cfg = config_of(GRID3X3)
+    cells = enumerate_regular(cfg).entries[0].triangulation.simplices
+    dependences, systems = [], []
+    dependence, system = cfg.dependence, triangulation.cone_system
+    monkeypatch.setattr(cfg, "dependence", lambda ids: dependences.append(ids) or dependence(ids))
+    tri = Triangulation(cfg, cells)
+    monkeypatch.setattr(triangulation, "cone_system", lambda t: systems.append(t) or system(t))
+    assert is_regular(tri).regular and flips(tri)
+    assert dependences == [] and systems == []
+    assert tri.system.constraints == oracles.cone_system(tri).constraints
 
 
 def test_grid_enumeration_computes_each_triangulations_flips_once(monkeypatch):
@@ -909,14 +924,12 @@ def check_carried_witnesses_against_lp(vertices):
         tri, lam = entry.triangulation, entry.certificate.witness
         sub = lower_hull_subdivision(cfg, lam)
         assert sub.is_triangulation and sub.cells == tri.simplices
-        system = cone_system(tri)
-        assert is_regular(tri, system).regular
-        for flip in flips(tri, system):
+        assert is_regular(tri).regular
+        for flip in flips(tri):
             nb = Triangulation(cfg, flip.simplices)
-            nb_system = cone_system(nb)
-            carried = carry_witness(lam, flip.row, nb_system)
+            carried = carry_witness(lam, flip.row, nb.system)
             if carried is not None:
-                assert is_regular(nb, nb_system).regular
+                assert is_regular(nb).regular
                 sub = lower_hull_subdivision(cfg, carried)
                 assert sub.is_triangulation and sub.cells == flip.simplices
 
