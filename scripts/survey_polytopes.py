@@ -36,7 +36,7 @@ def main():
         elapsed = time.monotonic() - start
         row = (
             f"{path.stem:24} {a.polytope.dim:>2} {len(a.config):>4} "
-            f"{a.polytope.volume:>4} {a.polytope.boundary_volume:>4} "
+            f"{a.config.volume:>4} {a.config.boundary_volume:>4} "
             f"{a.degrees.chow:>5} {a.degrees.hurwitz:>5} {len(a.enumeration):>5} "
             f"{f'{len(a.chow.vertices)}/{len(a.chow.generators)}':>7} "
             f"{f'{len(a.hurwitz.vertices)}/{len(a.hurwitz.generators)}':>7} "

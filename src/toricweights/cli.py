@@ -78,7 +78,8 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         q = LatticePolytope.from_vertices(vertices)
     except ValueError as e:
         raise InputError(f"{args.input}: {e}") from None
-    deg = degrees(q)
+    config = lattice_points(q)
+    deg = degrees(config)
     delzant = None if args.skip_delzant_check else q.delzant
     report = _common(args) | {
         "polytope": {
@@ -88,12 +89,12 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         },
         "delzant": None if delzant is None else delzant.ok,
         "delzant_report": None if delzant is None else [r._asdict() for r in delzant.vertices],
-        "volume": q.volume,
-        "boundary_volume": q.boundary_volume,
+        "volume": config.volume,
+        "boundary_volume": config.boundary_volume,
         "deg_chow": deg.chow,
         "deg_hurwitz": deg.hurwitz,
-        "num_lattice_points": len(lattice_points(q)),
-        "warnings": polytope_warnings(q, delzant),
+        "num_lattice_points": len(config),
+        "warnings": polytope_warnings(config, delzant),
     }
     return report, EXIT_PASS
 

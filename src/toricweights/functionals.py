@@ -15,8 +15,8 @@ integral over the polytope; the Donaldson functional is
 
     donaldson_f(g) = integral_boundary(g) - n * (bvol/vol) * integral_q(g)
 
-with vol, bvol the normalized volumes of the polytope and its boundary, and
-(n+1)! * vol * donaldson_f(g) = donaldson_total(q, boundary_total(g), volume_total(g)).
+with vol, bvol the configuration's normalized volume and boundary volume, and
+(n+1)! * vol * donaldson_f(g) = donaldson_total(config, boundary_total(g), volume_total(g)).
 Each Fraction functional is one division of these totals.  Characteristic
 vectors are plain int tuples, paired with a function's values by
 ``char_pairing``.
@@ -29,7 +29,7 @@ from math import factorial
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .polytope import LatticePolytope, PointConfiguration
+from .polytope import PointConfiguration
 from .triangulation import Lifting, Triangulation, lower_hull_subdivision
 
 
@@ -45,19 +45,19 @@ class PLFunction(NamedTuple):
     @classmethod
     def on_triangulation(cls, tri: Triangulation, values: Mapping[int, int | Fraction]) -> "PLFunction":
         """Checked construction: keys are point indices covering the used
-        points, bools are refused, and any value but an int or a Fraction is
-        read as a Fraction."""
+        points, and values are ints or Fractions; bools, floats and anything
+        else raise ``TypeError``, as in ``pairing``."""
         if any(type(k) is not int for k in values):
             raise TypeError("on_triangulation needs int point indices")
         if any(not 0 <= k < len(tri.config) for k in values):
             raise ValueError(f"values outside the point indices 0..{len(tri.config) - 1}")
-        if any(type(v) is bool for v in values.values()):
-            raise TypeError("on_triangulation needs int or Fraction values, not bool")
-        vals = {k: v if isinstance(v, (int, Fraction)) else Fraction(v) for k, v in values.items()}
-        missing = [i for i in tri.used_points if i not in vals]
+        bad = [v for v in values.values() if type(v) not in (int, Fraction)]
+        if bad:
+            raise TypeError(f"on_triangulation needs int or Fraction values, got {type(bad[0]).__name__}")
+        missing = [i for i in tri.used_points if i not in values]
         if missing:
             raise ValueError(f"missing values at used points {missing}")
-        return cls(tri, vals)
+        return cls(tri, dict(values))
 
 
 def pl_from_lifting(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> PLFunction:
@@ -91,12 +91,12 @@ def boundary_total(g: PLFunction) -> int | Fraction:
     return sum(vol * sum(map(at, wall)) for wall, vol in g.triangulation.massive_wall_volumes)
 
 
-def donaldson_total(q: LatticePolytope, boundary: int | Fraction, volume: int | Fraction) -> int | Fraction:
+def donaldson_total(config: PointConfiguration, boundary: int | Fraction, volume: int | Fraction) -> int | Fraction:
     """(n+1)! * vol * donaldson_f(g) of a function g with the given
-    ``boundary_total`` and ``volume_total`` on the polytope ``q``:
-    (n+1) * vol * boundary - n * bvol * volume."""
-    n = q.dim
-    return (n + 1) * q.volume * boundary - n * q.boundary_volume * volume
+    ``boundary_total`` and ``volume_total``, with vol and bvol read on
+    ``config``: (n+1) * vol * boundary - n * bvol * volume."""
+    n = config.dim
+    return (n + 1) * config.volume * boundary - n * config.boundary_volume * volume
 
 
 def integral_q(g: PLFunction) -> Fraction:
@@ -111,8 +111,9 @@ def integral_boundary(g: PLFunction) -> Fraction:
 
 
 def donaldson_f(g: PLFunction) -> Fraction:
-    q = g.triangulation.config.polytope
-    return Fraction(donaldson_total(q, boundary_total(g), volume_total(g)), factorial(q.dim + 1) * q.volume)
+    config = g.triangulation.config
+    total = donaldson_total(config, boundary_total(g), volume_total(g))
+    return Fraction(total, factorial(config.dim + 1) * config.volume)
 
 
 def pairing(x: Sequence, g: Sequence) -> int | Fraction:
@@ -141,9 +142,9 @@ class Degrees(NamedTuple):
     hurwitz: int
 
 
-def degrees(polytope: LatticePolytope) -> Degrees:
-    """deg of the Chow form is the normalized volume; deg of the Hurwitz form
-    is (n+1) * volume - boundary volume."""
-    n = polytope.dim
-    vol = polytope.volume
-    return Degrees(vol, (n + 1) * vol - polytope.boundary_volume)
+def degrees(config: PointConfiguration) -> Degrees:
+    """deg of the Chow form is the normalized volume of the configuration's
+    polytope; deg of the Hurwitz form is (n+1) * volume - boundary volume.
+    Both volumes are read on ``config``."""
+    vol = config.volume
+    return Degrees(vol, (config.dim + 1) * vol - config.boundary_volume)

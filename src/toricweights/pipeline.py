@@ -20,18 +20,18 @@ class Analysis(NamedTuple):
 
     @property
     def warnings(self) -> list[str]:
-        return polytope_warnings(self.polytope, self.polytope.delzant)
+        return polytope_warnings(self.config, self.polytope.delzant)
 
 
-def polytope_warnings(q: LatticePolytope, delzant: Optional[DelzantReport]) -> list[str]:
+def polytope_warnings(config: PointConfiguration, delzant: Optional[DelzantReport]) -> list[str]:
     """The warnings every command prints about its input: the vertices where
     ``delzant``, the polytope's Delzant report (None when it was skipped),
-    finds smoothness failing, and a degree below 2."""
+    finds smoothness failing, and a degree (``config.volume``) below 2."""
     out = []
     if delzant is not None and not delzant.ok:
         bad = [r.vertex for r in delzant.vertices if not r.ok]
         out.append(f"polytope is not Delzant (smoothness fails at vertices {bad})")
-    if q.volume < 2:
+    if config.volume < 2:
         out.append("degree (normalized volume) is below 2; the weight-polytope theory assumes degree >= 2")
     return out
 
@@ -48,7 +48,7 @@ def analyze(
         polytope=q,
         config=config,
         enumeration=enumeration,
-        degrees=degrees(q),
+        degrees=degrees(config),
         chow=build(CHOW, enumeration),
         hurwitz=build(HURWITZ, enumeration),
     )

@@ -1,4 +1,5 @@
-"""Lattice polytopes: facets, lattice points, smoothness, normalized volumes.
+"""Lattice polytopes (facets, lattice points, smoothness) and their point
+configurations (dependences, cone rows, placings, normalized volumes).
 
 Conventions.  A facet is stored as a primitive inward normal u and an integer
 offset c, the facet lying on <x,u> + c == 0 and the polytope in
@@ -9,14 +10,12 @@ is n! times the Euclidean one.  A single point has volume 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exact import (
-    affine_combination,
     affine_dependence,
     check_ints,
     det,
@@ -113,39 +112,39 @@ def extreme_point_indices(
     return out
 
 
-def placing_cells(points: Sequence[Point], order: Sequence[int]) -> list[tuple[int, ...]]:
-    """Cells (index tuples) of the placing triangulation of ``points`` built
-    by inserting the points in ``order``.
+def placing_cells(config: PointConfiguration, order: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cells (sorted index tuples) of the placing triangulation of the
+    configuration's points at ``order``, inserted in that order; ``order``
+    may name a subset, such as the polytope's vertices or a facet's.
 
-    Each decision reads the new point's barycentric coordinates on the
-    current cells, each computed once.  Every cell spans the current affine
-    hull, so a point with no coordinates on the first cell lies outside that
-    hull and is coned over every cell.  A point with nonnegative coordinates
+    Each decision reads the configuration's memoised dependences.  Every
+    cell spans the current affine hull, so a point p with no dependence on
+    the first cell lies outside that hull and is coned over every cell.
+    Otherwise the signs of ``config.cone_row(s, p)`` on a cell s are the
+    signs of p's barycentric coordinates there.  A point with none negative
     on some cell lies in the current hull and is skipped.  Any other point
     is coned over the boundary faces it strictly sees: the boundary face
-    s minus {o} of its one cell s exactly when the point's coordinate at o
-    on s is negative.
+    s minus {o} of its one cell s exactly when p's coordinate at o on s is
+    negative.
     """
-    pts = [tuple(p) for p in points]
     simplices: list[tuple[int, ...]] = []
-    for idx in order:
-        p = pts[idx]
+    for p in order:
         if not simplices:
-            simplices = [(idx,)]
+            simplices = [(p,)]
             continue
-        # Each face of a cell, with p's coordinate at the opposite vertex per owner.
-        faces: dict[tuple[int, ...], list[Fraction]] = {}
+        # Each face of a cell, with p's scaled coordinate at the opposite vertex per owner.
+        faces: dict[tuple[int, ...], list[int]] = {}
         for s in simplices:
-            coeffs = affine_combination([pts[i] for i in s], p)
-            if coeffs is None:
-                simplices = [tuple(sorted(c + (idx,))) for c in simplices]
+            if config.dependence(tuple(sorted(s + (p,)))) is None:
+                simplices = [tuple(sorted(c + (p,))) for c in simplices]
                 break
-            if min(coeffs) >= 0:
+            row = config.cone_row(s, p)
+            if all(row[i] >= 0 for i in s):
                 break
-            for k, c in enumerate(coeffs):
-                faces.setdefault(s[:k] + s[k + 1 :], []).append(c)
+            for k, i in enumerate(s):
+                faces.setdefault(s[:k] + s[k + 1 :], []).append(row[i])
         else:
-            simplices.extend(tuple(sorted(f + (idx,))) for f, cs in faces.items() if len(cs) == 1 and cs[0] < 0)
+            simplices.extend(tuple(sorted(f + (p,))) for f, cs in faces.items() if len(cs) == 1 and cs[0] < 0)
     return sorted(simplices)
 
 
@@ -204,21 +203,6 @@ class LatticePolytope:
         return tuple(v for v in self.vertices if facet.value(v) == 0)
 
     @cached_property
-    def volume(self) -> int:
-        """Lattice-normalized volume: sum over a placing triangulation of the
-        vertex set."""
-        return _volume_of_cells(self.vertices, placing_cells(self.vertices, range(len(self.vertices))))
-
-    @cached_property
-    def boundary_volume(self) -> int:
-        """Sum of the lattice-normalized volumes of the facets."""
-        total = 0
-        for f in self.facets:
-            pts = self.facet_vertices(f)
-            total += _volume_of_cells(pts, placing_cells(pts, range(len(pts))))
-        return total
-
-    @cached_property
     def delzant(self) -> DelzantReport:
         """Smoothness check: at every vertex exactly n edges meet and their
         primitive directions have determinant +-1."""
@@ -244,19 +228,13 @@ class LatticePolytope:
         return set(on_all) == {v, w}
 
 
-def _volume_of_cells(points: Sequence[Point], cells: Sequence[tuple[int, ...]]) -> int:
-    total = 0
-    for cell in cells:
-        base = points[cell[0]]
-        edges = [[points[i][j] - base[j] for j in range(len(base))] for i in cell[1:]]
-        total += lattice_index(edges)
-    return total
-
-
 class PointConfiguration:
     """The lattice points of a polytope, in lexicographic order.
 
     All index-based operations elsewhere in the package refer to this order.
+    It owns the exact facts about its points, each computed once and
+    memoised: dependences, cone rows, simplex volumes, and the polytope's
+    ``volume`` and ``boundary_volume`` (summed over placings).
     """
 
     def __init__(self, polytope: LatticePolytope, points: Sequence[Point]):
@@ -304,6 +282,25 @@ class PointConfiguration:
             self._volumes[key] = vol
         return vol
 
+    @cached_property
+    def volume(self) -> int:
+        """Lattice-normalized volume of the polytope: the sum of
+        ``normalized_volume`` over a placing of its vertices."""
+        return self._placed_volume(self.polytope.vertices)
+
+    @cached_property
+    def boundary_volume(self) -> int:
+        """Sum of the lattice-normalized volumes of the polytope's facets,
+        each over a placing of the facet's vertices."""
+        q = self.polytope
+        return sum(self._placed_volume(q.facet_vertices(f)) for f in q.facets)
+
+    def _placed_volume(self, vertices: Sequence[Point]) -> int:
+        ids = [self.index.get(v) for v in vertices]
+        if None in ids:
+            raise ValueError(f"the configuration misses the polytope vertex {vertices[ids.index(None)]}")
+        return sum(map(self.normalized_volume, placing_cells(self, ids)))
+
     def _lies_in_facet(self, ids: tuple[int, ...]) -> bool:
         """Whether the points at the sorted indices ``ids`` all lie on one
         facet of the polytope; memoised, with no independence check."""
@@ -327,10 +324,11 @@ class PointConfiguration:
         heights h lift point ``k`` strictly above their affine interpolation
         on ``cell``: the primitive affine dependence of ``cell`` and ``k``,
         signed negative at k (a positive multiple of k's barycentric
-        coordinates on the cell minus 1 at k), and 0 elsewhere.  Memoised by
-        ``(cell, k)``, like ``dependence``: the cone systems of every
-        triangulation holding ``cell``, their flips and the lower-hull side
-        tests read the same row."""
+        coordinates on the cell minus 1 at k), and 0 elsewhere.  The cell
+        may be lower-dimensional, with k in its affine hull, as in a placing
+        of a facet.  Memoised by ``(cell, k)``, like ``dependence``: the cone
+        systems of every triangulation holding ``cell``, their flips, the
+        lower-hull side tests and the placings read the same row."""
         row = self._cone_rows.get((cell, k))
         if row is None:
             ids = tuple(sorted(cell + (k,)))

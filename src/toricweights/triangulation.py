@@ -54,10 +54,8 @@ class Triangulation:
             if any(i < 0 or i >= npts for i in s):
                 raise ValueError(f"cell {s} has out-of-range vertex indices")
             total += self.config.normalized_volume(s)
-        if total != self.config.polytope.volume:
-            raise ValueError(
-                f"simplices have total volume {total}, polytope has {self.config.polytope.volume}"
-            )
+        if total != self.config.volume:
+            raise ValueError(f"simplices have total volume {total}, polytope has {self.config.volume}")
         for wall, owners in self.walls.items():
             if len(owners) > 2:
                 raise ValueError(f"wall {wall} shared by {len(owners)} simplices")
@@ -285,7 +283,7 @@ def placing_triangulation(config: PointConfiguration, order: Optional[Sequence[i
     order = list(order)
     if sorted(order) != list(range(len(config))):
         raise ValueError("order must be a permutation of all point indices")
-    return Triangulation(config, placing_cells(config.points, order))
+    return Triangulation(config, placing_cells(config, order))
 
 
 class Flip(NamedTuple):

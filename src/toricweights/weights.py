@@ -216,8 +216,7 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     T-independence of affine pairings.  The GKZ and Hurwitz vectors are the
     ones the polytopes were built from (their ``vectors``)."""
     config = analysis.config
-    q = config.polytope
-    n = q.dim
+    n = config.dim
     deg = analysis.degrees
     rng = random.Random(seed)
     checks = 0
@@ -238,8 +237,8 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
         tid = entry.id
         gkz, hur = analysis.chow.vectors[tid], analysis.hurwitz.vectors[tid]
         bd = boundary_vector(tri)
-        check(tid, None, "gkz sum", sum(gkz), (n + 1) * q.volume)
-        check(tid, None, "boundary sum", sum(bd), n * q.boundary_volume)
+        check(tid, None, "gkz sum", sum(gkz), (n + 1) * config.volume)
+        check(tid, None, "boundary sum", sum(bd), n * config.boundary_volume)
         check(tid, None, "hurwitz sum", sum(hur), n * deg.hurwitz)
         affine_values = [
             (pairing(gkz, a), pairing(hur, a)) for a in affine_fns
@@ -262,7 +261,7 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
             boundary = boundary_total(g)
             check(tid, trial, "volume pairing", char_pairing(gkz, g), volume)
             check(tid, trial, "boundary pairing", char_pairing(bd, g), boundary)
-            check(tid, trial, "donaldson pairing", donaldson_total(q, boundary, volume), char_pairing(mixed, g))
+            check(tid, trial, "donaldson pairing", donaldson_total(config, boundary, volume), char_pairing(mixed, g))
     return IdentityReport(seed, trials, len(analysis.enumeration), checks, failures)
 
 

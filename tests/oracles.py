@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from toricweights.exact import affine_combination, integer_row, rank, solve_linear
 from toricweights.lp import LinearSystem
 from toricweights.functionals import PLFunction
-from toricweights.polytope import LatticePolytope, Point, PointConfiguration, extreme_point_indices, hull_facets
+from toricweights.polytope import Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
 
 
@@ -112,7 +112,7 @@ def all_triangulations(config: PointConfiguration, time_budget: float | None = N
     start = time.monotonic()
     n = config.dim
     npts = len(config)
-    target = config.polytope.volume
+    target = config.volume
 
     candidates = []
     for subset in combinations(range(npts), n + 1):
@@ -518,7 +518,8 @@ def _try_flip(tri: Triangulation, removed: tuple[int, ...], inserted: tuple[int,
 # --- Placing by face functionals --------------------------------------------
 #
 # ``placing_cells`` as it stood before it read every decision from the new
-# point's barycentric coordinates on the current cells: the affine hull is
+# point's barycentric coordinates on the current cells (now the signs of the
+# configuration's cone rows): the affine hull is
 # tracked by an affine basis, and visibility of each boundary face is one
 # more exact solve for the functional vanishing on it, verbatim, so
 # ``polytope.placing_cells`` can be checked against it for equal cells.
@@ -592,8 +593,9 @@ def _evaluate_affine(phi, point) -> Fraction:
 #
 # ``integral_q``, ``integral_boundary``, ``donaldson_f`` and
 # ``donaldson_from_integrals`` as they stood before the functionals became
-# divisions of integer totals over each triangulation's volume tables,
-# verbatim: every cell and massive wall volume is looked up per function.
+# divisions of integer totals over each triangulation's volume tables: every
+# cell and massive wall volume is looked up per function.  Verbatim, except
+# that the polytope's volumes are read on the configuration.
 
 
 def integral_q(g: PLFunction) -> Fraction:
@@ -615,10 +617,12 @@ def integral_boundary(g: PLFunction) -> Fraction:
 
 
 def donaldson_f(g: PLFunction) -> Fraction:
-    return donaldson_from_integrals(g.triangulation.config.polytope, integral_boundary(g), integral_q(g))
+    return donaldson_from_integrals(g.triangulation.config, integral_boundary(g), integral_q(g))
 
 
-def donaldson_from_integrals(q: LatticePolytope, boundary_integral: Fraction, volume_integral: Fraction) -> Fraction:
+def donaldson_from_integrals(
+    config: PointConfiguration, boundary_integral: Fraction, volume_integral: Fraction
+) -> Fraction:
     """The Donaldson functional of a function with the given integrals over
-    the boundary and over the polytope ``q``."""
-    return boundary_integral - q.dim * Fraction(q.boundary_volume, q.volume) * volume_integral
+    the boundary and over the polytope of ``config``."""
+    return boundary_integral - config.dim * Fraction(config.boundary_volume, config.volume) * volume_integral

@@ -46,7 +46,7 @@ class Criterion:
 def structural_invariants(analysis, orders=3, order_seed=17):
     """Criterion 6 invariant pack for one polytope."""
     cfg = analysis.config
-    vol = cfg.polytope.volume
+    vol = cfg.volume
     for entry in analysis.enumeration:
         tri = entry.triangulation
         assert sum(cfg.normalized_volume(s) for s in tri.simplices) == vol
@@ -92,8 +92,8 @@ def test_criterion_3_double_simplex_identities():
     crit = Criterion(3, budget=30.0)
     a = analyze(DOUBLE_SIMPLEX)
     ok = (
-        a.polytope.volume == 4
-        and a.polytope.boundary_volume == 6
+        a.config.volume == 4
+        and a.config.boundary_volume == 6
         and a.degrees.hurwitz == 6
         and all(sum(hurwitz_vector(e.triangulation)) == 12 for e in a.enumeration)
     )
@@ -120,7 +120,7 @@ def test_criterion_4_hand_traced_donaldson_value():
     mixed = tuple(
         n * a.degrees.hurwitz * e - (n + 1) * a.degrees.chow * x for e, x in zip(eta, xi)
     )
-    via_pairing = Fraction(pairing(mixed, (0, 0, 1)), factorial(n + 1) * a.polytope.volume)
+    via_pairing = Fraction(pairing(mixed, (0, 0, 1)), factorial(n + 1) * a.config.volume)
     ok = mixed == (2, -4, 2) and direct == via_pairing == Fraction(1, 2)
     crit.done(ok, f"F(max(0,x-1)) on [0,2]: direct {direct} == pairing {via_pairing} == 1/2")
 
@@ -167,7 +167,7 @@ def test_criterion_7_brute_force_equivalence():
 def test_criterion_8_cube_scale():
     crit = Criterion(8, budget=120.0)
     a = analyze(CUBE)
-    assert a.polytope.volume == 6 and a.polytope.boundary_volume == 12
+    assert a.config.volume == 6 and a.config.boundary_volume == 12
     report = verify_identities(a, trials=50, seed=0)
     assert report.passed, report.failures[:3]
     structural_invariants(a)

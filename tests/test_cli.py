@@ -204,14 +204,17 @@ def test_machine_output_is_byte_identical(capsys):
 
 def test_machine_output_is_hash_seed_independent():
     # Byte-identical output across processes with different PYTHONHASHSEED:
-    # no set-iteration order may leak into reports.
+    # no set-iteration order may leak into reports.  The child finds the
+    # package under src/ also in a checkout without an install.
     import os
     import subprocess
     import sys
 
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
     for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "toricweights", "verify", "--input",
              str(DATA / "double_simplex.json"), "--trials", "5", "--format", "machine"],

@@ -23,7 +23,6 @@ from toricweights.functionals import (
     pl_from_lifting,
     volume_total,
 )
-from toricweights.polytope import LatticePolytope
 from toricweights.triangulation import Lifting, Triangulation, enumerate_regular, lower_hull_subdivision
 from toricweights.vectors import boundary_vector, gkz_vector, hurwitz_vector
 
@@ -132,8 +131,7 @@ def test_donaldson_hand_trace_on_segment():
     tri = Triangulation(cfg, [(0, 1), (1, 2)])
     g = PLFunction.on_triangulation(tri, {0: Fraction(0), 1: Fraction(0), 2: Fraction(1)})
     assert donaldson_f(g) == Fraction(1, 2)
-    q = cfg.polytope
-    deg = degrees(q)
+    deg = degrees(cfg)
     eta = gkz_vector(tri)
     xi = hurwitz_vector(tri)
     n = 1
@@ -141,7 +139,7 @@ def test_donaldson_hand_trace_on_segment():
         n * deg.hurwitz * e - (n + 1) * deg.chow * x for e, x in zip(eta, xi)
     )
     assert mixed == (2, -4, 2)
-    assert Fraction(pairing(mixed, (0, 0, 1)), factorial(n + 1) * q.volume) == Fraction(1, 2)
+    assert Fraction(pairing(mixed, (0, 0, 1)), factorial(n + 1) * cfg.volume) == Fraction(1, 2)
 
 
 def test_pairing_examples():
@@ -161,14 +159,14 @@ def test_pairing_examples():
 
 
 def test_degrees_examples():
-    assert degrees(LatticePolytope.from_vertices(SEGMENT2)) == degrees(LatticePolytope.from_vertices(SEGMENT2))
-    d = degrees(LatticePolytope.from_vertices(SEGMENT2))
+    assert degrees(config_of(SEGMENT2)) == degrees(config_of(SEGMENT2))
+    d = degrees(config_of(SEGMENT2))
     assert (d.chow, d.hurwitz) == (2, 2)
-    d = degrees(LatticePolytope.from_vertices(SQUARE))
+    d = degrees(config_of(SQUARE))
     assert (d.chow, d.hurwitz) == (2, 2)
-    d = degrees(LatticePolytope.from_vertices(DOUBLE_SIMPLEX))
+    d = degrees(config_of(DOUBLE_SIMPLEX))
     assert (d.chow, d.hurwitz) == (4, 6)
-    d = degrees(LatticePolytope.from_vertices(UNIT_SIMPLEX))
+    d = degrees(config_of(UNIT_SIMPLEX))
     assert (d.chow, d.hurwitz) == (1, 0)
 
 
@@ -270,6 +268,17 @@ def test_on_triangulation_rejects_bool_values():
         PLFunction.on_triangulation(tri, {0: 1, 1: 2, 2: True, 3: 4})
 
 
+@pytest.mark.parametrize("value", [0.1, "2/3"], ids=["float", "str"])
+def test_on_triangulation_rejects_float_and_str_values(value):
+    # 0.1 was read as Fraction(3602879701896397, 36028797018963968), so
+    # integral_q had denominator 2**55, and "2/3" was parsed as Fraction(2, 3);
+    # pairing raises TypeError on both.
+    cfg = config_of(SQUARE)
+    tri = Triangulation(cfg, [(0, 1, 3), (0, 2, 3)])
+    with pytest.raises(TypeError, match=type(value).__name__):
+        PLFunction.on_triangulation(tri, {0: 1, 1: 2, 2: value, 3: 4})
+
+
 def test_on_triangulation_keeps_ints():
     cfg = config_of(DOUBLE_SIMPLEX)
     tri = Triangulation(cfg, [(0, 1, 3), (1, 3, 4), (1, 2, 4), (3, 4, 5)])
@@ -281,10 +290,9 @@ def test_on_triangulation_keeps_ints():
     assert g == fractions
     assert integral_q(g) == integral_q(fractions)
     assert integral_boundary(g) == integral_boundary(fractions)
-    # Anything that is neither an int nor a Fraction is read as a Fraction.
-    mixed = PLFunction.on_triangulation(tri, {**ints, 0: Fraction(1, 2), 1: "2/3"})
-    assert mixed.values[0] == Fraction(1, 2) and mixed.values[1] == Fraction(2, 3)
-    assert type(mixed.values[1]) is Fraction
+    # Mixed ints and Fractions are each kept as given.
+    mixed = PLFunction.on_triangulation(tri, {**ints, 0: Fraction(1, 2)})
+    assert mixed.values[0] == Fraction(1, 2) and type(mixed.values[1]) is int
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -300,13 +308,13 @@ def data_triangulations(name):
 def assert_totals_match_oracles(g):
     # Each new functional equals the Fraction one that looks up every
     # volume, and each total is the matching integral times its factorial.
-    q = g.triangulation.config.polytope
-    n = q.dim
+    cfg = g.triangulation.config
+    n = cfg.dim
     volume, boundary = volume_total(g), boundary_total(g)
-    donaldson = donaldson_total(q, boundary, volume)
+    donaldson = donaldson_total(cfg, boundary, volume)
     assert volume == factorial(n + 1) * oracles.integral_q(g)
     assert boundary == factorial(n) * oracles.integral_boundary(g)
-    assert donaldson == factorial(n + 1) * q.volume * oracles.donaldson_f(g)
+    assert donaldson == factorial(n + 1) * cfg.volume * oracles.donaldson_f(g)
     assert integral_q(g) == oracles.integral_q(g)
     assert integral_boundary(g) == oracles.integral_boundary(g)
     assert donaldson_f(g) == oracles.donaldson_f(g)

@@ -190,9 +190,9 @@ def test_normalized_volume_rejects_dependent():
     [(SEGMENT2, 2, 2), (SQUARE, 2, 4), (DOUBLE_SIMPLEX, 4, 6), (CUBE, 6, 12)],
 )
 def test_volumes(vertices, vol, bvol):
-    q = LatticePolytope.from_vertices(vertices)
-    assert q.volume == vol
-    assert q.boundary_volume == bvol
+    cfg = config_of(vertices)
+    assert cfg.volume == vol
+    assert cfg.boundary_volume == bvol
 
 
 def test_is_massive_square_boundary_edge():
@@ -237,7 +237,7 @@ def test_extreme_point_indices_rejects_repeated_points():
 @given(st.permutations(range(4)))
 def test_placing_volume_is_order_independent(order):
     cfg = config_of(SQUARE)
-    cells = placing_cells(cfg.points, order)
+    cells = placing_cells(cfg, order)
     assert sum(cfg.normalized_volume(c) for c in cells) == 2
 
 
@@ -254,20 +254,15 @@ def test_boundary_volume_matches_massive_walls(double_simplex):
                 if all(facet.value(cfg.points[i]) == 0 for i in w)
             ]
             total = sum(cfg.normalized_volume(w) for w in walls)
-            facet_pts = q.facet_vertices(facet)
-            fvol = sum(
-                cfg.normalized_volume(
-                    [cfg.index[p] for p in (facet_pts[i] for i in cell)]
-                )
-                for cell in placing_cells(facet_pts, range(len(facet_pts)))
-            )
+            facet_ids = [cfg.index[p] for p in q.facet_vertices(facet)]
+            fvol = sum(cfg.normalized_volume(cell) for cell in placing_cells(cfg, facet_ids))
             assert total == fvol
 
 
 def test_boundary_vector_totals(square):
     for entry in square.enumeration:
         bd = boundary_vector(entry.triangulation)
-        assert sum(bd) == square.polytope.dim * square.polytope.boundary_volume
+        assert sum(bd) == square.config.dim * square.config.boundary_volume
 
 
 @given(
@@ -287,5 +282,5 @@ def test_volumes_against_pick_theorem(raw):
     cfg = lattice_points(q)
     boundary = sum(1 for p in cfg.points if any(f.value(p) == 0 for f in q.facets))
     interior = len(cfg) - boundary
-    assert q.volume == 2 * interior + boundary - 2
-    assert q.boundary_volume == boundary
+    assert cfg.volume == 2 * interior + boundary - 2
+    assert cfg.boundary_volume == boundary

@@ -14,6 +14,7 @@ import oracles
 from oracles import all_triangulations
 from toricweights import exact, polytope, triangulation
 from toricweights.lp import LinearSystem, feasible_strict
+from toricweights.pipeline import analyze
 from toricweights.triangulation import (
     EnumerationCapExceeded,
     EnumerationCaps,
@@ -379,7 +380,7 @@ def test_enumeration_time_budget_is_loud():
 
 def test_enumeration_volume_partition(double_simplex):
     cfg = double_simplex.config
-    vol = cfg.polytope.volume
+    vol = cfg.volume
     for entry in double_simplex.enumeration:
         assert sum(cfg.normalized_volume(s) for s in entry.triangulation.simplices) == vol
 
@@ -536,7 +537,43 @@ def test_circuits_computed_once_per_point_set(monkeypatch):
 
     monkeypatch.setattr(polytope, "affine_dependence", counting)
     assert len(enumerate_regular(cfg)) == 387
-    assert len(seen) == len(set(seen)) == 126
+    # 126 sets for the cone systems and flips, and 5 more that the placings
+    # read: the seed placing's lower-dimensional steps and the placing of
+    # the vertices behind the configuration's volume.
+    assert len(seen) == len(set(seen)) == 131
+
+
+@pytest.mark.parametrize(
+    "vertices,dependences",
+    [(GRID3X3, 134), (CUBE, 74), (TWICE_SIMPLEX3, 245)],
+    ids=["grid3x3", "cube", "twice_simplex3"],
+)
+def test_analyze_reads_each_dependence_once_and_solves_nothing(monkeypatch, vertices, dependences):
+    # The placings and both volumes read the configuration's memoised
+    # integer dependences, like the cone systems: no Fraction solve is left
+    # in the pipeline (32, 46 and 37 solve_linear calls when placing used
+    # affine_combination), and no dependence is computed twice.
+    seen, solves = [], []
+    original = polytope.affine_dependence
+
+    def counting(points):
+        seen.append(tuple(map(tuple, points)))
+        return original(points)
+
+    monkeypatch.setattr(polytope, "affine_dependence", counting)
+    monkeypatch.setattr(exact, "solve_linear", lambda m, b: solves.append(m))
+    analyze(vertices)
+    assert solves == []
+    assert len(seen) == len(set(seen)) == dependences
+
+
+def test_configuration_missing_a_vertex_is_rejected():
+    # 2Δ² without its vertex (0, 2): the volume cannot be placed on the
+    # configuration, and the enumeration says which vertex is missing.
+    q = polytope.LatticePolytope.from_vertices(DOUBLE_SIMPLEX)
+    cfg = polytope.PointConfiguration(q, [(0, 0), (1, 0), (2, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"misses the polytope vertex \(0, 2\)"):
+        enumerate_regular(cfg)
 
 
 @pytest.mark.parametrize(
@@ -730,24 +767,29 @@ def test_lower_hull_tests_are_built_once_per_configuration(monkeypatch):
     assert calls == []
 
 
-def placing_point_sets(vertices):
-    """The point sets that get placed: the lattice points (the enumeration
-    seed), the vertex set (``volume``) and each facet's vertex set
-    (``boundary_volume``, placings of lower dimension)."""
-    cfg = config_of(vertices)
+def placing_point_sets(cfg):
+    """The point sets that get placed, as configuration indices: the lattice
+    points (the enumeration seed), the vertex set (``volume``) and each
+    facet's vertex set (``boundary_volume``, placings of lower dimension)."""
     q = cfg.polytope
-    return [cfg.points, q.vertices] + [q.facet_vertices(f) for f in q.facets]
+    sets = [cfg.points, q.vertices] + [q.facet_vertices(f) for f in q.facets]
+    return [[cfg.index[p] for p in points] for points in sets]
 
 
 @pytest.mark.parametrize("vertices", HULL_SHAPES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_placing_matches_face_functional_oracle(vertices, data):
-    # Visibility read from barycentric coordinates gives the cells that one
+    # Visibility read from the signs of cone rows gives the cells that one
     # face functional per boundary face gives, in any insertion order.
-    for points in placing_point_sets(vertices):
-        order = data.draw(st.permutations(range(len(points))))
-        assert polytope.placing_cells(points, order) == oracles.placing_cells(points, order)
+    cfg = config_of(vertices)
+    for ids in placing_point_sets(cfg):
+        order = data.draw(st.permutations(range(len(ids))))
+        expected = oracles.placing_cells([cfg.points[i] for i in ids], order)
+        got = polytope.placing_cells(cfg, [ids[k] for k in order])
+        # ids increase with the points' lexicographic order, so the mapped
+        # cells stay sorted.
+        assert got == [tuple(ids[k] for k in cell) for cell in expected]
 
 
 def flip_triples(fs):

@@ -52,13 +52,13 @@ def test_hurwitz_square():
 
 
 def test_sum_invariants(double_simplex):
-    q = double_simplex.polytope
-    n = q.dim
-    deg_h = (n + 1) * q.volume - q.boundary_volume
+    cfg = double_simplex.config
+    n = cfg.dim
+    deg_h = (n + 1) * cfg.volume - cfg.boundary_volume
     for entry in double_simplex.enumeration:
         tri = entry.triangulation
-        assert sum(gkz_vector(tri)) == (n + 1) * q.volume
-        assert sum(boundary_vector(tri)) == n * q.boundary_volume
+        assert sum(gkz_vector(tri)) == (n + 1) * cfg.volume
+        assert sum(boundary_vector(tri)) == n * cfg.boundary_volume
         assert sum(hurwitz_vector(tri)) == n * deg_h
 
 

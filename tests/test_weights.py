@@ -345,7 +345,7 @@ def test_blowup_of_projective_plane():
 
     a = analyze([[0, 0], [2, 0], [1, 1], [0, 1]])
     assert a.polytope.delzant.ok
-    assert a.polytope.volume == 3 and a.polytope.boundary_volume == 5
+    assert a.config.volume == 3 and a.config.boundary_volume == 5
     assert (a.degrees.chow, a.degrees.hurwitz) == (3, 4)
     values = set()
     for entry in a.enumeration:
