@@ -65,8 +65,8 @@ def pl_from_lifting(config: PointConfiguration, lifting: Lifting | Sequence[int]
     carried on the lower-hull triangulation.
 
     Raises ValueError when some lower facet is not a simplex.  At a point
-    whose lift is a lower-hull vertex the value is the height; elsewhere it
-    is >= the height.
+    whose lift is a lower-hull vertex the value is the height, an int, so
+    the envelope is integrated in integers; elsewhere it is >= the height.
     """
     if not isinstance(lifting, Lifting):
         lifting = Lifting.normalized(lifting)
@@ -74,7 +74,7 @@ def pl_from_lifting(config: PointConfiguration, lifting: Lifting | Sequence[int]
     if not sub.is_triangulation:
         raise ValueError("the lower hull of the lifting is not a triangulation")
     tri = Triangulation(config, sub.cells)
-    return PLFunction(tri, {i: Fraction(lifting.heights[i]) for i in tri.used_points})
+    return PLFunction(tri, {i: lifting.heights[i] for i in tri.used_points})
 
 
 def volume_total(g: PLFunction) -> int | Fraction:

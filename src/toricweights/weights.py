@@ -5,10 +5,10 @@ triangulations (the secondary polytope); the Hurwitz polytope is the convex
 hull of the Hurwitz vectors.  Each vertex is certified by the regularity
 witness of one of its source triangulations: the witness lambda lies in the
 open secondary cone of T, so gkz_T (and, by the Hurwitz support identity,
-hurwitz_T) minimises <., lambda>, and a strict integer inequality against
-every other generator proves it a vertex.  Only generators that no witness
-pins this way are decided by the exact hull-membership LP.  The
-verification suite asserts, with exact arithmetic:
+hurwitz_T) minimises <., lambda>; strict integer inequalities against all
+other generators, taken at once on packed integer lanes, prove it a vertex.
+Generators that no witness pins are decided by the exact hull-membership
+LP.  The verification suite asserts, with exact arithmetic:
 
   * (gkz, g)      == volume_total(g)   = (n+1)! * integral_q(g)
   * (boundary, g) == boundary_total(g) = n!     * integral_boundary(g)
@@ -77,29 +77,44 @@ class WeightPolytope(NamedTuple):
     vectors: tuple[tuple[int, ...], ...]
 
 
-def _pins(vectors: Sequence[Sequence[int]], i: int, lam: Sequence[int]) -> bool:
-    """Whether <vectors[i], lam> < <h, lam> for every other vector h, in
-    integers.  The unique minimiser of a linear functional over a finite set
-    is a vertex of its convex hull.  ``lam`` is a ``Lifting``'s heights,
-    checked ints, so the products are taken without ``pairing``'s checks."""
-    values = [sum(map(mul, v, lam)) for v in vectors]
-    return all(val > values[i] for j, val in enumerate(values) if j != i)
-
-
 def certified_vertices(
     vectors: Sequence[Sequence[int]], candidates: Sequence[Sequence[Lifting]]
 ) -> list[tuple[int, Optional[Lifting]]]:
     """(index, certificate) for each vertex of conv(vectors), in index order.
 
-    The certificate is the first lifting in ``candidates[i]`` that pins
-    ``vectors[i]``.  Vectors that none pins (a tie, or a non-vertex) go to
-    the exact LP test against all other vectors, and a vertex found that way
-    has certificate None.
+    The certificate is the first lifting lam in ``candidates[i]`` that pins
+    ``vectors[i]`` (<vectors[i], lam> < <h, lam> for every other vector h, so
+    a vertex).  Vectors that none pins (a tie, or a non-vertex) go to the
+    exact LP test against the others; a vertex it finds has certificate None.
+
+    The pairings of one lam with all vectors are taken at once on w-bit
+    integer lanes: column j packs sum_k vectors[k][j] * 2^(w*k), so
+    sum_j lam_j * column_j holds <vectors[k], lam> in field k, and adding
+    2^(w-1) - 1 - <vectors[i], lam> to each field sets its top bit exactly
+    when <vectors[k], lam> is larger.  Pairings are at most top*norm in size
+    (top: the largest |height| of a candidate; norm: the largest l1 norm of a
+    vector), and w is the least multiple of 8 with 2*top*norm + 1 < 2^(w-1)
+    and norm < 2^(w-1).  So every field, and every entry plus 2^(w-1) as it
+    is packed byte-wise, lies in [0, 2^w): no field borrows from its neighbour.
     """
-    certs = [
-        next((lam for lam in cands if _pins(vectors, i, lam.heights)), None)
-        for i, cands in enumerate(candidates)
+    dims = {len(v) for v in vectors} | {len(lam.heights) for cands in candidates for lam in cands}
+    if len(candidates) != len(vectors) or len(dims) > 1:
+        raise ValueError("certified_vertices needs one candidate list per vector, all of one length")
+    norm = max((sum(map(abs, v)) for v in vectors), default=0)
+    top = max((-min(lam.heights) for cands in candidates for lam in cands), default=0)
+    w = 8 * (max(2 * top * norm + 1, norm).bit_length() // 8 + 1)
+    half, ones = 1 << (w - 1), ((1 << w * len(vectors)) - 1) // ((1 << w) - 1)
+    tops = half * ones
+    columns = [
+        int.from_bytes(b"".join((x + half).to_bytes(w // 8, "little") for x in col), "little") - tops
+        for col in zip(*vectors)
     ]
+
+    def pins(i: int, lam: Sequence[int]) -> bool:
+        lanes = sum(map(mul, lam, columns)) + (half - 1 - sum(map(mul, vectors[i], lam))) * ones
+        return lanes & tops == tops ^ (half << w * i)
+
+    certs = [next((lam for lam in cands if pins(i, lam.heights)), None) for i, cands in enumerate(candidates)]
     decided = set(extreme_point_indices(vectors, [i for i, c in enumerate(certs) if c is None]))
     return [(i, c) for i, c in enumerate(certs) if c is not None or i in decided]
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import mul
 from typing import Optional, Sequence
 
 from toricweights.exact import affine_combination, integer_row, rank, solve_linear
@@ -626,3 +627,27 @@ def donaldson_from_integrals(
     """The Donaldson functional of a function with the given integrals over
     the boundary and over the polytope of ``config``."""
     return boundary_integral - config.dim * Fraction(config.boundary_volume, config.volume) * volume_integral
+
+
+def pins(vectors: Sequence[Sequence[int]], i: int, lam: Sequence[int]) -> bool:
+    """Whether <vectors[i], lam> < <h, lam> for every other vector h, in
+    integers, one scalar pairing per vector.  The unique minimiser of a
+    linear functional over a finite set is a vertex of its convex hull."""
+    values = [sum(map(mul, v, lam)) for v in vectors]
+    return all(val > values[i] for j, val in enumerate(values) if j != i)
+
+
+def first_pins(vectors: Sequence[Sequence[int]], candidates: Sequence[Sequence[Lifting]]) -> list[Optional[Lifting]]:
+    """For each vector, the first lifting in its candidates that ``pins``
+    it, or None."""
+    return [next((lam for lam in cands if pins(vectors, i, lam.heights)), None) for i, cands in enumerate(candidates)]
+
+
+def certified_vertices(
+    vectors: Sequence[Sequence[int]], candidates: Sequence[Sequence[Lifting]]
+) -> list[tuple[int, Optional[Lifting]]]:
+    """``weights.certified_vertices`` by the scalar rule: the first pinning
+    candidate, else the hull-membership LP of ``extreme_point_indices``."""
+    certs = first_pins(vectors, candidates)
+    decided = set(extreme_point_indices(vectors, [i for i, c in enumerate(certs) if c is None]))
+    return [(i, c) for i, c in enumerate(certs) if c is not None or i in decided]

@@ -14,7 +14,7 @@ SCRIPT = r"""
 import json
 from fractions import Fraction
 
-from toricweights import lp, triangulation
+from toricweights import lp, triangulation, weights
 from toricweights.lp import LinearSystem
 from toricweights.polytope import LatticePolytope, lattice_points
 from toricweights.triangulation import Lifting, Triangulation, placing_triangulation
@@ -57,6 +57,7 @@ print(json.dumps({
     "short row": message(LinearSystem, ((1,),), 2, error=ValueError),
     "row sum": message(LinearSystem, ((1, 0),), 2, error=ValueError),
     "float row": message(LinearSystem, ((0.5,),), 1, error=TypeError),
+    "ragged vectors": message(weights.certified_vertices, [(0, 1), (1,)], [[], []], error=ValueError),
 }))
 """
 
@@ -79,6 +80,7 @@ def test_validation_raises_under_optimize():
     assert result["short row"] == "constraints must have 2 coefficients"
     assert result["row sum"] == "constraint rows must sum to 0"
     assert result["float row"] == "LinearSystem needs int entries"
+    assert result["ragged vectors"] == "certified_vertices needs one candidate list per vector, all of one length"
     assert all(result.values()), result
 
 

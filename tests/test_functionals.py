@@ -40,6 +40,13 @@ def test_pl_from_lifting_fine():
     assert g.values == {0: 0, 1: -1, 2: 0}
 
 
+def test_pl_from_lifting_keeps_integer_heights():
+    # The envelope carries the lifting's ints, so it is integrated in integers.
+    g = pl_from_lifting(config_of(SEGMENT2), [0, -1, 0])
+    assert [type(v) for v in g.values.values()] == [int, int, int]
+    assert volume_total(g) == -2 and type(volume_total(g)) is int
+
+
 def test_pl_from_lifting_affine_envelope():
     # Heights (-1, 0, -1): the midpoint is lifted above the segment between
     # the endpoints, so the envelope is affine with g(1) = -1 < 0.

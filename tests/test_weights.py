@@ -2,11 +2,16 @@ import hashlib
 import json
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DOUBLE_SIMPLEX
+import oracles
+from conftest import CUBE, DOUBLE_SIMPLEX
 from toricweights import functionals, polytope, vectors, weights
 from toricweights.pipeline import analyze
 from toricweights.polytope import extreme_point_indices
@@ -361,6 +366,7 @@ def test_blowup_of_projective_plane():
 
 DATA = Path(__file__).parent.parent / "data"
 HEXAGON = [[1, 0], [2, 0], [2, 1], [1, 2], [0, 2], [0, 1]]
+GRID3X3 = [[0, 0], [2, 0], [0, 2], [2, 2]]
 
 
 @pytest.fixture(scope="module", params=sorted(p.name for p in DATA.glob("*.json")) + ["hexagon"])
@@ -424,6 +430,95 @@ def test_certified_vertices_non_extreme_point_goes_to_lp(lp_calls):
     lam = Lifting((-1, 0))
     assert certified_vertices(vectors, [[], [lam], [lam]]) == [(0, None), (1, lam)]
     assert lp_calls == [(0, 0), (1, 0)]
+
+
+@st.composite
+def pin_cases(draw):
+    # 1-12 vectors of one length 1-5 with entries in [-50, 50], each with up
+    # to 3 candidates from a pool of liftings whose heights reach -2^80.  Up
+    # to two vectors are added: a repeat of a vector, or a tie, a copy of a
+    # vector changed where one of its candidates is 0, so that this candidate
+    # pairs equally with both.
+    d = draw(st.integers(1, 5))
+    entry = st.integers(-50, 50)
+    vectors = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=12))
+    height = st.integers(-50, 0) | st.integers(-(2**80), 0) | st.just(-(2**80))
+    pool = draw(st.lists(st.builds(Lifting.normalized, st.lists(height, min_size=d, max_size=d)), min_size=1, max_size=4))
+    picks = st.lists(st.sampled_from(pool), max_size=3)
+    candidates = draw(st.lists(picks, min_size=len(vectors), max_size=len(vectors)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(vectors) - 1))
+        vector, cands = vectors[i], candidates[i]
+        if cands and draw(st.booleans()):
+            lam = draw(st.sampled_from(cands))
+            zero = lam.heights.index(0)
+            vector = vector[:zero] + (draw(entry),) + vector[zero + 1:]
+            cands = [lam]
+        k = draw(st.integers(0, len(vectors)))
+        vectors.insert(k, vector)
+        candidates.insert(k, cands)
+    return vectors, candidates
+
+
+@settings(max_examples=120, deadline=None)
+@given(pin_cases())
+def test_certified_vertices_match_the_scalar_oracle(case):
+    vectors, candidates = case
+    # With the LP stubbed to keep every index it is asked about, the output
+    # shows every pin decision, on repeated vectors too.
+    with mock.patch.object(weights, "extreme_point_indices", lambda points, indices: indices):
+        assert certified_vertices(vectors, candidates) == list(enumerate(oracles.first_pins(vectors, candidates)))
+    if len(set(vectors)) == len(vectors):
+        assert certified_vertices(vectors, candidates) == oracles.certified_vertices(vectors, candidates)
+    else:
+        with pytest.raises(ValueError, match="distinct points"):
+            certified_vertices(vectors, candidates)
+
+
+@pytest.mark.parametrize("norm", [64, 128])
+def test_certified_vertices_at_the_lane_width_bound(norm):
+    # top = 2^80 - 1 and the l1 norm give pairings -top*norm, -top*norm + 1
+    # and top*norm: the widest span the lanes admit, with a pin won by exactly
+    # 1.  At norm 64, 2*top*norm + 1 is just below 2^87, so the 88-bit fields
+    # come within 129 of overflowing; at norm 128 it needs one more byte.
+    top = 2**80 - 1
+    lam = Lifting((0, -top, 1 - top))
+    vectors = [(0, norm, 0), (0, norm - 1, 1), (0, -norm, 0)]
+    assert [sum(map(mul, v, lam.heights)) for v in vectors] == [-top * norm, 1 - top * norm, top * norm]
+    expected = [(0, lam), (1, None), (2, None)]
+    assert certified_vertices(vectors, [[lam]] * 3) == expected == oracles.certified_vertices(vectors, [[lam]] * 3)
+
+
+def test_certified_vertices_with_zero_liftings_pack_wide_entries():
+    # All heights 0: every pairing is 0, but the lanes must still hold the
+    # entries themselves as they are packed.
+    zero = Lifting((0, 0))
+    assert certified_vertices([(0, 300)], [[zero]]) == [(0, zero)]
+    assert certified_vertices([(0, 300), (-300, 0)], [[zero], [zero]]) == [(0, None), (1, None)]
+
+
+def test_certified_vertices_reject_mismatched_shapes():
+    lam = Lifting((0, 0))
+    for vectors, candidates in [
+        ([(0, 1), (1,)], [[], []]),  # vectors of two lengths
+        ([(0, 1), (1, 0)], [[lam]]),  # one candidate list short
+        ([(0, 1), (1, 0)], [[Lifting((0,))], []]),  # a lifting of another length
+    ]:
+        with pytest.raises(ValueError, match="one candidate list per vector"):
+            certified_vertices(vectors, candidates)
+
+
+@pytest.mark.parametrize("vertices", [GRID3X3, CUBE], ids=["grid3x3", "cube"])
+def test_vertex_certificates_are_the_scalar_first_pins(vertices):
+    # Every printed certificate is the lifting the scalar rule picks: the
+    # first source witness that pins the vertex, or None for the LP.
+    analysis = analyze(vertices)
+    witnesses = [entry.certificate.witness for entry in analysis.enumeration]
+    for poly in (analysis.chow, analysis.hurwitz):
+        vectors = [g.vector for g in poly.generators]
+        candidates = [[witnesses[t] for t in g.triangulation_ids] for g in poly.generators]
+        first = dict(zip(vectors, oracles.first_pins(vectors, candidates)))
+        assert poly.certificates == tuple(first[v] for v in poly.vertices)
 
 
 def _failure_digest(report) -> str:
