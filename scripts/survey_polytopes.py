@@ -18,7 +18,7 @@ from toricweights.triangulation import EnumerationCapExceeded, EnumerationCaps
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data-dir", default=Path(__file__).parent.parent / "data", type=Path)
-    parser.add_argument("--max-triangulations", type=int, default=1_000_000)
+    parser.add_argument("--max-triangulations", type=int, default=EnumerationCaps().max_triangulations)
     parser.add_argument("--time-budget", type=float, default=None)
     args = parser.parse_args()
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: check, triangulations, vectors, polytope, verify.  Input is a
-JSON document {"vertices": [[int, ...], ...]}; dimension is inferred from the
-vector length.  Machine-format output is deterministic for identical
-(input, seed, trials): sorted keys, rationals rendered as "p/q" strings.
+Subcommands: check, triangulations, vectors, polytope, verify.  Each takes
+--input, a JSON document {"vertices": [[int, ...], ...]} whose dimension is
+the vector length, and --format.  check also takes --skip-delzant-check; the
+others --max-triangulations and --time-budget; vectors and polytope --kind;
+only verify --seed and --trials.  Machine-format output is deterministic for
+identical arguments: sorted keys, rationals rendered as "p/q" strings.
 Exit codes: 0 pass, 1 verification failure, 2 input error, 3 cap exceeded.
 """
 
@@ -39,14 +41,12 @@ def frac_str(value) -> str:
 
 def load_vertices(path: str) -> list[list[int]]:
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: not UTF-8, or an int too long
+        raise InputError(f"cannot read {path}: {e}") from None
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError(f'{path}: expected a single object {{"vertices": [[int, ...], ...]}}')
     vertices = doc["vertices"]
@@ -60,16 +60,12 @@ def load_vertices(path: str) -> list[list[int]]:
 
 
 def _common(args: argparse.Namespace) -> dict:
-    return {
-        "command": args.command,
-        "input": args.input,
-        "seed": args.seed,
-        "trials": args.trials,
-        "caps": {
-            "max_triangulations": args.max_triangulations,
-            "time_budget": args.time_budget,
-        },
-    }
+    """The command, its input, and the seed, trials and caps where it takes them."""
+    given = vars(args)
+    report = {key: given[key] for key in ("command", "input", "seed", "trials") if key in given}
+    if "max_triangulations" in given:
+        report["caps"] = {key: given[key] for key in ("max_triangulations", "time_budget")}
+    return report
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
@@ -242,10 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="polytope JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=20)
-        p.add_argument("--max-triangulations", type=int, default=1_000_000)
-        p.add_argument("--time-budget", type=float, default=None, help="enumeration budget in seconds")
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--trials", type=int, default=20)
+        if name != "check":
+            p.add_argument("--max-triangulations", type=int, default=EnumerationCaps().max_triangulations)
+            p.add_argument("--time-budget", type=float, default=None, help="enumeration budget in seconds")
         p.add_argument("--format", choices=("human", "machine"), default="human")
         if name == "check":
             p.add_argument("--skip-delzant-check", action="store_true")
@@ -260,7 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for name in ("trials", "max_triangulations", "time_budget"):
-            if not (getattr(args, name) or 0) >= 0:  # negative or NaN; None is no budget
+            if not (getattr(args, name, None) or 0) >= 0:  # negative or NaN; None is no budget or option
                 raise InputError(f"--{name.replace('_', '-')} must be nonnegative, got {getattr(args, name)}")
         report, code = COMMANDS[args.command](args)
     except InputError as e:

@@ -96,10 +96,11 @@ def primitive(vector: IntVector) -> tuple[int, ...]:
 def integer_row(values: Sequence) -> tuple[list[int], int]:
     """Rational values as integer numerators over their least common positive
     denominator, hence in lowest terms.  Ints and Fractions are read as they
-    are; anything else goes through ``Fraction``.  Bools raise ``TypeError``:
-    read as 0 and 1, they would pass every exact check built on this."""
-    if bool in map(type, values):
-        raise TypeError("integer_row needs numbers, not bools")
+    are; anything else, such as the string "1/4", goes through ``Fraction``.
+    Bools and floats raise ``TypeError``: read as 0 and 1, or as a float's
+    binary expansion, they would pass every exact check built on this."""
+    if not {bool, float}.isdisjoint(map(type, values)):
+        raise TypeError("integer_row needs exact numbers, not bools or floats")
     vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in vals))
     return [x.numerator * (den // x.denominator) for x in vals], den

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -59,14 +61,15 @@ def test_check_skip_delzant(capsys):
 
 def test_skip_delzant_check_belongs_to_check(capsys, monkeypatch):
     # sha256 of `check --input data/non_delzant_triangle.json
-    # --skip-delzant-check --format machine`, as it was when every
-    # subcommand accepted the flag; the others now refuse it.
+    # --skip-delzant-check --format machine`, re-recorded when `check`
+    # stopped echoing the seed, trials and caps it never read; the other
+    # subcommands refuse the flag.
     monkeypatch.chdir(DATA.parent)
     code, out = run(capsys, "check", "--input", "data/non_delzant_triangle.json", "--skip-delzant-check",
                     "--format", "machine")
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ded3b5891010473c7fc74075c2879a553370f217ec2aa79a4fcc5ef4b34fdd02"
+        "5c760077acd81fb0389234bf7d07ac545a0b7d3064ed87e5b30afa96bb1c7ac9"
     )
     with pytest.raises(SystemExit) as exc:
         main(["triangulations", "--input", "data/non_delzant_triangle.json", "--skip-delzant-check"])
@@ -109,9 +112,78 @@ def test_negative_limits_rejected(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+def test_negative_cap_rejected_without_seed_or_trials(capsys):
+    code = main(["triangulations", "--input", str(DATA / "unit_square.json"), "--time-budget", "-1"])
+    assert code == EXIT_INPUT
+    assert "--time-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "check --seed 1", "check --trials 3", "check --max-triangulations 5", "check --time-budget 1",
+    "triangulations --seed 0", "vectors --trials 2", "polytope --seed 0",
+])
+def test_options_a_command_does_not_read_are_refused(capsys, argv):
+    cmd, *options = argv.split()
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--input", str(DATA / "segment2.json"), *options])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Top-level keys of each command's machine output: besides its command, its
+# input and its warnings, each echoes only the options it reads.
+COMMON = ["command", "input", "warnings"]
+OUTPUT_KEYS = {
+    "check": COMMON + ["boundary_volume", "deg_chow", "deg_hurwitz", "delzant", "delzant_report",
+                       "num_lattice_points", "polytope", "volume"],
+    "triangulations": COMMON + ["caps", "count", "triangulations"],
+    "vectors": COMMON + ["caps", "kind", "vectors"],
+    "polytope": COMMON + ["affine_dim", "ambient_dim", "caps", "generators", "kind", "vertex_certificates",
+                          "vertices"],
+    "verify": COMMON + ["all_pass", "caps", "checks", "chow_vertex_certificates", "chow_vertices", "count",
+                        "deg_chow", "deg_hurwitz", "hurwitz_vertex_certificates", "hurwitz_vertices", "seed",
+                        "triangulations", "trials"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_KEYS))
+def test_machine_output_keys(capsys, command):
+    code, doc = run_machine(capsys, command, "--input", str(DATA / "segment2.json"))
+    assert code == EXIT_PASS
+    assert sorted(doc) == sorted(OUTPUT_KEYS[command])
+
+
+def test_readme_lists_the_options_of_each_command():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in subparsers.choices.items()
+    }
+    readme = (DATA.parent / "README.md").read_text()
+    listed = {
+        name: sorted(re.findall(r"--[a-z-]+", options))
+        for name, options in re.findall(r"^- `(\w+)`: (`--.*)$", readme, re.M)
+    }
+    assert listed == parsed
+    assert sum(map(len, parsed.values())) == 23
+
+
 def test_missing_file(capsys):
     assert main(["check", "--input", "/nonexistent/q.json"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b'{"vertices": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"vertices": [[' + b"1" * 5000 + b"]]}",
+], ids=["not-utf-8", "nested-too-deep", "integer-too-long"])
+def test_unreadable_file_is_an_input_error(tmp_path, capsys, content):
+    # Each exited 1, the verification-failure code, with a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["check", "--input", str(bad)]) == EXIT_INPUT
+    assert f"cannot read {bad}" in capsys.readouterr().err
 
 
 def test_triangulations_lists_witnesses(capsys):
@@ -308,78 +380,80 @@ def test_verify_output_is_pinned(capsys, monkeypatch, name, digest):
 # from found neighbours came before the LP.  `check` on the non-Delzant
 # triangle, the octahedron and the unit simplex was re-recorded when it took
 # the other commands' wording of its warnings (`pipeline.polytope_warnings`).
+# All were re-recorded when each command stopped echoing options it does not
+# read: `check` its seed, trials and caps, the others their seed and trials.
 OUTPUT_DIGESTS = {
     "double_simplex.json": {
-        "check": "4e178e467528767518452552b5fd65ef4f7b5a798e9c069113f10fbdc5ac52bc",
-        "triangulations": "3d01c5d0291db0d7aa4f3980134f07841ecafcbb33512080542e51d9d0670c46",
-        "vectors --kind gkz": "46920736290e7150016f12130f36ad2a9485e0baeb9a55a4631eff0ea57e3e8c",
-        "vectors --kind boundary": "3332ef74c0e1889b89baa63ff443a03864bf501343d3708a365879a565598884",
-        "vectors --kind hurwitz": "7840fbd6febaa4f8834b169a2eabaf4f3cd6b856457f66af8a84e4310dc947c4",
-        "polytope --kind chow": "d3016b1aa380ac765c31fceaa31068cd270378443e6d10dc36fa5b8fa714a2f4",
-        "polytope --kind hurwitz": "c1bd1179f9bacb3409f0be0760a6ffc2e4a7eeccca5c8c99f84c86dffa605e4e",
+        "check": "43db6b699beca4e0d6e4c1f1bfe42c22bf63ded64f3d9f148c06b904e241b1a7",
+        "triangulations": "1bfa06bf399c133c79cc2ebc6d7355325bc461fd2770fc6834a127a4453a5a20",
+        "vectors --kind gkz": "8adec3d154cb6b5fefb010f6c6a42076ddcb1a27b09397e02a76232781201fea",
+        "vectors --kind boundary": "bf1d493e063462b2d4f1b018d30d76ac53f25b4e11bbe80374490846419b8866",
+        "vectors --kind hurwitz": "2796230f1175e315c3ec2acb2f1de93c44b5b0ee36446f633b6612bb2e084f05",
+        "polytope --kind chow": "274d5a0d9a866aad3e526dccee3f99ac0c50459a2158ca513fbf447a4b7c82f5",
+        "polytope --kind hurwitz": "00728c24ee4ff2c5b9f62db38e4790d169d021562979cee29621adcb8a8c0ee6",
     },
     "non_delzant_triangle.json": {
-        "check": "b0fffca9bbabea7dc37cf3979b9ca363e67a6058eba17489a87ccdcf4bb61286",
-        "triangulations": "b1581200c1ca64a9135df90d28a89143191fe4a56f9aa12e9dbe05effa2c04a0",
-        "vectors --kind gkz": "8ac2642a9af3b3fa9e246a9a23e2fb1677c4b56e3ff312d858a21fe7e55ddebb",
-        "vectors --kind boundary": "6418ea76b016b4fd90bf777b3217d55b50beb77e4b761320b9dc2b89d0494500",
-        "vectors --kind hurwitz": "6f56b241dbb483378b52647c6121913e2de92dc05ad69bd313ac15d6cf185345",
-        "polytope --kind chow": "04ef556128c2941fef64f7e9731aafda579633ac77eb3e1f40320f11dd4de61f",
-        "polytope --kind hurwitz": "02a2a8666040ab387e8d0a414003e0ff56277b5fbcd0aa84235a14199b55c7ce",
+        "check": "479b94d10f496776379a8e2e8c8bda3d59ef8236f76ab68b493458e2c0997b35",
+        "triangulations": "21d74f1a3b37607e81b5eccc5f9bfa73987190c93a7ad0fc480683d89dbca172",
+        "vectors --kind gkz": "3d06668bbb25126485156010f0a03fd79bfa576650c180cb247a9119fb74488b",
+        "vectors --kind boundary": "9bd7477a718e8e8447e2534dd452182f286e0dd4dfb59660121bc72e61fb91b1",
+        "vectors --kind hurwitz": "0e67b5bf25bcead76d17ad287228928c76974d8b722f42e1cb92ace5201ef3ba",
+        "polytope --kind chow": "934d620728505228fc123bc8838237b7fca48fadd4cdf578786b7efcdf538dda",
+        "polytope --kind hurwitz": "c67aa74e1f6c9bb6cb395a2c4babc94d01646479ea108b0f45f9e75f0b22c477",
     },
     "octahedron.json": {
-        "check": "b0ff36faba94a275eab672124590a537daf3fbde297bd5ce8617d9280be3eb9f",
-        "triangulations": "b89c4533924663fd0edf84e8afa7d6582f9cad145bdbcc6939fc475bb16f5659",
-        "vectors --kind gkz": "1f3b2bd85515d0c6df0f1494f50123b06094ba376aba21205d1a353a8b2b7b92",
-        "vectors --kind boundary": "fbab01bc12740d211e50eccc5d730608b4ca49131f2d1d001018e281ffd8df70",
-        "vectors --kind hurwitz": "b447cf3530e2e4024fb6384784ac8be739e665c2df8bfa4b2a0d9142ae23193c",
-        "polytope --kind chow": "1b5dacaacfc172597da6be17bbbbe4e402b482b019b14cb521911acefe4a9e29",
-        "polytope --kind hurwitz": "b493f96084c1633dd2ca76f0a04828c3bf03d23dc5e63f416cc7f83e6655b300",
+        "check": "b7e38f666b4555d759b296b552e8034ff3cc6d4ee9ad0f1dae8958c4b83003f8",
+        "triangulations": "04d1480a4d4cccd1648caeb35237e363b5526f2603c56765a7cd99c77325fdd4",
+        "vectors --kind gkz": "55af566914a04199fab2179af2cc07fc4c768b9069d5b4cf21dec7e8dcfd0c86",
+        "vectors --kind boundary": "f42356335d70c5d3c0d13c4addcf29b152c2f72ecf3795ad5d701d26b279fbec",
+        "vectors --kind hurwitz": "49c80199a0343f523ffa61bc841cdd4fa25fc63ec65cd1a9047e755850980450",
+        "polytope --kind chow": "feeef0fe1f0b0ab521111ed92f1c7ce0e0515268c7d49a24c11b66dbcd4dc95a",
+        "polytope --kind hurwitz": "696ec1d16e345105d43bcbb45b800977b6e0bfeb87b1dab7414d0439273e3602",
     },
     "segment2.json": {
-        "check": "d7b1e02f186978ecfb5b705bbf84672acaf20be6e6f8b540b89538332f39f79e",
-        "triangulations": "3abdbea0aeaff01962cdb8d16dd370429a6948b0dc0aaa1ce298aedcc9549bfb",
-        "vectors --kind gkz": "8802d3422e3fa0c684b4e9ab6d18b06d2b3d62c52bad718e5b24a80c7c61161d",
-        "vectors --kind boundary": "88c82cbfc61c974cde05a0f7bfdbbff548140c296aab171a6a58f434ee8383c4",
-        "vectors --kind hurwitz": "10770c34a48efb0d4ba0d90438cc1c6a0e414e743002b462020767f852861cd8",
-        "polytope --kind chow": "0e5f57c89da1ee667f818061dd7e197e90e474613d914646289fc91ae20fea8e",
-        "polytope --kind hurwitz": "dfa1634306ab07134b50cd8eaba1ab8a04e86224508d1940d4a6493417c4c82d",
+        "check": "10d4b18d30efe30818e738aca07d722bf4d9c531045b85671ad45215b1d47cfb",
+        "triangulations": "714998d1e6c2c8565cbfdbcaa2c0b207bf64dbb8626d14086267855f0dd7a0d6",
+        "vectors --kind gkz": "9b08e6dea2a1b4a6e3cc00a1c2bce0ae55c7d28a968c921b3ceb104b021d68cc",
+        "vectors --kind boundary": "1433cc83ed0614b61050491782febe39cd179dde1f59d31fb3a8d0698bb5f7da",
+        "vectors --kind hurwitz": "39153211f6cc1124f8c9d964349d27c382e808a14ffff7a5af492615fa5e9184",
+        "polytope --kind chow": "d2132de98d3a4304d0748246cb3ee01ebe5ac7607fe7a814a9fb82c77f852331",
+        "polytope --kind hurwitz": "dc755ecca367acd5beccb8234be793960089e170bed5ab755939213718e42f04",
     },
     "segment3.json": {
-        "check": "7f8a3d8a7590c4aec48f4401a672f9b6b80f7c4f6485743de8c2be1655505f27",
-        "triangulations": "57c29f297beeaee8b54104dcda12ff0f900013353eb5b35d8957988380dafe1c",
-        "vectors --kind gkz": "674125fb417b763c044e27a931dafe5ca1203af20dffac271e32a98b0dd2c32d",
-        "vectors --kind boundary": "dca90086c8241426c11ce8661c8f8843bebd6094784560e595d35271b51a099a",
-        "vectors --kind hurwitz": "e67693125fd9eda45dfdf78c54ac8156964d38acf0d0244bf385896723d24de4",
-        "polytope --kind chow": "03c549ad6b4b847c6a5f142884964fc2fa9fadc2488c6899c94742080d632d81",
-        "polytope --kind hurwitz": "d94c4aa876d5396c8c5f1420057546e4ad9193615489f64670ef54ef273e89ef",
+        "check": "88b1bc0ee4f6f5ef5dd70cb147708e6c5af5fa96d66a2598a4b9fcf7603c2fd2",
+        "triangulations": "39b1e0d37fb2402dd72681d7bc888f51138260c6f553ec85cab195cd0fd58fbb",
+        "vectors --kind gkz": "cc120e7a3d13819487d5642cba7bcff1b29b0dabe05339d98af87d8974a50775",
+        "vectors --kind boundary": "a4ef4a299597f279d3230a4b668e59b3108537edae8f2e1f6f3198759a131ce4",
+        "vectors --kind hurwitz": "ab702470b5e782d78639aad5b2909572139940ee71f9578f6a0e5bc70c4d35df",
+        "polytope --kind chow": "f716114450a0f49d45ba35a176886bb6bbb4a79e405e61217ebf6cbe6b58bd62",
+        "polytope --kind hurwitz": "90a029a5fa4384a9c4976db5304a9a74ed22dfed2cba5818d42683d1838a444d",
     },
     "unit_cube.json": {
-        "check": "a8b23f9c72b0592faeaaa70029bda00253795fb3ca202ee45f5f8b9551aaa206",
-        "triangulations": "6fff5d7a4fb9675cebca283fc5d470be13a7c38c5b3e16723f1c4e25ad7f28a8",
-        "vectors --kind gkz": "14d72496424dd4b5ee689fd0aeb02545e3831409c6ad0e7f354491a68f784bbf",
-        "vectors --kind boundary": "877edf77287d14fe441661f1c70d0c5f08ec5e382b29e8661ca528d39f45f5ff",
-        "vectors --kind hurwitz": "ad3bac2015fc1d21a112f9c8b0b144445af0f612556ba276137af98161099f4c",
-        "polytope --kind chow": "e69c514e4d6a6cf70f2c0dce6a7009f6a4fff51f08724d31c1b18ae65a1d2785",
-        "polytope --kind hurwitz": "6b7532882a75c592aea8106cf23a32c823a8ae98abbd9a0e56c208437b9795da",
+        "check": "0d5c25abc2b5933a596a8a5ce8f901162047aa634df2c0425ddc477d6c973384",
+        "triangulations": "d9dc2e36e30d168dda0168c9f83314acd2f91bf7b5cb261c3b9845f198125a17",
+        "vectors --kind gkz": "f778eded9aeff873d120b8b59b56df3858d907bd3967dde8d3b9bbe1f200c625",
+        "vectors --kind boundary": "2a758392a961043997bafed04323cf7c89fbc1be6a3908bfebc900cfe918e2b0",
+        "vectors --kind hurwitz": "404665cbe89f0f1171166840394c8618b5af8812c8fd44b62959ebbd1ba37779",
+        "polytope --kind chow": "33728f1e18b1c2edffec090f416fdd6ed56ef398806fddf364a90ddb35aaab0c",
+        "polytope --kind hurwitz": "ec7c7c41d6913c6a5f7f65470cf21d0b1f0198918c6dff311f972b6939b677a9",
     },
     "unit_simplex.json": {
-        "check": "796a5fb7009901eef4b90d47a63d05ac55df43c5352c5721dc19883bf02291fd",
-        "triangulations": "c285526c22d5544fc4f6458f65ef235ebafe29875c5fef2acccd37286f6e89d5",
-        "vectors --kind gkz": "f22842c553066c353b836d7ebb0c422e9368d6ec603c57f603a6be637aa74176",
-        "vectors --kind boundary": "f6e498f7d6c771e6538621ed9d0f40910adebde28e95066b30c49b9aebd9d767",
-        "vectors --kind hurwitz": "e4a42747da973bf7f50ad536526fc5d8f4123520cc5799eb5f3e05b56af08892",
-        "polytope --kind chow": "d433b4e40703c597015678b19eb8a5b2882a6ed2d228c4299b42335ff0ae697a",
-        "polytope --kind hurwitz": "8d52d0a3dd9b51da094904196f7b46bdcaace750417ca12b0dd4168047e31412",
+        "check": "3d87afe768e4fa542bde90418eb53e89926ce6055b626db360ae4d48d26bf81b",
+        "triangulations": "9826ffbda5bd28e501d04251495b96b5d1b6bc45e2faa70b17375b22808d9cb7",
+        "vectors --kind gkz": "b46bc536f1e13bf977238cd1688c3d5fd11b406c11782a666965f14c457ff027",
+        "vectors --kind boundary": "6d98562dcdd4d5dca1deb1d1e32e4bc55ba9279c73a1a36f2ccf72adfcb752c8",
+        "vectors --kind hurwitz": "e63185e54dcf388a632f3c89ace8982f00f62c39c692ae15d5c3711c935c0a8d",
+        "polytope --kind chow": "662ee9a64093d5f40580f7cec172bfaa26ba3e7d68b8209afdf42dd92d4e9d44",
+        "polytope --kind hurwitz": "77bbe13d76e51ad2ad66039f71fa6779990cee7b1d1eb4e934ae88119556d6f2",
     },
     "unit_square.json": {
-        "check": "da1c6cc6a3c2211510407d105634970698e081900ba91c97c447a19d4f686226",
-        "triangulations": "e11709bab4dc376db1054b22495e27c4250391cfde2d90695427d9c9cd0388b2",
-        "vectors --kind gkz": "40004576f5e0f5d3263b53f218833ff485679af75ccb6852e8fa1236aab3618e",
-        "vectors --kind boundary": "fcff88fab9cb3f5baef6a89c11fae4e2e54afdf51f48c5c3f684147820411c8f",
-        "vectors --kind hurwitz": "7873de0c4ac869e48beb3f13d584d16b9e03e0790e21c1a9432c3b8f00d5fef7",
-        "polytope --kind chow": "505c30a200d85c35f2ac98b3d6b8b5eba15c20c15dd2858e177beedbcad5faaa",
-        "polytope --kind hurwitz": "73834ce7ff512b9482e941fe1987cf85a590c01038f3ffd91b42a19ec6194bef",
+        "check": "a09295339a52524f762c99f8b0aa528928b65eb2dd9cdeb2d992a874cb21f9d8",
+        "triangulations": "789dffb81f4e5efb3336e06957bd5c059fb59fefea16be34b71bcdd82c06778f",
+        "vectors --kind gkz": "94c72d35531f7a409d3c934ee2e60574114c83548483029815ddd3df4624ede9",
+        "vectors --kind boundary": "615a2a617e8ad01ca4305e65b97e2b4ed8ebcf81b066df22dd3d87f00955fc92",
+        "vectors --kind hurwitz": "ae5b560698306f3b3221841c6bd3cca20c937b1c8c648e5a6f1f9925d3762086",
+        "polytope --kind chow": "7d04fce402971a188c6afb6af3e19f7c626e49b1c07ab8637289dffce258a20d",
+        "polytope --kind hurwitz": "6e45247d15793847c1022ca2ca053a93f24226c250dc60af229aab7e7345f0c1",
     },
 }
 OUTPUT_RUNS = [(name, command, digest) for name, pins in sorted(OUTPUT_DIGESTS.items())
@@ -405,54 +479,56 @@ def test_machine_output_is_pinned(capsys, monkeypatch, name, command, digest):
 # present (null where the hull-membership LP decided the vertex), as
 # json.dumps(sort_keys=True).  Recorded while every witness was an LP
 # solution; it pins the rest of each output, and which vertices a witness
-# pins, independently of the witness heights.
+# pins, independently of the witness heights.  The `triangulations` and
+# `polytope` pins were re-recorded when those commands stopped echoing the
+# seed and trials they do not read.
 WITNESS_FREE_DIGESTS = {
     "double_simplex.json": {
-        "triangulations": "d2a92f111aa07d8e1769cc4485e8649cd89994bb1aa3d7c60ea7663fd0927c2c",
-        "polytope --kind chow": "91f08cab5be59b6333354d378795ebad56ef256ab05e0343ef629bdc8b637d95",
-        "polytope --kind hurwitz": "1d560858ff19de1db5a5842b2f27295fe72e9409e3ebc1cb6b1fe0a9938cb8f9",
+        "triangulations": "530a1e293d2790186c6f3a8882b78f2e0738092000b95fd18437bdc0a843e14f",
+        "polytope --kind chow": "016adf210bb9f4409868adfc90f9438576796e0bd3a07a136b4f93b3743ff0a9",
+        "polytope --kind hurwitz": "953779ad1c90feddc3e036e5c726a0abc0ccde130828828378b1cc1722dea8a3",
         "verify --trials 30 --seed 0": "2aff36a243d1f1d56b108a573cd9a7d9edb43afedd5a9faca704e0936a31a6dc",
     },
     "non_delzant_triangle.json": {
-        "triangulations": "28a37be4f039990663f039b0bbddfcaf80d285a24cb3aaee974fc387bc08c606",
-        "polytope --kind chow": "7da80cc97da6db8bad88d558abfbab3cb0c9a5ed6c0d740808b17653b1e9d6ee",
-        "polytope --kind hurwitz": "24355d30899e4eb7b2cee22b22c262d06e4ffda50b197737e54b0a5cf1852d3b",
+        "triangulations": "d36241678a3aa77ccd5d9e58a94b9eedf7063f1569ccc8fcc141a850edcf6832",
+        "polytope --kind chow": "c38e2fea93958ebf7c40a19e6510fc1903012e3a68996d19bdae611c16ea55cf",
+        "polytope --kind hurwitz": "9d75ef4171a3baef33221a3d251f273dba677c012c23dd129706ccdb76d03f12",
         "verify --trials 30 --seed 0": "b81769d5ce593a0b4a5624cc289eb02f7f0bce4fc7a7b862b86ed4c45b5522f7",
     },
     "octahedron.json": {
-        "triangulations": "a792fede1ff4d87d96e34e27b0401463c9498d99840cbaed62eee9f763ec050c",
-        "polytope --kind chow": "bb9799db7250248b20e7698b35ade24d2203c8f1633d4693ff3dfb410063db6f",
-        "polytope --kind hurwitz": "5d88aa346c6848c68ff7f09e8c7f37d3c0cb7e0f4a02896c4c5b2d3de1a339d2",
+        "triangulations": "86a70cdd43de848eb920a972372ee19c3ef9402922e2eb7ef3ab37112efb80c2",
+        "polytope --kind chow": "f89135be1dcb6039711676e06061621287f9ad2af58bbb1fc8db299dab567575",
+        "polytope --kind hurwitz": "22370e306840c7fb306a101c87c13e52f1acb83bb9cba56309e0c890a99b968c",
         "verify --trials 30 --seed 0": "be6b142be071b9fbbd607f36efca33a17909a4d8d1cea6af8aea8c94ecb2736f",
     },
     "segment2.json": {
-        "triangulations": "a50e7c7235a131bf9575165401202a5559912923263b7c1a172c2065af263d05",
-        "polytope --kind chow": "229addad06616c4291ff2314ac4464d613be149a9da5e29bf535c44e984db7f8",
-        "polytope --kind hurwitz": "a21637c98eb5b804eb7fca19b800c14692fc0d51e1c7fbeb3f749b071286c2e6",
+        "triangulations": "5b9ec8453da6f19b6b49d0be405ca747299052e4e1673216c9704471a969f253",
+        "polytope --kind chow": "c23f57da798d63badef98fdb08235f87b6e13bb52bcba33755e9a7bb1c3ba015",
+        "polytope --kind hurwitz": "821acd683d3430a3f6d1981f2987d0f050855749585100d9f5ea46ef7ce8f0db",
         "verify --trials 30 --seed 0": "d3cbed00e34e323d90099329a880098b17a98d3f6865ddc2057986e3175e2fbc",
     },
     "segment3.json": {
-        "triangulations": "3759adf0bd4e420030e721d02824d2f18f8c9f8fbe24cb3e9c2af05e507f5bac",
-        "polytope --kind chow": "21fb71a578e7f0511355bff464a83a67b323f3146322b4da69cc024ca24418b1",
-        "polytope --kind hurwitz": "ffb46ad476f9aa80280d5133c87590468087d17fd48f97a4b5596f531c3ecf4c",
+        "triangulations": "af13c29dfa7584953b223d3813af3de86659ece897c283f9927956ee09e757e3",
+        "polytope --kind chow": "12ec686889c3f74306a2482c764461096f0df0eb92af3d60630373114ba10c70",
+        "polytope --kind hurwitz": "ec16afa36d28c5a6fa0ea73f069fa2f27e4eee6b8f93f5835775aa4cf4020bdc",
         "verify --trials 30 --seed 0": "e4ac7731d3b9dc7b1874a3de23f3ebd93be330eae7228f3be4bab36285782122",
     },
     "unit_cube.json": {
-        "triangulations": "48bb429497f68e807cd6d56c78634234fea5977de923ca344347ab63e5f4cc66",
-        "polytope --kind chow": "bab18910f0be097561a1ae08931e070911fd20cae3325d0c388f1c8a4e8d4f67",
-        "polytope --kind hurwitz": "6959b293d09d3a52a9e35d92d97f4cb598bec6464ee6974d2ef27e69acd0883c",
+        "triangulations": "172c17282af09ceadec071e2589108c46f8655e2c1e84d8e9f0a666ec95c384d",
+        "polytope --kind chow": "3ceddc88a40144c0158c579c11e50b761b5c3b802a13070292222b122e134b6d",
+        "polytope --kind hurwitz": "a6ad25ea838c018da837a599e53f5deaf93def4c9e9206a90093b0d0144f891f",
         "verify --trials 30 --seed 0": "98b02218e33ff55ac38fd91888dd57f6f32105d2e977dc1ef5fab85a2dcc9f8d",
     },
     "unit_simplex.json": {
-        "triangulations": "372117f35ee1b1f4752c8a02bfe0406cabee8092c31eec89efa5f273156c7ac0",
-        "polytope --kind chow": "82312538630b6b0dc328ecbcb9af746bcbaa979f4b4260a9578a1bf55b09c08a",
-        "polytope --kind hurwitz": "523fd034e2ff6da3608f410fe2a97b297de6e2fc9374ddf3be818a556911b022",
+        "triangulations": "2f1706ec3326f2705ccc930abf4b053d3d0e2d4a79e2119b36b7ea4a1eee0865",
+        "polytope --kind chow": "fb3e1efd52f1bd5612e383e2e6726fe92a464f4934e2b2f36a5c2d5ee7888131",
+        "polytope --kind hurwitz": "daa90a0801208661af175c350e08e86bc74c6d987230c0c48f5592a40b4db870",
         "verify --trials 30 --seed 0": "47465b504ad711eec9aeb9b7b44d558ae8f11c66febae1bb9a30e31ba1a054fc",
     },
     "unit_square.json": {
-        "triangulations": "477ebadb06f20169323fb9bb168f58ef77e10d707504616494329e2cf9510660",
-        "polytope --kind chow": "12fe0b6d79562a93da3523a27f53a11e6e5710e91dbbf356a7725dc414f644c4",
-        "polytope --kind hurwitz": "b42bd19738c14604ccf6dda04b3ca3ea9a586f46d82e19c157c042f0e5862c65",
+        "triangulations": "a82072425473fbbbcffad6fa9a630d393c6f20deb1f4295dc2e279277047a746",
+        "polytope --kind chow": "5a4634c3b348aaccae0340ca473147cadffaefc35dcceae2874c8e519a8e89ed",
+        "polytope --kind hurwitz": "49b972b943ea2fb262940aff6356153b30f8cdc9aeffb1c26a317e2c4d12f7e5",
         "verify --trials 30 --seed 0": "fb1036b5858216dd6b56b1c69ab89746e64d67b22a5d2ffe0be3283d2a7019e5",
     },
 }

@@ -18,6 +18,7 @@ from toricweights.exact import (
     rank,
     solve_linear,
 )
+from toricweights.lp import nonnegative_feasible
 
 
 def test_det_identity():
@@ -265,3 +266,15 @@ def test_integer_row_rejects_bools(values):
     # [True, 2] was read as ([1, 2], 1).
     with pytest.raises(TypeError, match="bools"):
         integer_row(values)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rank([[1, 0.5]]),
+    lambda: solve_linear([[2]], [0.1]),
+    lambda: nonnegative_feasible([[1, 1]], [0.1]),
+], ids=["rank", "solve_linear", "nonnegative_feasible"])
+def test_exact_routines_reject_floats(call):
+    # 0.1 was read as its binary expansion: solve_linear([[2]], [0.1]) gave
+    # 3602879701896397/72057594037927936, and nonnegative_feasible took it.
+    with pytest.raises(TypeError, match="floats"):
+        call()
