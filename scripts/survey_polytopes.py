@@ -3,7 +3,8 @@
 
 Runs the full pipeline on every JSON file in data/ and prints one summary row
 per polytope: lattice point count, volumes, degrees, number of regular
-triangulations, and how many distinct Chow/Hurwitz generators are vertices.
+triangulations and of the flip edges between them, and how many distinct
+Chow/Hurwitz generators are vertices.
 """
 
 import argparse
@@ -22,7 +23,7 @@ def main():
     parser.add_argument("--time-budget", type=float, default=None)
     args = parser.parse_args()
 
-    header = f"{'polytope':24} {'n':>2} {'|A|':>4} {'vol':>4} {'bvol':>4} {'degCh':>5} {'degHu':>5} {'#tri':>5} {'Ch v/g':>7} {'Hu v/g':>7} {'time':>7}"
+    header = f"{'polytope':24} {'n':>2} {'|A|':>4} {'vol':>4} {'bvol':>4} {'degCh':>5} {'degHu':>5} {'#tri':>5} {'#edges':>6} {'Ch v/g':>7} {'Hu v/g':>7} {'time':>7}"
     print(header)
     print("-" * len(header))
     for path in sorted(args.data_dir.glob("*.json")):
@@ -37,7 +38,7 @@ def main():
         row = (
             f"{path.stem:24} {a.polytope.dim:>2} {len(a.config):>4} "
             f"{a.config.volume:>4} {a.config.boundary_volume:>4} "
-            f"{a.degrees.chow:>5} {a.degrees.hurwitz:>5} {len(a.enumeration):>5} "
+            f"{a.degrees.chow:>5} {a.degrees.hurwitz:>5} {len(a.enumeration):>5} {len(a.enumeration.edges):>6} "
             f"{f'{len(a.chow.vertices)}/{len(a.chow.generators)}':>7} "
             f"{f'{len(a.hurwitz.vertices)}/{len(a.hurwitz.generators)}':>7} "
             f"{elapsed:>6.2f}s"

@@ -233,8 +233,9 @@ class PointConfiguration:
 
     All index-based operations elsewhere in the package refer to this order.
     It owns the exact facts about its points, each computed once and
-    memoised: dependences, cone rows, simplex volumes, and the polytope's
-    ``volume`` and ``boundary_volume`` (summed over placings).
+    memoised: dependences, cone rows and their circuit sides, simplex
+    volumes, and the polytope's ``volume`` and ``boundary_volume`` (summed
+    over placings).
     """
 
     def __init__(self, polytope: LatticePolytope, points: Sequence[Point]):
@@ -244,6 +245,7 @@ class PointConfiguration:
         self._volumes: dict[tuple[int, ...], int] = {}
         self._dependences: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
         self._cone_rows: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        self._sides: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._in_facet: dict[tuple[int, ...], bool] = {}
 
     @property
@@ -341,6 +343,16 @@ class PointConfiguration:
                 entries[i] = -c if at_k > 0 else c
             row = self._cone_rows[cell, k] = tuple(entries)
         return row
+
+    def circuit_sides(self, row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The indices where the cone row ``row`` is negative and where it is
+        positive: the two parts of the circuit it was read from.  Memoised
+        by row, since many cells and triangulations share one circuit."""
+        sides = self._sides.get(row)
+        if sides is None:
+            negative = tuple(i for i, c in enumerate(row) if c < 0)
+            sides = self._sides[row] = (negative, tuple(i for i, c in enumerate(row) if c > 0))
+        return sides
 
     @cached_property
     def lower_hull_tests(self) -> tuple[tuple[tuple[int, ...], tuple[SideTest, ...]], ...]:

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterable, KeysView, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, KeysView, NamedTuple, Optional, Sequence
 
 from .exact import integer_row
 from .lp import LinearSystem, feasible_strict, nonnegative_feasible
@@ -51,7 +51,7 @@ class Triangulation:
         for s in self.simplices:
             if len(s) != n + 1:
                 raise ValueError(f"cell {s} is not an {n}-simplex")
-            if any(i < 0 or i >= npts for i in s):
+            if s[0] < 0 or s[-1] >= npts:  # cells are sorted
                 raise ValueError(f"cell {s} has out-of-range vertex indices")
             total += self.config.normalized_volume(s)
         if total != self.config.volume:
@@ -227,7 +227,9 @@ def cone_system(tri: Triangulation) -> LinearSystem:
     config = tri.config
     rows = []
     for wall, (s1, s2) in tri.interior_walls.items():
-        a, b = (next(i for i in s if i not in wall) for s in (s1, s2))
+        # Each cell is its wall plus one point.
+        w = sum(wall)
+        a, b = sum(s1) - w, sum(s2) - w
         if a == b:
             raise ValueError(f"cell {s1} is repeated")
         row = config.cone_row(s1, b)
@@ -306,31 +308,43 @@ class Flip(NamedTuple):
     row: tuple[int, ...]
 
 
-def flips(tri: Triangulation) -> list[Flip]:
-    """All supported bistellar flips of the triangulation, in circuit order.
+def flips(tri: Triangulation, known: Collection[tuple[tuple[int, ...], tuple[int, ...]]] = ()) -> list[Flip]:
+    """The supported bistellar flips of the triangulation, in circuit order,
+    except at the circuits in ``known``, each given as (removed, inserted).
 
     Each row of ``tri.system``, a cell plus a point k outside it, is the
     dependence of a circuit Z, negative at k, and the cell holds the
     coface Z - k: the negative side is the one a flip removes.  No
     triangulation holds cofaces from both sides (Z's Radon point is interior
-    to both hulls), so each circuit is tried once.  Every supported flip has
-    a row.  A removed side holding i and j gives, for a link cell l, the
-    interior wall (Z - {i, j}) + l, whose fold row is Z's (a cell plus one
-    point has one dependence).  A removed side {p} has p interior to the
-    face Z - p, so p is unused and its home cell holds Z - p.
+    to both hulls), so each circuit is tried once; its sides are read off
+    the row by ``config.circuit_sides``, once per distinct row.  Every
+    supported flip has a row.  A removed side holding i and j gives, for a
+    link cell l, the interior wall (Z - {i, j}) + l, whose fold row is Z's
+    (a cell plus one point has one dependence).  A removed side {p} has p
+    interior to the face Z - p, so p is unused and its home cell holds
+    Z - p.  ``known`` lets the flip search skip the flips it has already
+    computed from their other end.
     """
     cells = [(frozenset(s), s) for s in tri.simplices]
+    sides = tri.config.circuit_sides
     circuits: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
     for row in tri.system.constraints:
-        removed = tuple(i for i, c in enumerate(row) if c < 0)
-        circuits.setdefault((removed, tuple(i for i, c in enumerate(row) if c > 0)), row)
+        circuit = sides(row)
+        if circuit not in known:
+            circuits.setdefault(circuit, row)
     out = []
-    # (plus, minus) order of affine_dependence: the side holding the smallest index first.
-    for (removed, inserted), row in sorted(circuits.items(), key=lambda item: min(item[0], item[0][::-1])):
+    for (removed, inserted), row in sorted(circuits.items(), key=lambda item: _circuit_order(*item[0])):
         simplices = _try_flip(cells, removed, inserted)
         if simplices is not None:
             out.append(Flip(removed, inserted, simplices, row))
     return out
+
+
+def _circuit_order(removed: tuple[int, ...], inserted: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Sort key of a circuit, the same from either of its sides: the
+    (plus, minus) order of affine_dependence, the side holding the smallest
+    index first."""
+    return min((removed, inserted), (inserted, removed))
 
 
 def carry_witness(witness: Lifting, row: tuple[int, ...], system: LinearSystem) -> Optional[Lifting]:
@@ -408,13 +422,14 @@ class EnumerationCaps(NamedTuple):
 class EnumerationCapExceeded(RuntimeError):
     """Raised when enumeration would be incomplete; never a silent truncation."""
 
-    def __init__(self, reason: str, found: int, rejected: int, lps: int):
-        counts = f"{found} triangulations, {rejected} rejected, {lps} strict-cone LPs"
+    def __init__(self, reason: str, found: int, rejected: int, lps: int, edges: int):
+        counts = f"{found} triangulations, {rejected} rejected, {lps} strict-cone LPs, {edges} flip edges"
         super().__init__(f"incomplete enumeration ({reason}) after {counts}")
         self.reason = reason
         self.found = found
         self.rejected = rejected
         self.lps = lps
+        self.edges = edges
 
 
 class EnumeratedTriangulation(NamedTuple):
@@ -423,13 +438,19 @@ class EnumeratedTriangulation(NamedTuple):
     certificate: RegularityCertificate
 
 
+Edge = tuple[int, int, tuple[int, ...]]
+
+
 class Enumeration:
     """The regular triangulations of ``config``, as entries sorted by
-    canonical form."""
+    canonical form, and the flip edges between them: sorted (id, id', row)
+    with id < id', where ``row`` is entry id's cone row for the flip's
+    circuit, negative on the side the flip from id removes."""
 
-    def __init__(self, config: PointConfiguration, entries: tuple[EnumeratedTriangulation, ...]):
+    def __init__(self, config: PointConfiguration, entries: tuple[EnumeratedTriangulation, ...], edges: tuple[Edge, ...] = ()):
         self.config = config
         self.entries = entries
+        self.edges = edges
 
     def __len__(self):
         return len(self.entries)
@@ -458,14 +479,19 @@ def enumerate_regular(
     Complete because regular triangulations are connected by flips (they are
     the vertices of the secondary polytope, flips its edges).  Each
     triangulation reached is built once, which builds its cone system
-    (``tri.system``), and its flips are computed once; a kept one holds its
-    witness and its flips only while it is queued.  A neighbour's witness is carried across a flip wall
-    (``carry_witness``): first from the triangulation it was reached from,
-    then from each of its own flip results already found, and only when
-    every carry misses does the exact LP (``is_regular``) decide, as it
-    does for the seed.  Entries are sorted by canonical form, so ids, like
-    the canonical forms, do not depend on the seed ``order``; witness
-    heights do.
+    (``tri.system``).  Flips are computed only for a kept triangulation,
+    once, and each flip edge from the end kept first: every flip computed
+    into a triangulation not yet built is filed under its key in an
+    incoming index, and a kept triangulation skips the circuits filed
+    there, whose flips lead back to triangulations already found.  A
+    neighbour's witness is carried across a flip wall (``carry_witness``):
+    first from the triangulation it was reached from, then from each other
+    found triangulation in its incoming index, in the neighbour's circuit
+    order, and only when every carry misses does the exact LP
+    (``is_regular``) decide, as it does for the seed.  A rejected key
+    computes no flips.  Entries are sorted by canonical form, so ids, like
+    the canonical forms and the edges, do not depend on the seed ``order``;
+    witness heights do.
     """
     caps = caps or EnumerationCaps()
     start = time.monotonic()
@@ -477,34 +503,50 @@ def enumerate_regular(
         seed.simplices: (seed, cert)
     }
     rejected: set[Simplices] = set()
+    # Flips already computed into each key not yet built: (found key, flip).
+    incoming: dict[Simplices, list[tuple[Simplices, Flip]]] = {}
+    walked: list[tuple[Simplices, Simplices, tuple[int, ...]]] = []
     lps = 1
-    queue = deque([(seed.simplices, cert.witness, flips(seed))])
+
+    def expand(key: Simplices, tri: Triangulation, into: list[tuple[Simplices, Flip]]) -> list[Flip]:
+        out = flips(tri, {(f.inserted, f.removed) for _, f in into})
+        for flip in out:
+            if flip.simplices not in rejected:
+                incoming.setdefault(flip.simplices, []).append((key, flip))
+        return out
+
+    queue = deque([(seed.simplices, cert.witness, expand(seed.simplices, seed, []))])
     while queue:
         if len(found) > caps.max_triangulations:
-            raise EnumerationCapExceeded("max triangulation cap", len(found), len(rejected), lps)
+            raise EnumerationCapExceeded("max triangulation cap", len(found), len(rejected), lps, len(walked))
         if caps.time_budget is not None and time.monotonic() - start > caps.time_budget:
-            raise EnumerationCapExceeded("time budget", len(found), len(rejected), lps)
+            raise EnumerationCapExceeded("time budget", len(found), len(rejected), lps, len(walked))
         parent, witness, parent_flips = queue.popleft()
         for flip in parent_flips:
             key = flip.simplices
             if key in found or key in rejected:
                 continue
             nb = Triangulation(config, key)
-            nb_flips = flips(nb)
+            into = incoming.pop(key)
             carried = carry_witness(witness, flip.row, nb.system)
-            for back in nb_flips:
-                if carried is None and back.simplices in found and back.simplices != parent:
-                    their = found[back.simplices][1].witness
-                    carried = carry_witness(their, tuple(-x for x in back.row), nb.system)
+            if carried is None:
+                for other, back in sorted(into, key=lambda entry: _circuit_order(entry[1].removed, entry[1].inserted)):
+                    if other != parent:
+                        carried = carry_witness(found[other][1].witness, back.row, nb.system)
+                        if carried is not None:
+                            break
             lps += carried is None
             cert = is_regular(nb) if carried is None else RegularityCertificate(carried)
             if cert.regular:
                 found[key] = (nb, cert)
-                queue.append((key, cert.witness, nb_flips))
+                walked.extend((other, key, back.row) for other, back in into)
+                queue.append((key, cert.witness, expand(key, nb, into)))
             else:
                 rejected.add(key)
-    entries = tuple(
-        EnumeratedTriangulation(i, tri, cert)
-        for i, (key, (tri, cert)) in enumerate(sorted(found.items()))
-    )
-    return Enumeration(config, entries)
+    ids = {key: i for i, key in enumerate(sorted(found))}
+    entries = tuple(EnumeratedTriangulation(ids[key], *found[key]) for key in sorted(found))
+    edges = []
+    for a, b, row in walked:
+        i, j = ids[a], ids[b]
+        edges.append((i, j, row) if i < j else (j, i, tuple(-x for x in row)))
+    return Enumeration(config, entries, tuple(sorted(edges)))

@@ -369,6 +369,8 @@ def test_enumeration_cap_reports_rejections_and_lps(monkeypatch):
         enumerate_regular(nested_triangles(), caps=EnumerationCaps(max_triangulations=1))
     assert err.value.reason == "max triangulation cap"
     assert (err.value.found, err.value.rejected, err.value.lps) == (4, 1, 2) and len(calls) == 2
+    # The three kept neighbours are joined to the seed and not to each other.
+    assert err.value.edges == 3 and str(err.value).endswith("2 strict-cone LPs, 3 flip edges")
 
 
 def test_enumeration_time_budget_is_loud():
@@ -505,6 +507,27 @@ def test_witnesses_are_pinned(vertices, count, digest):
     doc = [[e.triangulation.simplices, e.certificate.witness.heights] for e in enum]
     assert len(doc) == count
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+# sha256 of the JSON list of [simplices, witness heights] over the entries of
+# four enumerations of each input, one per seeded placing order, recorded
+# while every neighbour's flips were computed when it was built and a missed
+# carry rescanned them for found neighbours.  Witness heights depend on the
+# order and on the carry sequence, so this pins the search path beyond the
+# default order: a change to the walk that keeps it must leave this digest.
+ORDERED_WITNESS_DIGEST = "bd9209873bbe5502bff1abdf704c0221dd2b3ab2586b8e8fd8e49a97e8958e1a"
+
+
+def test_witnesses_are_pinned_across_orders():
+    doc = []
+    for cfg in (config_of(CUBE), config_of(GRID3X3), config_of(HEXAGON), nested_triangles()):
+        for seed in range(4):
+            order = list(range(len(cfg)))
+            random.Random(seed).shuffle(order)
+            enum = enumerate_regular(cfg, order=order)
+            doc.append([[e.triangulation.simplices, e.certificate.witness.heights] for e in enum])
+    assert [len(d) for d in doc] == [74] * 4 + [387] * 4 + [32] * 4 + [16] * 4
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == ORDERED_WITNESS_DIGEST
 
 
 # sha256 of the JSON list of the entries' simplices, recorded while every
@@ -860,8 +883,9 @@ def test_built_triangulation_keeps_its_cone_system(monkeypatch):
 
 
 def test_grid_enumeration_computes_each_triangulations_flips_once(monkeypatch):
-    # A neighbour's flips are computed when it is reached, for the carries
-    # from found neighbours, and queued with it for its own turn.
+    # A neighbour's flips are computed once it is kept, and queued with it
+    # for its own turn; carries from found neighbours read the flips they
+    # computed into it.
     computed = []
     original = triangulation.flips
     monkeypatch.setattr(triangulation, "flips", lambda tri, *args: computed.append(tri.simplices) or original(tri, *args))
@@ -871,14 +895,58 @@ def test_grid_enumeration_computes_each_triangulations_flips_once(monkeypatch):
 
 def test_grid_enumeration_tries_each_candidate_circuit_once(monkeypatch):
     # Candidate circuits are the cone system's rows, each tried once in the
-    # orientation its row gives: 2,668 calls on the 3x3 grid (scanning every
-    # cell and outside point made 10,164; trying both orientations 20,328).
+    # orientation its row gives, and a circuit whose flip was computed from
+    # its other end is not tried again: 1,478 calls on the 3x3 grid, its
+    # 1,190 flip edges and 288 unsupported circuits (2,668 when every flip
+    # edge was computed from both ends; scanning every cell and outside
+    # point made 10,164; trying both orientations 20,328).
     calls = []
     original = triangulation._try_flip
     monkeypatch.setattr(triangulation, "_try_flip", lambda *args: calls.append(args) or original(*args))
     assert len(enumerate_regular(config_of(GRID3X3))) == 387
-    assert len(calls) == 2668
+    assert len(calls) == 1478
 
+
+
+def test_enumeration_computes_no_flips_of_rejected_keys(monkeypatch):
+    # The two irregular spirals of the nested triangles are built and
+    # rejected, and their flips are never computed (every neighbour's flips
+    # were, for the carries, before the incoming index).
+    computed, certs = [], {}
+    original_flips, original_is_regular = triangulation.flips, triangulation.is_regular
+    monkeypatch.setattr(triangulation, "flips", lambda tri, *args: computed.append(tri.simplices) or original_flips(tri, *args))
+    monkeypatch.setattr(triangulation, "is_regular", lambda tri: certs.setdefault(tri.simplices, original_is_regular(tri)))
+    enum = enumerate_regular(nested_triangles())
+    rejected = {key for key, cert in certs.items() if not cert.regular}
+    assert len(rejected) == 2 and not rejected & set(computed)
+    assert sorted(computed) == sorted(enum.canonical_forms())
+
+
+@pytest.mark.parametrize(
+    "vertices,count,edges",
+    [(GRID3X3, 387, 1190), (CUBE, 74, 152), (DOUBLE_SIMPLEX, 14, 21), (HEXAGON, 32, 65)],
+    ids=["grid3x3", "cube", "double_simplex", "hexagon"],
+)
+def test_enumeration_keeps_its_flip_edges(vertices, count, edges):
+    enum = enumerate_regular(config_of(vertices))
+    assert len(enum) == count and len(enum.edges) == edges
+    assert list(enum.edges) == sorted(set(enum.edges))
+    assert all(i < j for i, j, _ in enum.edges)
+
+
+@pytest.mark.parametrize("vertices", [GRID3X3, CUBE], ids=["grid3x3", "cube"])
+def test_edge_rows_are_cone_rows_of_both_ends(vertices):
+    # An edge's row is a wall row of entry id, negative on the side the
+    # flip from id removes; its negation is entry id''s row for the same
+    # circuit, and the flip from id at that circuit gives entry id'.
+    enum = enumerate_regular(config_of(vertices))
+    entries = enum.entries
+    for i, j, row in enum.edges:
+        assert row in entries[i].triangulation.system.constraints
+        assert tuple(-x for x in row) in entries[j].triangulation.system.constraints
+        removed, inserted = enum.config.circuit_sides(row)
+        (flip,) = [f for f in flips(entries[i].triangulation) if (f.removed, f.inserted) == (removed, inserted)]
+        assert flip.row == row and flip.simplices == entries[j].triangulation.simplices
 
 POLYGONS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=6, unique=True)
 # Centred on the origin, so some draws (the octahedron) have an interior point.
@@ -986,3 +1054,31 @@ def test_carried_witnesses_agree_with_lp_on_random_polygons(vertices):
 @given(POLYTOPES_3D)
 def test_carried_witnesses_agree_with_lp_on_random_3d_polytopes(vertices):
     check_carried_witnesses_against_lp(vertices)
+
+
+def check_edges_against_scanning_oracle(vertices):
+    # The walked edges are exactly the scanning oracle's flips between
+    # entries, each oriented by its row from the lower id.
+    cfg = small_config(vertices)
+    enum = enumerate_regular(cfg)
+    ids = {e.triangulation.simplices: e.id for e in enum}
+    expected = set()
+    for entry in enum:
+        for f in oracles.flips(entry.triangulation):
+            j = ids.get(f.result.simplices)
+            if j is not None and entry.id < j:
+                expected.add((entry.id, j, f.removed, f.inserted))
+    assert {(i, j, *cfg.circuit_sides(row)) for i, j, row in enum.edges} == expected
+    assert len(enum.edges) == len(expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(POLYGONS)
+def test_edges_match_scanning_oracle_on_random_polygons(vertices):
+    check_edges_against_scanning_oracle(vertices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(POLYTOPES_3D)
+def test_edges_match_scanning_oracle_on_random_3d_polytopes(vertices):
+    check_edges_against_scanning_oracle(vertices)
