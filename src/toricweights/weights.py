@@ -25,7 +25,12 @@ values a/b with 1 <= b <= 6; the suite checks L*g, L = lcm(1..6), whose
 values are integers, so both sides of every identity are ints, the totals
 read off the triangulation's volume tables.  Every identity is linear in g,
 so it holds for L*g exactly when it holds for g; a failure is reported
-divided by L, in the units of g.
+divided by L, in the units of g.  Linearity also lets one function carry
+all trials of a triangulation, each in its own w-bit integer lane, so one
+big-int equality per identity decides them all; w is the least multiple of
+8 with 2*bound + 1 < 2^(w-1), for a bound on every lane read off the volume
+tables and the vectors.  Only a failed packed equality reruns the trials
+one by one, to name the failing trials with their lhs and rhs.
 """
 
 from __future__ import annotations
@@ -52,8 +57,11 @@ from .vectors import boundary_vector, gkz_vector, hurwitz_vector
 CHOW = "chow"
 HURWITZ = "hurwitz"
 
-# Every trial denominator, rng.randrange(1, 7), divides the scale.
+# Every trial denominator, rng.randrange(1, 7), divides the scale, and every
+# value of a scaled trial function, a draw in [-60, 60] times scale / b, is
+# at most _TRIAL_BOUND in size.
 _TRIAL_SCALE = lcm(*range(1, 7))
+_TRIAL_BOUND = 60 * _TRIAL_SCALE
 
 
 class Generator(NamedTuple):
@@ -75,6 +83,24 @@ class WeightPolytope(NamedTuple):
     affine_dim: int
     certificates: tuple[Optional[Lifting], ...]
     vectors: tuple[tuple[int, ...], ...]
+
+
+def _lane_width(span: int) -> int:
+    """The least multiple of 8 with span < 2^(w-1)."""
+    return 8 * (span.bit_length() // 8 + 1)
+
+
+def _ones(w: int, count: int) -> int:
+    """1 in each of ``count`` w-bit lanes."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1)
+
+
+def _pack(column: Sequence[int], w: int) -> int:
+    """sum_k column[k] * 2^(w*k), built byte-wise from the entries biased by
+    2^(w-1), each of which must then lie in [0, 2^w)."""
+    half = 1 << (w - 1)
+    packed = b"".join((x + half).to_bytes(w // 8, "little") for x in column)
+    return int.from_bytes(packed, "little") - half * _ones(w, len(column))
 
 
 def certified_vertices(
@@ -102,13 +128,10 @@ def certified_vertices(
         raise ValueError("certified_vertices needs one candidate list per vector, all of one length")
     norm = max((sum(map(abs, v)) for v in vectors), default=0)
     top = max((-min(lam.heights) for cands in candidates for lam in cands), default=0)
-    w = 8 * (max(2 * top * norm + 1, norm).bit_length() // 8 + 1)
-    half, ones = 1 << (w - 1), ((1 << w * len(vectors)) - 1) // ((1 << w) - 1)
+    w = _lane_width(max(2 * top * norm + 1, norm))
+    half, ones = 1 << (w - 1), _ones(w, len(vectors))
     tops = half * ones
-    columns = [
-        int.from_bytes(b"".join((x + half).to_bytes(w // 8, "little") for x in col), "little") - tops
-        for col in zip(*vectors)
-    ]
+    columns = [_pack(col, w) for col in zip(*vectors)]
 
     def pins(i: int, lam: Sequence[int]) -> bool:
         lanes = sum(map(mul, lam, columns)) + (half - 1 - sum(map(mul, vectors[i], lam))) * ones
@@ -143,11 +166,26 @@ def build(kind: str, enumeration: Enumeration) -> WeightPolytope:
     return WeightPolytope(kind, len(base), generators, vertices, adim, certificates, by_id)
 
 
+def _check_values(lam: Sequence, length: int) -> None:
+    """Raise as ``pairing`` would on ``lam`` against a vector of ``length``
+    ints: ValueError for another length, TypeError for an entry that is a
+    bool or not an int or Fraction."""
+    if len(lam) != length:
+        raise ValueError(f"length mismatch: {length} vs {len(lam)}")
+    if bool in map(type, lam):
+        raise TypeError("pairing needs int or Fraction entries, not bool")
+    if not all(isinstance(x, (int, Fraction)) for x in lam):
+        raise TypeError("pairing needs int or Fraction entries")
+
+
 def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Exact minimum of <x, lam> over the polytope and the argmin vertex set."""
-    values = [(pairing(v, lam), v) for v in poly.vertices]
-    best = min(val for val, _ in values)
-    return best, tuple(v for val, v in values if val == best)
+    """Exact minimum of <x, lam> over the polytope and the argmin vertex set.
+    ``lam`` is checked once, as ``pairing`` checks it, and then paired with
+    every vertex in plain products."""
+    _check_values(lam, poly.ambient_dim)
+    values = [sum(map(mul, v, lam)) for v in poly.vertices]
+    best = min(values)
+    return best, tuple(v for val, v in zip(values, poly.vertices) if val == best)
 
 
 class SupportCheck(NamedTuple):
@@ -187,6 +225,9 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
     if not sub.is_triangulation:
         return None
     h = lam.heights
+    # support_min checks h, so the pairings below take it as it is.
+    chow_min, chow_argmin = support_min(analysis.chow, h)
+    hurwitz_min, hurwitz_argmin = support_min(analysis.hurwitz, h)
     entry = analysis.enumeration.by_simplices.get(sub.cells)
     tid, values = None, (None, None, None)
     if entry is not None:
@@ -194,9 +235,7 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
         envelope = PLFunction(tri, {i: h[i] for i in tri.used_points})
         tid = entry.id
         gkz, hur = analysis.chow.vectors[tid], analysis.hurwitz.vectors[tid]
-        values = (pairing(gkz, h), pairing(hur, h), volume_total(envelope))
-    chow_min, chow_argmin = support_min(analysis.chow, h)
-    hurwitz_min, hurwitz_argmin = support_min(analysis.hurwitz, h)
+        values = (sum(map(mul, gkz, h)), sum(map(mul, hur, h)), volume_total(envelope))
     minima = ((CHOW, chow_min, chow_argmin), (HURWITZ, hurwitz_min, hurwitz_argmin), (CHOW, chow_min, ()))
     return tuple(
         SupportCheck(kind, "pass" if minimum == value else "fail", lam, minimum, value, argmin, tid)
@@ -224,12 +263,44 @@ class IdentityReport(NamedTuple):
         return not self.failures
 
 
+def _trial_lane_width(config, tri, vectors: Sequence[Sequence[int]]) -> int:
+    """The least multiple of 8 with 2*bound + 1 < 2^(w-1), where bound is
+    _TRIAL_BOUND times the largest coefficient sum of a form the identities
+    compare on ``tri``: ``volume_total`` and ``boundary_total`` (the cell
+    and wall volume tables), ``donaldson_total`` of the two, and the
+    pairings with ``vectors`` (their l1 norms).  Every side then lies in
+    [-bound, bound] in each lane, so two sides agree lane by lane exactly
+    when their packed ints are equal."""
+    n = config.dim
+    cells = sum(len(cell) * abs(vol) for cell, vol in tri.cell_volumes)
+    walls = sum(len(wall) * abs(vol) for wall, vol in tri.massive_wall_volumes)
+    donaldson = (n + 1) * abs(config.volume) * walls + n * abs(config.boundary_volume) * cells
+    coefficients = max(cells, walls, donaldson, *(sum(map(abs, v)) for v in vectors))
+    return _lane_width(2 * _TRIAL_BOUND * coefficients + 1)
+
+
+def _identities(config, g: PLFunction, gkz, bd, mixed) -> tuple[tuple[str, object, object], ...]:
+    """(name, lhs, rhs) of the three trial identities on g."""
+    volume, boundary = volume_total(g), boundary_total(g)
+    return (
+        ("volume pairing", char_pairing(gkz, g), volume),
+        ("boundary pairing", char_pairing(bd, g), boundary),
+        ("donaldson pairing", donaldson_total(config, boundary, volume), char_pairing(mixed, g)),
+    )
+
+
 def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityReport:
     """Exact identity suite over every enumerated triangulation with seeded
     random rational functions, checked as their integer multiples by
     ``_TRIAL_SCALE``; also asserts the constant-sum invariants and the
     T-independence of affine pairings.  The GKZ and Hurwitz vectors are the
-    ones the polytopes were built from (their ``vectors``)."""
+    ones the polytopes were built from (their ``vectors``).
+
+    All trials of one triangulation are checked at once: its used point i
+    carries the packed int sum_t draws[t][i] * 2^(w*t), w from
+    ``_trial_lane_width``, and each identity, linear in g, is one big-int
+    equality.  Only when one fails are the trials rerun one by one, to name
+    each failing trial with its lhs and rhs."""
     config = analysis.config
     n = config.dim
     deg = analysis.degrees
@@ -237,13 +308,11 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     checks = 0
     failures = []
 
-    def check(tid, trial, name, lhs, rhs):
+    def check(tid, name, lhs, rhs):
         nonlocal checks
         checks += 1
         if lhs != rhs:
-            if trial is not None:  # the values of _TRIAL_SCALE * g, in units of g
-                lhs, rhs = Fraction(lhs, _TRIAL_SCALE), Fraction(rhs, _TRIAL_SCALE)
-            failures.append(IdentityFailure(tid, trial, name, lhs, rhs))
+            failures.append(IdentityFailure(tid, None, name, lhs, rhs))
 
     affine_reference: Optional[list[tuple[int, int]]] = None
     affine_fns = [[1] * len(config)] + [[p[j] for p in config.points] for j in range(n)]
@@ -252,31 +321,38 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
         tid = entry.id
         gkz, hur = analysis.chow.vectors[tid], analysis.hurwitz.vectors[tid]
         bd = boundary_vector(tri)
-        check(tid, None, "gkz sum", sum(gkz), (n + 1) * config.volume)
-        check(tid, None, "boundary sum", sum(bd), n * config.boundary_volume)
-        check(tid, None, "hurwitz sum", sum(hur), n * deg.hurwitz)
+        check(tid, "gkz sum", sum(gkz), (n + 1) * config.volume)
+        check(tid, "boundary sum", sum(bd), n * config.boundary_volume)
+        check(tid, "hurwitz sum", sum(hur), n * deg.hurwitz)
         affine_values = [
             (pairing(gkz, a), pairing(hur, a)) for a in affine_fns
         ]
         if affine_reference is None:
             affine_reference = affine_values
         else:
-            check(tid, None, "affine pairing T-independence", affine_values, affine_reference)
+            check(tid, "affine pairing T-independence", affine_values, affine_reference)
+        if trials <= 0:
+            continue
         mixed = tuple(
             n * deg.hurwitz * e - (n + 1) * deg.chow * x
             for e, x in zip(gkz, hur)
         )
-        for trial in range(trials):
-            values = {
-                i: rng.randrange(-60, 61) * (_TRIAL_SCALE // rng.randrange(1, 7))
-                for i in tri.used_points
-            }
-            g = PLFunction(tri, values)
-            volume = volume_total(g)
-            boundary = boundary_total(g)
-            check(tid, trial, "volume pairing", char_pairing(gkz, g), volume)
-            check(tid, trial, "boundary pairing", char_pairing(bd, g), boundary)
-            check(tid, trial, "donaldson pairing", donaldson_total(config, boundary, volume), char_pairing(mixed, g))
+        used = tri.used_points
+        draws = [
+            [rng.randrange(-60, 61) * (_TRIAL_SCALE // rng.randrange(1, 7)) for _ in used]
+            for _ in range(trials)
+        ]
+        w = _trial_lane_width(config, tri, (gkz, bd, mixed))
+        packed = PLFunction(tri, dict(zip(used, (_pack(column, w) for column in zip(*draws)))))
+        checks += 3 * trials
+        if all(lhs == rhs for _, lhs, rhs in _identities(config, packed, gkz, bd, mixed)):
+            continue
+        for trial, row in enumerate(draws):
+            for name, lhs, rhs in _identities(config, PLFunction(tri, dict(zip(used, row))), gkz, bd, mixed):
+                if lhs != rhs:  # the values of _TRIAL_SCALE * g, in units of g
+                    failures.append(
+                        IdentityFailure(tid, trial, name, Fraction(lhs, _TRIAL_SCALE), Fraction(rhs, _TRIAL_SCALE))
+                    )
     return IdentityReport(seed, trials, len(analysis.enumeration), checks, failures)
 
 

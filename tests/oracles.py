@@ -3,9 +3,10 @@ the Fraction-tableau simplex that ``lp`` is checked against, the cone
 system built by one elimination per row, the lower hull found by
 exhaustive facet search, the flips found by scanning every simplex, the
 placing triangulation by one face functional per boundary face, the
-Fraction integrals and Donaldson functional that look up each volume, and
-the massive-wall and vertex-index lookups the brute force and the lower
-hull read.
+Fraction integrals and Donaldson functional that look up each volume, the
+scalar vertex pins, the identity suite that checks one trial function at a
+time, and the massive-wall and vertex-index lookups the brute force and the
+lower hull read.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -19,6 +20,7 @@ shares no machinery with the flip search it is used to cross-check, nor with
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,9 +31,18 @@ from typing import Optional, Sequence
 
 from toricweights.exact import affine_combination, integer_row, rank, solve_linear
 from toricweights.lp import LinearSystem
-from toricweights.functionals import PLFunction
+from toricweights.functionals import (
+    PLFunction,
+    boundary_total,
+    char_pairing,
+    donaldson_total,
+    pairing,
+    volume_total,
+)
 from toricweights.polytope import Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
+from toricweights.vectors import boundary_vector
+from toricweights.weights import _TRIAL_SCALE, IdentityFailure, IdentityReport
 
 
 class OracleTimeout(Exception):
@@ -651,3 +662,50 @@ def certified_vertices(
     certs = first_pins(vectors, candidates)
     decided = set(extreme_point_indices(vectors, [i for i, c in enumerate(certs) if c is None]))
     return [(i, c) for i, c in enumerate(certs) if c is not None or i in decided]
+
+
+def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityReport:
+    """``weights.verify_identities`` by the scalar rule, as it stood before
+    the trials were packed on integer lanes: one ``PLFunction`` per
+    (triangulation, trial), each with its own integrals and pairings, from
+    the same seeded draws in the same order."""
+    config = analysis.config
+    n = config.dim
+    deg = analysis.degrees
+    rng = random.Random(seed)
+    checks = 0
+    failures = []
+
+    def check(tid, trial, name, lhs, rhs):
+        nonlocal checks
+        checks += 1
+        if lhs != rhs:
+            if trial is not None:  # the values of _TRIAL_SCALE * g, in units of g
+                lhs, rhs = Fraction(lhs, _TRIAL_SCALE), Fraction(rhs, _TRIAL_SCALE)
+            failures.append(IdentityFailure(tid, trial, name, lhs, rhs))
+
+    affine_reference: Optional[list[tuple[int, int]]] = None
+    affine_fns = [[1] * len(config)] + [[p[j] for p in config.points] for j in range(n)]
+    for entry in analysis.enumeration:
+        tri = entry.triangulation
+        tid = entry.id
+        gkz, hur = analysis.chow.vectors[tid], analysis.hurwitz.vectors[tid]
+        bd = boundary_vector(tri)
+        check(tid, None, "gkz sum", sum(gkz), (n + 1) * config.volume)
+        check(tid, None, "boundary sum", sum(bd), n * config.boundary_volume)
+        check(tid, None, "hurwitz sum", sum(hur), n * deg.hurwitz)
+        affine_values = [(pairing(gkz, a), pairing(hur, a)) for a in affine_fns]
+        if affine_reference is None:
+            affine_reference = affine_values
+        else:
+            check(tid, None, "affine pairing T-independence", affine_values, affine_reference)
+        mixed = tuple(n * deg.hurwitz * e - (n + 1) * deg.chow * x for e, x in zip(gkz, hur))
+        for trial in range(trials):
+            values = {i: rng.randrange(-60, 61) * (_TRIAL_SCALE // rng.randrange(1, 7)) for i in tri.used_points}
+            g = PLFunction(tri, values)
+            volume = volume_total(g)
+            boundary = boundary_total(g)
+            check(tid, trial, "volume pairing", char_pairing(gkz, g), volume)
+            check(tid, trial, "boundary pairing", char_pairing(bd, g), boundary)
+            check(tid, trial, "donaldson pairing", donaldson_total(config, boundary, volume), char_pairing(mixed, g))
+    return IdentityReport(seed, trials, len(analysis.enumeration), checks, failures)

@@ -1,5 +1,6 @@
 """Internal consistency checks raise RuntimeError and constructor checks
-raise ValueError, so they survive ``python -O`` (which strips ``assert``)."""
+raise ValueError, so they survive ``python -O`` (which strips ``assert``);
+the identity suite reports its failures there too."""
 
 import ast
 import json
@@ -15,6 +16,7 @@ import json
 from fractions import Fraction
 
 from toricweights import lp, triangulation, weights
+from toricweights.pipeline import analyze
 from toricweights.lp import LinearSystem
 from toricweights.polytope import LatticePolytope, lattice_points
 from toricweights.triangulation import Lifting, Triangulation, placing_triangulation
@@ -41,6 +43,12 @@ placing = placing_triangulation(config)
 witness = triangulation.is_regular(placing).witness
 flip = triangulation.flips(placing)[0]
 beyond = triangulation.cone_system(Triangulation(config, flip.simplices))
+# The double simplex with one entry of one GKZ vector off by one: the packed
+# identity check fails and the rerun names the failing trials.
+analysis = analyze([[0, 0], [2, 0], [0, 2]])
+gkz = list(analysis.chow.vectors)
+gkz[3] = (gkz[3][0] + 1,) + gkz[3][1:]
+faulty = weights.verify_identities(analysis._replace(chow=analysis.chow._replace(vectors=tuple(gkz))), 2, 0)
 triangulation.gcd = lambda *heights: -1  # a sign error in the normalisation
 lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars - 1)  # (1, 0) breaks x - y < 0
 print(json.dumps({
@@ -58,6 +66,7 @@ print(json.dumps({
     "row sum": message(LinearSystem, ((1, 0),), 2, error=ValueError),
     "float row": message(LinearSystem, ((0.5,),), 1, error=TypeError),
     "ragged vectors": message(weights.certified_vertices, [(0, 1), (1,)], [[], []], error=ValueError),
+    "identity failures": [[f.triangulation_id, f.trial, f.name] for f in faulty.failures],
 }))
 """
 
@@ -81,6 +90,14 @@ def test_validation_raises_under_optimize():
     assert result["row sum"] == "constraint rows must sum to 0"
     assert result["float row"] == "LinearSystem needs int entries"
     assert result["ragged vectors"] == "certified_vertices needs one candidate list per vector, all of one length"
+    assert result["identity failures"] == [
+        [3, None, "gkz sum"],
+        [3, None, "affine pairing T-independence"],
+        [3, 0, "volume pairing"],
+        [3, 0, "donaldson pairing"],
+        [3, 1, "volume pairing"],
+        [3, 1, "donaldson pairing"],
+    ]
     assert all(result.values()), result
 
 

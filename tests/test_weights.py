@@ -91,6 +91,27 @@ def test_support_min_equals_min_over_generators(double_simplex):
         assert value == gen_min
 
 
+def test_support_min_checks_lam_once_per_call(segment, monkeypatch):
+    # lam is checked once, as pairing would check it, and never per vertex.
+    checked = []
+    original = weights._check_values
+    monkeypatch.setattr(weights, "_check_values", lambda lam, length: checked.append(lam) or original(lam, length))
+    monkeypatch.setattr(weights, "pairing", lambda *a: pytest.fail("support_min paired through pairing"))
+    for lam, error, message in [
+        ((0, True, 0), TypeError, "not bool"),
+        ((0, -1.5, 0), TypeError, "int or Fraction entries"),
+        ((0, -1), ValueError, "length mismatch: 3 vs 2"),
+    ]:
+        with pytest.raises(error, match=message):
+            support_min(segment.chow, lam)
+        assert checked == [lam]
+        checked.clear()
+    assert support_min(segment.hurwitz, (0, Fraction(-1, 2), 0)) == (-1, ((0, 2, 0),))
+    assert support_min(segment.chow, (0, -1, 0)) == (-2, ((1, 2, 1),))
+    assert len(checked) == 2  # one check per call, for two vertices each
+    assert len(segment.chow.vertices) == len(segment.hurwitz.vertices) == 2
+
+
 def test_verify_chow_support_segment(segment):
     chk, _, aubin = support_checks(segment, Lifting((0, -1, 0)))
     assert chk.status == aubin.status == "pass"
@@ -179,6 +200,9 @@ def test_identities_build_no_triangulation_per_trial_function(monkeypatch):
 
 
 def test_identity_integrals_computed_once_per_trial_function(double_simplex, monkeypatch):
+    # All trials of a triangulation are one packed function, so a passing run
+    # integrates once per triangulation; a triangulation whose packed check
+    # fails reruns its trials one by one, and only that one.
     calls = {"volume_total": 0, "boundary_total": 0}
     for name in calls:
         original = getattr(functionals, name)
@@ -192,10 +216,24 @@ def test_identity_integrals_computed_once_per_trial_function(double_simplex, mon
     ntri = len(double_simplex.enumeration)
     rep = verify_identities(double_simplex, trials=5, seed=3)
     assert rep.passed
-    assert calls == {"volume_total": 5 * ntri, "boundary_total": 5 * ntri}
+    assert calls == {"volume_total": ntri, "boundary_total": ntri}
     # Three sums per triangulation, the affine T-independence from the second
     # one on, and three pairings per trial function.
     assert rep.checks == ntri * (3 + 3 * 5) + ntri - 1
+
+    # One entry of one GKZ vector off by one: only that triangulation's
+    # checks fail, and only its own five trials are rerun.
+    calls.update(volume_total=0, boundary_total=0)
+    tid = 3
+    faulty = list(double_simplex.chow.vectors)
+    i = double_simplex.enumeration.entries[tid].triangulation.used_points[0]
+    faulty[tid] = faulty[tid][:i] + (faulty[tid][i] + 1,) + faulty[tid][i + 1:]
+    analysis = double_simplex._replace(chow=double_simplex.chow._replace(vectors=tuple(faulty)))
+    rep = verify_identities(analysis, trials=5, seed=3)
+    assert calls == {"volume_total": ntri + 5, "boundary_total": ntri + 5}
+    assert rep.checks == ntri * (3 + 3 * 5) + ntri - 1
+    assert {f.triangulation_id for f in rep.failures} == {tid}
+    assert rep == oracles.verify_identities(analysis, trials=5, seed=3)
 
 
 def test_characteristic_vectors_computed_once_per_entry(monkeypatch):
@@ -552,3 +590,88 @@ def test_identity_suite_catches_a_non_linear_fault(monkeypatch):
     boundary = [f for f in report.failures if f.name == "boundary pairing"]
     assert boundary
     assert all(f.rhs - f.lhs == factorial(2) * Fraction(1, 7) / weights._TRIAL_SCALE for f in boundary)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_identity_suite_matches_the_scalar_oracle(corpus_analysis, data):
+    # One entry of a GKZ or Hurwitz vector, or one cell or wall volume of
+    # one triangulation, moved by a small or a huge amount: the packed suite
+    # reports exactly the oracle's checks and failures, in its order.
+    analysis = corpus_analysis
+    trials, seed = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2**16))
+    tid = data.draw(st.integers(0, len(analysis.enumeration) - 1))
+    delta = data.draw(st.integers(-3, 3) | st.integers(-(2**70), 2**70))
+    target = data.draw(st.sampled_from(["chow", "hurwitz", "cell_volumes", "massive_wall_volumes"]))
+    if target in ("chow", "hurwitz"):
+        poly = getattr(analysis, target)
+        vector = list(poly.vectors[tid])
+        vector[data.draw(st.integers(0, len(vector) - 1))] += delta
+        vectors = poly.vectors[:tid] + (tuple(vector),) + poly.vectors[tid + 1:]
+        faulty = analysis._replace(**{target: poly._replace(vectors=vectors)})
+        assert verify_identities(faulty, trials, seed) == oracles.verify_identities(faulty, trials, seed)
+        return
+    tri = analysis.enumeration.entries[tid].triangulation
+    table = getattr(tri, target)
+    k = data.draw(st.integers(0, len(table) - 1))
+    tri.__dict__[target] = table[:k] + ((table[k][0], table[k][1] + delta),) + table[k + 1:]
+    try:
+        assert verify_identities(analysis, trials, seed) == oracles.verify_identities(analysis, trials, seed)
+    finally:
+        tri.__dict__[target] = table
+
+
+def _signed_lanes(packed: int, w: int, count: int) -> list[int]:
+    """The ``count`` signed w-bit lanes of ``packed``, lowest first."""
+    half, lanes = 1 << (w - 1), []
+    for _ in range(count):
+        lanes.append((packed + half) % (1 << w) - half)
+        packed = (packed - lanes[-1]) >> w
+    return lanes
+
+
+@pytest.mark.parametrize("name", ["double_simplex.json", "octahedron.json"])
+def test_trial_lanes_at_the_width_bound(name):
+    # Every draw at +-3600, the largest trial value: all +, all -, and the
+    # signs that make each pairing largest in size.  At the width w the
+    # suite picks, every form compared on the packed function has each
+    # trial's value in its own lane, and lane differences up to twice the
+    # bound still fit; one byte narrower, twice the bound no longer fits a
+    # signed lane, so an extreme difference carries into the next lane.  On
+    # the double simplex the sides themselves already carry at that width.
+    analysis = analyze(json.loads((DATA / name).read_text())["vertices"])
+    config, n, deg = analysis.config, analysis.config.dim, analysis.degrees
+    bound = weights._TRIAL_BOUND
+    assert bound == 3600
+    carried = False
+    for entry in analysis.enumeration:
+        tri, tid = entry.triangulation, entry.id
+        gkz, hur, bd = analysis.chow.vectors[tid], analysis.hurwitz.vectors[tid], vectors.boundary_vector(tri)
+        mixed = tuple(n * deg.hurwitz * e - (n + 1) * deg.chow * x for e, x in zip(gkz, hur))
+        used = tri.used_points
+        signs = [[1] * len(used)] + [[1 if v[i] >= 0 else -1 for i in used] for v in (gkz, bd, mixed)]
+        draws = [[s * bound for s in row] for row in signs] + [[-s * bound for s in row] for row in signs]
+
+        def forms(values):
+            g = functionals.PLFunction(tri, dict(zip(used, values)))
+            volume, boundary = functionals.volume_total(g), functionals.boundary_total(g)
+            pairings = [functionals.char_pairing(v, g) for v in (gkz, bd, mixed)]
+            return [volume, boundary, functionals.donaldson_total(config, boundary, volume), *pairings]
+
+        scalar = [list(col) for col in zip(*map(forms, draws))]
+        cells = sum(len(cell) * vol for cell, vol in tri.cell_volumes)
+        walls = sum(len(wall) * vol for wall, vol in tri.massive_wall_volumes)
+        weight = (n + 1) * config.volume * walls + n * config.boundary_volume * cells
+        top = bound * max(cells, walls, weight, *(sum(map(abs, v)) for v in (gkz, bd, mixed)))
+        assert max(abs(x) for col in scalar for x in col) <= top
+        w = weights._trial_lane_width(config, tri, (gkz, bd, mixed))
+        assert 2 * top + 1 < 2 ** (w - 1) and 2 * top + 1 >= 2 ** (w - 9)
+        packed = [weights._pack(col, w) for col in zip(*draws)]
+        assert [_signed_lanes(v, w, len(draws)) for v in forms(packed)] == scalar
+        assert _signed_lanes(2 * top, w, 2) == [2 * top, 0]
+        narrow = w - 8
+        assert _signed_lanes(2 * top, narrow, 2) != [2 * top, 0]
+        packed = [weights._pack(col, narrow) for col in zip(*draws)]
+        carried |= [_signed_lanes(v, narrow, len(draws)) for v in forms(packed)] != scalar
+    assert carried == (name == "double_simplex.json")
+
