@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Stress the support identities with many random liftings.
 
-For a given polytope file, draws seeded random integral liftings and runs
+For a given polytope file, draws seeded random integral liftings, takes
+all their lower hulls in one ``lower_hulls`` call, and runs
 ``support_checks`` on each: those with a simplicial lower hull have their
 Chow and Hurwitz support minima checked against the pairings with the induced
 triangulation's characteristic vectors, and the Chow minimum against the
@@ -16,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 from toricweights.pipeline import analyze
-from toricweights.triangulation import Lifting
+from toricweights.triangulation import Lifting, lower_hulls
 from toricweights.weights import support_checks
 
 
@@ -33,11 +34,13 @@ def main():
     rng = random.Random(args.seed)
     npts = len(analysis.config)
 
+    liftings = [
+        Lifting.normalized([rng.randrange(-args.height_range, 1) for _ in range(npts)]) for _ in range(args.trials)
+    ]
     hit = Counter()
     simplicial = failures = 0
-    for _ in range(args.trials):
-        lam = Lifting.normalized([rng.randrange(-args.height_range, 1) for _ in range(npts)])
-        checks = support_checks(analysis, lam)
+    for lam, sub in zip(liftings, lower_hulls(analysis.config, liftings)):
+        checks = support_checks(analysis, lam, sub)
         if checks is None:
             continue
         simplicial += 1

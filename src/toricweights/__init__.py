@@ -43,6 +43,7 @@ from .triangulation import (
     flips,
     is_regular,
     lower_hull_subdivision,
+    lower_hulls,
     placing_triangulation,
 )
 from .vectors import boundary_vector, gkz_vector, hurwitz_vector

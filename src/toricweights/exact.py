@@ -224,3 +224,42 @@ def affine_dependence(points: Sequence[Sequence]) -> Optional[tuple[int, ...]]:
     if next(x for x in ints if x != 0) < 0:
         ints = [-x for x in ints]
     return tuple(ints)
+
+
+# --- Integer lanes -----------------------------------------------------------
+#
+# A batch of integer vectors is carried as one vector of Python ints: entry
+# j packs sum_k v_k[j] * 2^(w*k), vector k in the signed w-bit lane k.  Every
+# integer linear form then takes all of them in one pass, and a result whose
+# lanes each lie in [-2^(w-1), 2^(w-1)) determines them, since digits in that
+# range are unique.  Adding 2^(w-1) (or 2^(w-1) - 1) to every lane of such a
+# result sets the top bit of the lanes that are >= 0 (or > 0).
+
+
+def lane_width(span: int) -> int:
+    """The least multiple of 8 with span < 2^(w-1)."""
+    return 8 * (span.bit_length() // 8 + 1)
+
+
+def lane_ones(w: int, count: int) -> int:
+    """1 in each of ``count`` w-bit lanes."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1)
+
+
+def pack_lanes(column: Sequence[int], w: int) -> int:
+    """sum_k column[k] * 2^(w*k), built byte-wise from the entries biased by
+    2^(w-1), each of which must then lie in [0, 2^w)."""
+    half = 1 << (w - 1)
+    packed = b"".join((x + half).to_bytes(w // 8, "little") for x in column)
+    return int.from_bytes(packed, "little") - half * lane_ones(w, len(column))
+
+
+def set_lanes(mask: int, w: int) -> list[int]:
+    """The lanes, lowest first, of the set bits of ``mask``, which holds at
+    most one set bit per w-bit lane."""
+    lanes = []
+    while mask:
+        low = mask & -mask
+        lanes.append((low.bit_length() - 1) // w)
+        mask ^= low
+    return lanes

@@ -375,6 +375,14 @@ class PointConfiguration:
             table.append((sigma, tuple(tests)))
         return tuple(table)
 
+    @cached_property
+    def lower_hull_norm(self) -> int:
+        """The largest l1 norm of a side test row of ``lower_hull_tests``,
+        or 1 when there is none: heights at most top in size give sides at
+        most top times this in size."""
+        rows = (row for _, tests in self.lower_hull_tests for _, _, row in tests)
+        return max((sum(map(abs, row)) for row in rows), default=1)
+
 
 def lattice_points(polytope: LatticePolytope) -> PointConfiguration:
     """All lattice points of the polytope (boundary included), lexicographic."""

@@ -16,7 +16,7 @@ from math import gcd
 from operator import mul
 from typing import Collection, Iterable, KeysView, NamedTuple, Optional, Sequence
 
-from .exact import integer_row
+from .exact import integer_row, lane_ones, lane_width, pack_lanes, set_lanes
 from .lp import LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
@@ -151,48 +151,87 @@ class Subdivision(NamedTuple):
     is_triangulation: bool
 
 
-def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> Subdivision:
-    """Subdivision induced by the lower hull of the lifted points (omega_k, h_k).
+def lower_hulls(config: PointConfiguration, liftings: Sequence[Lifting | Sequence[int]]) -> list[Subdivision]:
+    """Subdivisions induced by the lower hulls of the lifted points
+    (omega_k, h_k), one per lifting, all decided in one pass on integer lanes.
 
     Each affinely independent (n+1)-subset sigma spans a non-vertical plane
     through its lifted points; a point k lies strictly below it exactly when
     ``config.cone_row(sigma, k)·h > 0``, and on it when that is 0.  sigma
     spans a lower facet when no point lies strictly below, and the facet's
-    points are sigma plus the points on the plane.  Cell vertex sets are the
-    extreme points of each facet; points lying on a facet without being
-    vertices of it are not part of the cell.  Heights affine on the
-    configuration give a single cell, the polytope's vertices.  The side
-    tests are the configuration's ``lower_hull_tests``, built once and
-    shared by every lifting, so each lifting costs integer dot products
-    only.
+    points are sigma plus the points on the plane.  The side tests are the
+    configuration's ``lower_hull_tests``, built once and shared by every
+    lifting.  Point i carries the heights of all liftings as one packed int,
+    lifting b in the signed w-bit lane b (``exact.pack_lanes``), so each
+    (sigma, k) test is one packed dot product, whose lane b is the side of k
+    under lifting b; two bias-adds read off the lanes where it is > 0 and
+    where it is 0.  Every side is at most top*norm in size (top: the largest
+    |height|; norm: ``config.lower_hull_norm``, the largest l1 norm of a
+    test row), and w is the least multiple of 8 with 2*top*norm + 1 <
+    2^(w-1).
+
+    Cell vertex sets are the extreme points of each facet; points lying on
+    a facet without being vertices of it are not part of the cell.  A facet
+    of n + 2 points has one affine dependence, the row of the side test that
+    put its one point beyond sigma on it, and a point is not extreme exactly
+    when it is alone on its side of that row; only larger facets go to the
+    hull-membership LP.  Heights affine on the configuration give a single
+    cell, the polytope's vertices.
     """
-    if not isinstance(lifting, Lifting):
-        lifting = Lifting.normalized(lifting)
-    if len(lifting.heights) != len(config):
+    lifts = [lam if isinstance(lam, Lifting) else Lifting.normalized(lam) for lam in liftings]
+    if any(len(lam.heights) != len(config) for lam in lifts):
         raise ValueError("lifting length must match the configuration")
-    h = lifting.heights
-    n = config.dim
-    facets = set()
-    for sigma, tests in config.lower_hull_tests:
-        on = list(sigma)
-        for k, heights_at, row in tests:
-            side = sum(map(mul, row, heights_at(h)))
-            if side > 0:
+    if not lifts:
+        return []
+    top = max(-min(lam.heights) for lam in lifts)
+    w = lane_width(2 * top * config.lower_hull_norm + 1)
+    half, ones = 1 << (w - 1), lane_ones(w, len(lifts))
+    tops, above = half * ones, (half - 1) * ones
+    packed = [pack_lanes(column, w) for column in zip(*(lam.heights for lam in lifts))]
+    facets: list[dict[tuple[int, ...], Optional[tuple[int, ...]]]] = [{} for _ in lifts]
+    for sigma, side_tests in config.lower_hull_tests:
+        alive, zeros = tops, []
+        for k, heights_at, row in side_tests:
+            side = sum(map(mul, row, heights_at(packed)))
+            below = (side + above) & tops
+            alive ^= alive & below
+            if not alive:
                 break
-            if side == 0:
-                on.append(k)
+            on = ((side + tops) & tops) ^ below
+            if on:
+                zeros.append((k, on, row))
         else:
-            facets.add(tuple(sorted(on)))
+            for lane in set_lanes(alive, w):
+                bit = half << w * lane
+                on = [(k, row) for k, mask, row in zeros if mask & bit]
+                facets[lane][tuple(sorted(sigma + tuple(k for k, _ in on)))] = on[0][1] if len(on) == 1 else None
+    return [_subdivision(config, lam.heights, on) for lam, on in zip(lifts, facets)]
+
+
+def _subdivision(
+    config: PointConfiguration, h: Sequence[int], facets: dict[tuple[int, ...], Optional[tuple[int, ...]]]
+) -> Subdivision:
+    """The cells of the heights ``h``: the extreme points of each lower
+    facet, a sorted point set.  A facet of n + 2 points maps to the side
+    test row that found it, their one affine dependence; any other to None."""
+    n = config.dim
     cells = []
-    for on in facets:
-        if len(on) == n + 1:
-            cells.append(on)
-        else:
+    for on, row in facets.items():
+        if row is not None:
+            signs = [(c > 0) - (c < 0) for c in row]
+            on = tuple(i for i, s in zip(on, signs) if s == 0 or signs.count(s) > 1)
+        elif len(on) > n + 1:
             extreme = extreme_point_indices([config.points[i] + (h[i],) for i in on])
-            cells.append(tuple(on[i] for i in extreme))
+            on = tuple(on[i] for i in extreme)
+        cells.append(on)
     cells.sort()
-    simplicial = all(len(c) == n + 1 for c in cells)
-    return Subdivision(tuple(cells), simplicial)
+    return Subdivision(tuple(cells), all(len(c) == n + 1 for c in cells))
+
+
+def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> Subdivision:
+    """The subdivision induced by the lower hull of one lifting:
+    ``lower_hulls`` of a batch of one."""
+    return lower_hulls(config, [lifting])[0]
 
 
 class RegularityCertificate(NamedTuple):

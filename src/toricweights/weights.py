@@ -30,7 +30,10 @@ all trials of a triangulation, each in its own w-bit integer lane, so one
 big-int equality per identity decides them all; w is the least multiple of
 8 with 2*bound + 1 < 2^(w-1), for a bound on every lane read off the volume
 tables and the vectors.  Only a failed packed equality reruns the trials
-one by one, to name the failing trials with their lhs and rhs.
+one by one, to name the failing trials with their lhs and rhs.  The
+support suite packs the same way: the liftings with one lower-hull
+triangulation share each pairing, lifting b in lane b, and only a lane
+that may fail is rerun one lifting at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import rank
+from .exact import lane_ones, lane_width, pack_lanes, rank, set_lanes
 from .functionals import (
     PLFunction,
     boundary_total,
@@ -51,17 +54,42 @@ from .functionals import (
     volume_total,
 )
 from .polytope import extreme_point_indices
-from .triangulation import Enumeration, Lifting, lower_hull_subdivision
+from .triangulation import (
+    EnumeratedTriangulation,
+    Enumeration,
+    Lifting,
+    Subdivision,
+    lower_hull_subdivision,
+    lower_hulls,
+)
 from .vectors import boundary_vector, gkz_vector, hurwitz_vector
 
 CHOW = "chow"
 HURWITZ = "hurwitz"
 
-# Every trial denominator, rng.randrange(1, 7), divides the scale, and every
+# Every trial denominator, a draw in [1, 6], divides the scale, and every
 # value of a scaled trial function, a draw in [-60, 60] times scale / b, is
 # at most _TRIAL_BOUND in size.
 _TRIAL_SCALE = lcm(*range(1, 7))
 _TRIAL_BOUND = 60 * _TRIAL_SCALE
+
+
+def _randranges(rng: random.Random, ranges: Sequence[tuple[int, int]], rounds: int) -> list[int]:
+    """``rounds`` rounds of one ``rng.randrange(lo, hi)`` per (lo, hi) in
+    ``ranges``, in order, drawn as ``randrange`` draws them: for width
+    m = hi - lo, getrandbits(k) with k = m.bit_length(), redrawn while >= m,
+    plus lo.  The values and the generator's state after them are those of
+    the ``randrange`` calls, without their argument handling."""
+    bits = rng.getrandbits
+    plan = [(lo, hi - lo, (hi - lo).bit_length()) for lo, hi in ranges]
+    out = []
+    for _ in range(rounds):
+        for lo, width, k in plan:
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            out.append(lo + r)
+    return out
 
 
 class Generator(NamedTuple):
@@ -83,24 +111,6 @@ class WeightPolytope(NamedTuple):
     affine_dim: int
     certificates: tuple[Optional[Lifting], ...]
     vectors: tuple[tuple[int, ...], ...]
-
-
-def _lane_width(span: int) -> int:
-    """The least multiple of 8 with span < 2^(w-1)."""
-    return 8 * (span.bit_length() // 8 + 1)
-
-
-def _ones(w: int, count: int) -> int:
-    """1 in each of ``count`` w-bit lanes."""
-    return ((1 << w * count) - 1) // ((1 << w) - 1)
-
-
-def _pack(column: Sequence[int], w: int) -> int:
-    """sum_k column[k] * 2^(w*k), built byte-wise from the entries biased by
-    2^(w-1), each of which must then lie in [0, 2^w)."""
-    half = 1 << (w - 1)
-    packed = b"".join((x + half).to_bytes(w // 8, "little") for x in column)
-    return int.from_bytes(packed, "little") - half * _ones(w, len(column))
 
 
 def certified_vertices(
@@ -128,10 +138,10 @@ def certified_vertices(
         raise ValueError("certified_vertices needs one candidate list per vector, all of one length")
     norm = max((sum(map(abs, v)) for v in vectors), default=0)
     top = max((-min(lam.heights) for cands in candidates for lam in cands), default=0)
-    w = _lane_width(max(2 * top * norm + 1, norm))
-    half, ones = 1 << (w - 1), _ones(w, len(vectors))
+    w = lane_width(max(2 * top * norm + 1, norm))
+    half, ones = 1 << (w - 1), lane_ones(w, len(vectors))
     tops = half * ones
-    columns = [_pack(col, w) for col in zip(*vectors)]
+    columns = [pack_lanes(col, w) for col in zip(*vectors)]
 
     def pins(i: int, lam: Sequence[int]) -> bool:
         lanes = sum(map(mul, lam, columns)) + (half - 1 - sum(map(mul, vectors[i], lam))) * ones
@@ -203,9 +213,12 @@ class SupportCheck(NamedTuple):
     triangulation_id: Optional[int] = None
 
 
-def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, SupportCheck, SupportCheck]]:
+def support_checks(
+    analysis, lam: Lifting, sub: Optional[Subdivision] = None
+) -> Optional[tuple[SupportCheck, SupportCheck, SupportCheck]]:
     """The Chow and Hurwitz support checks and the Aubin check at ``lam``,
-    or None when its lower hull is not simplicial.
+    or None when its lower hull is not simplicial.  ``sub`` is that lower
+    hull when the caller has already taken it.
 
     A simplicial lower hull is the regular triangulation T_lam, which is
     looked up in the enumeration by its canonical cells, and its vectors in
@@ -221,7 +234,8 @@ def support_checks(analysis, lam: Lifting) -> Optional[tuple[SupportCheck, Suppo
     exactly when the Chow support check does, unless ``gkz_vector`` and
     ``volume_total`` disagree; it is kept as a check of that agreement.
     """
-    sub = lower_hull_subdivision(analysis.config, lam)
+    if sub is None:
+        sub = lower_hull_subdivision(analysis.config, lam)
     if not sub.is_triangulation:
         return None
     h = lam.heights
@@ -276,7 +290,7 @@ def _trial_lane_width(config, tri, vectors: Sequence[Sequence[int]]) -> int:
     walls = sum(len(wall) * abs(vol) for wall, vol in tri.massive_wall_volumes)
     donaldson = (n + 1) * abs(config.volume) * walls + n * abs(config.boundary_volume) * cells
     coefficients = max(cells, walls, donaldson, *(sum(map(abs, v)) for v in vectors))
-    return _lane_width(2 * _TRIAL_BOUND * coefficients + 1)
+    return lane_width(2 * _TRIAL_BOUND * coefficients + 1)
 
 
 def _identities(config, g: PLFunction, gkz, bd, mixed) -> tuple[tuple[str, object, object], ...]:
@@ -338,12 +352,11 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
             for e, x in zip(gkz, hur)
         )
         used = tri.used_points
-        draws = [
-            [rng.randrange(-60, 61) * (_TRIAL_SCALE // rng.randrange(1, 7)) for _ in used]
-            for _ in range(trials)
-        ]
+        pairs = iter(_randranges(rng, ((-60, 61), (1, 7)), trials * len(used)))
+        values = [a * (_TRIAL_SCALE // b) for a, b in zip(pairs, pairs)]
+        draws = [values[t * len(used):(t + 1) * len(used)] for t in range(trials)]
         w = _trial_lane_width(config, tri, (gkz, bd, mixed))
-        packed = PLFunction(tri, dict(zip(used, (_pack(column, w) for column in zip(*draws)))))
+        packed = PLFunction(tri, dict(zip(used, (pack_lanes(column, w) for column in zip(*draws)))))
         checks += 3 * trials
         if all(lhs == rhs for _, lhs, rhs in _identities(config, packed, gkz, bd, mixed)):
             continue
@@ -368,22 +381,82 @@ class SupportTrialReport(NamedTuple):
         return not self.failures
 
 
+def _failing_lanes(analysis, entry: EnumeratedTriangulation, heights: Sequence[Sequence[int]]) -> list[int]:
+    """The indices into ``heights``, liftings whose lower-hull triangulation
+    is ``entry``'s, at which a support or Aubin check may fail: all of
+    them when the packed Aubin equality fails, else those where some vertex
+    x of a polytope has d_x = <x - v_T, lam> < 0 or none has d_x = 0, v_T
+    the entry's vector.  Lifting b is lane b of the packed heights; every
+    d_x and Aubin side is at most top*norm in size (top: the largest
+    |height|; norm: the largest of the cell table's coefficient sum, the l1
+    norm of gkz_T and those of every x - v_T), and w is the least multiple
+    of 8 with 2*top*norm + 1 < 2^(w-1)."""
+    tri, tid = entry.triangulation, entry.id
+    gkz = analysis.chow.vectors[tid]
+    pairs = ((analysis.chow.vertices, gkz), (analysis.hurwitz.vertices, analysis.hurwitz.vectors[tid]))
+    cells = sum(len(cell) * abs(vol) for cell, vol in tri.cell_volumes)
+    norm = max(cells, sum(map(abs, gkz)), *(sum(abs(a - b) for a, b in zip(x, v)) for xs, v in pairs for x in xs))
+    top = max(-min(h) for h in heights)
+    w = lane_width(2 * top * norm + 1)
+    half, ones = 1 << (w - 1), lane_ones(w, len(heights))
+    tops, above = half * ones, (half - 1) * ones
+    packed = [pack_lanes(column, w) for column in zip(*heights)]
+    envelope = PLFunction(tri, {i: packed[i] for i in tri.used_points})
+    if volume_total(envelope) != sum(map(mul, gkz, packed)):
+        return list(range(len(heights)))
+    failing = 0
+    for vertices, v in pairs:
+        at_v = sum(map(mul, v, packed))
+        negative, zero = 0, 0
+        for x in vertices:
+            d = sum(map(mul, x, packed)) - at_v
+            nonnegative = (d + tops) & tops
+            negative |= tops ^ nonnegative
+            zero |= nonnegative ^ ((d + above) & tops)
+        failing |= negative | (tops ^ zero)
+    return set_lanes(failing, w)
+
+
 def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrialReport:
     """Seeded random integral liftings with simplicial lower hull, each run
-    through ``support_checks``; failures are reported per lifting in its
-    order: Chow support, Hurwitz support, Aubin."""
+    through the support and Aubin checks; failures are reported per lifting
+    in its order: Chow support, Hurwitz support, Aubin.
+
+    Liftings are drawn in batches of as many as may still be needed, so
+    every lifting drawn is one that drawing and checking them one at a time
+    would draw.  A batch's lower hulls are taken in one ``lower_hulls``
+    call, and the checks of all liftings with one lower-hull triangulation
+    on packed lanes (``_failing_lanes``).  Only a lifting whose
+    triangulation is missing from the enumeration, or whose lane may fail,
+    is rerun through ``support_checks``, in lifting order, which names its
+    failures."""
+    config = analysis.config
+    by_simplices = analysis.enumeration.by_simplices
     rng = random.Random(seed)
-    n1 = len(analysis.config)
+    n1 = len(config)
     applicable = attempts = 0
     failures = []
     while applicable < count and attempts < 200 * count:
-        attempts += 1
-        lam = Lifting.normalized([rng.randrange(-30, 1) for _ in range(n1)])
-        checks = support_checks(analysis, lam)
-        if checks is None:
-            continue
-        applicable += 1
-        failures += [chk for chk in checks if chk.status != "pass"]
+        batch = min(count - applicable, 200 * count - attempts)
+        attempts += batch
+        draws = _randranges(rng, ((-30, 1),), batch * n1)
+        lams = [Lifting.normalized(draws[b * n1:(b + 1) * n1]) for b in range(batch)]
+        subs = lower_hulls(config, lams)
+        groups: dict[int, tuple[EnumeratedTriangulation, list[int]]] = {}
+        rerun = []
+        for b, sub in enumerate(subs):
+            if not sub.is_triangulation:
+                continue
+            applicable += 1
+            entry = by_simplices.get(sub.cells)
+            if entry is None:
+                rerun.append(b)
+            else:
+                groups.setdefault(entry.id, (entry, []))[1].append(b)
+        for entry, lanes in groups.values():
+            rerun += [lanes[i] for i in _failing_lanes(analysis, entry, [lams[b].heights for b in lanes])]
+        for b in sorted(rerun):
+            failures += [chk for chk in support_checks(analysis, lams[b], subs[b]) if chk.status != "pass"]
     if applicable < count:
         raise RuntimeError(
             f"only {applicable} of {count} liftings had simplicial lower hulls after {attempts} attempts"

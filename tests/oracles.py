@@ -1,12 +1,13 @@
 """Independent oracles: brute-force triangulations of tiny configurations,
 the Fraction-tableau simplex that ``lp`` is checked against, the cone
 system built by one elimination per row, the lower hull found by
-exhaustive facet search, the flips found by scanning every simplex, the
-placing triangulation by one face functional per boundary face, the
-Fraction integrals and Donaldson functional that look up each volume, the
-scalar vertex pins, the identity suite that checks one trial function at a
-time, and the massive-wall and vertex-index lookups the brute force and the
-lower hull read.
+exhaustive facet search and by one scalar side test at a time, the flips
+found by scanning every simplex, the placing triangulation by one face
+functional per boundary face, the Fraction integrals and Donaldson
+functional that look up each volume, the scalar vertex pins, the identity
+suite that checks one trial function at a time, the support suite that
+checks one lifting at a time, and the massive-wall and vertex-index lookups
+the brute force and the lower hull read.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -42,7 +43,7 @@ from toricweights.functionals import (
 from toricweights.polytope import Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
 from toricweights.vectors import boundary_vector
-from toricweights.weights import _TRIAL_SCALE, IdentityFailure, IdentityReport
+from toricweights.weights import _TRIAL_SCALE, IdentityFailure, IdentityReport, SupportTrialReport, support_checks
 
 
 class OracleTimeout(Exception):
@@ -429,6 +430,40 @@ def lower_hull_subdivision(config: PointConfiguration, lifting: Lifting | Sequen
     return Subdivision(tuple(cells), simplicial)
 
 
+def lower_hull_by_side_tests(config: PointConfiguration, lifting: Lifting | Sequence[int]) -> Subdivision:
+    """``triangulation.lower_hulls`` of one lifting by the scalar rule, as it
+    stood before the liftings were packed on integer lanes: each side test
+    of ``config.lower_hull_tests`` is one integer dot product, a sigma dies
+    at its first point strictly below, and every facet of more than n + 1
+    points goes to the hull-membership LP."""
+    if not isinstance(lifting, Lifting):
+        lifting = Lifting.normalized(lifting)
+    if len(lifting.heights) != len(config):
+        raise ValueError("lifting length must match the configuration")
+    h = lifting.heights
+    n = config.dim
+    facets = set()
+    for sigma, tests in config.lower_hull_tests:
+        on = list(sigma)
+        for k, heights_at, row in tests:
+            side = sum(map(mul, row, heights_at(h)))
+            if side > 0:
+                break
+            if side == 0:
+                on.append(k)
+        else:
+            facets.add(tuple(sorted(on)))
+    cells = []
+    for on in facets:
+        if len(on) == n + 1:
+            cells.append(on)
+        else:
+            extreme = extreme_point_indices([config.points[i] + (h[i],) for i in on])
+            cells.append(tuple(on[i] for i in extreme))
+    cells.sort()
+    return Subdivision(tuple(cells), all(len(c) == n + 1 for c in cells))
+
+
 # --- Flips by scanning every simplex ----------------------------------------
 #
 # ``Flip``, ``flips`` and ``_try_flip`` as they stood before flips carried
@@ -709,3 +744,27 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
             check(tid, trial, "boundary pairing", char_pairing(bd, g), boundary)
             check(tid, trial, "donaldson pairing", donaldson_total(config, boundary, volume), char_pairing(mixed, g))
     return IdentityReport(seed, trials, len(analysis.enumeration), checks, failures)
+
+
+def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrialReport:
+    """``weights.run_support_trials`` one lifting at a time, as it stood
+    before the liftings were batched: each drawn by ``randrange``, its
+    lower hull taken by the scalar side tests, and run through
+    ``support_checks``, which takes both support minima."""
+    rng = random.Random(seed)
+    n1 = len(analysis.config)
+    applicable = attempts = 0
+    failures = []
+    while applicable < count and attempts < 200 * count:
+        attempts += 1
+        lam = Lifting.normalized([rng.randrange(-30, 1) for _ in range(n1)])
+        checks = support_checks(analysis, lam, lower_hull_by_side_tests(analysis.config, lam))
+        if checks is None:
+            continue
+        applicable += 1
+        failures += [chk for chk in checks if chk.status != "pass"]
+    if applicable < count:
+        raise RuntimeError(
+            f"only {applicable} of {count} liftings had simplicial lower hulls after {attempts} attempts"
+        )
+    return SupportTrialReport(seed, count, applicable, attempts, failures)

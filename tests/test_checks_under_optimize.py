@@ -66,6 +66,7 @@ print(json.dumps({
     "row sum": message(LinearSystem, ((1, 0),), 2, error=ValueError),
     "float row": message(LinearSystem, ((0.5,),), 1, error=TypeError),
     "ragged vectors": message(weights.certified_vertices, [(0, 1), (1,)], [[], []], error=ValueError),
+    "short lifting": message(triangulation.lower_hulls, config, [(0,) * len(config), (0, -1)], error=ValueError),
     "identity failures": [[f.triangulation_id, f.trial, f.name] for f in faulty.failures],
 }))
 """
@@ -90,6 +91,7 @@ def test_validation_raises_under_optimize():
     assert result["row sum"] == "constraint rows must sum to 0"
     assert result["float row"] == "LinearSystem needs int entries"
     assert result["ragged vectors"] == "certified_vertices needs one candidate list per vector, all of one length"
+    assert result["short lifting"] == "lifting length must match the configuration"
     assert result["identity failures"] == [
         [3, None, "gkz sum"],
         [3, None, "affine pairing T-independence"],

@@ -1082,3 +1082,86 @@ def test_edges_match_scanning_oracle_on_random_polygons(vertices):
 @given(POLYTOPES_3D)
 def test_edges_match_scanning_oracle_on_random_3d_polytopes(vertices):
     check_edges_against_scanning_oracle(vertices)
+
+
+@st.composite
+def lifting_batches(draw, cfg):
+    # A batch of one or of many liftings of cfg, heights in {-1, 0} or wider:
+    # {-1, 0} forces ties (facets of more than n + 1 points) and includes
+    # the affine liftings, such as all heights 0.
+    low = draw(st.sampled_from((-1, -1, -30)))
+    size = draw(st.sampled_from((1, 2, 13)))
+    heights = st.lists(st.integers(low, 0), min_size=len(cfg), max_size=len(cfg))
+    return draw(st.lists(heights, min_size=size, max_size=size))
+
+
+def check_lower_hulls_against_oracles(vertices, data):
+    cfg = small_config(vertices)
+    batch = data.draw(lifting_batches(cfg))
+    expected = [oracles.lower_hull_subdivision(cfg, heights) for heights in batch]
+    assert triangulation.lower_hulls(cfg, batch) == expected
+    assert [oracles.lower_hull_by_side_tests(cfg, heights) for heights in batch] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(POLYGONS, st.data())
+def test_lower_hulls_match_the_oracles_on_random_polygons(vertices, data):
+    check_lower_hulls_against_oracles(vertices, data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(POLYTOPES_3D, st.data())
+def test_lower_hulls_match_the_oracles_on_random_3d_polytopes(vertices, data):
+    check_lower_hulls_against_oracles(vertices, data)
+
+
+@pytest.mark.parametrize("vertices", [GRID3X3, CUBE], ids=["grid3x3", "cube"])
+def test_lower_hulls_at_the_lane_width_bound(vertices, monkeypatch):
+    # top is the largest height with 2*top*norm + 1 < 2^87, so the lanes are
+    # 88 bits wide.  The batch holds every witness scaled up towards -top,
+    # whose hull is its triangulation, and liftings with heights 0 and
+    # -top: each point pushed down alone, the {0, -1} liftings of the first
+    # points, scaled, whose hulls have ties, and for each side test of
+    # largest norm the two that make it largest in size, +-top*norm/2,
+    # which would carry out of 80-bit lanes.
+    cfg = config_of(vertices)
+    tests = [(on, row) for _, side_tests in cfg.lower_hull_tests for _, on, row in side_tests]
+    norm = max(sum(map(abs, row)) for _, row in tests)
+    top = (2**87 - 2) // (2 * norm)
+    assert top * norm // 2 >= 2**79
+    enum = enumerate_regular(cfg)
+    witnesses = [entry.certificate.witness.heights for entry in enum]
+    batch = [[h * (top // -min(w)) for h in w] for w in witnesses]
+    batch += [[-top * (i == k) for i in range(len(cfg))] for k in range(len(cfg))]
+    batch += [[-top * ((b >> i) & 1) for i in range(len(cfg))] for b in range(16)]
+    for on, row in tests:
+        if sum(map(abs, row)) == norm:
+            ids = on(range(len(cfg)))
+            for sign in (1, -1):
+                low = {i for i, c in zip(ids, row) if sign * c > 0}
+                batch.append([-top * (i in low) for i in range(len(cfg))])
+    widths = []
+    original = triangulation.lane_width
+    monkeypatch.setattr(triangulation, "lane_width", lambda span: widths.append(original(span)) or widths[-1])
+    subs = triangulation.lower_hulls(cfg, batch)
+    assert widths == [88]
+    assert subs == [oracles.lower_hull_by_side_tests(cfg, heights) for heights in batch]
+    assert [sub.cells for sub in subs[:len(enum)]] == [entry.triangulation.simplices for entry in enum]
+
+
+def test_facets_of_one_circuit_make_no_hull_lp(monkeypatch):
+    # A lower facet of n + 2 points has one affine dependence, and its
+    # cell drops the point alone on its side; only larger facets go to the
+    # hull-membership LP.  The double simplex at -1 on its bottom edge and
+    # at (0, 1): that facet's cell drops the edge's midpoint (1, 0).
+    square, double_simplex, segment3 = config_of(SQUARE), config_of(DOUBLE_SIMPLEX), config_of(SEGMENT3)
+    cases = [(square, [0, 0, 0, 0]), (square, [0, 0, 0, -1]), (double_simplex, [-1, -1, 0, -1, 0, -1])]
+    expected = [oracles.lower_hull_subdivision(cfg, heights) for cfg, heights in cases]
+    assert expected[2].cells[0] == (0, 1, 5)
+    calls = []
+    original = polytope.nonnegative_feasible
+    monkeypatch.setattr(polytope, "nonnegative_feasible", lambda rows, rhs: calls.append(rhs) or original(rows, rhs))
+    assert [lower_hull_subdivision(cfg, heights) for cfg, heights in cases] == expected
+    assert calls == []
+    assert lower_hull_subdivision(segment3, [0, 0, 0, 0]).cells == ((0, 3),)
+    assert len(calls) == 4

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import CUBE, DOUBLE_SIMPLEX
-from toricweights import functionals, polytope, vectors, weights
+from toricweights import exact, functionals, polytope, triangulation, vectors, weights
 from toricweights.pipeline import analyze
 from toricweights.polytope import extreme_point_indices
 from toricweights.triangulation import Enumeration, Lifting, Triangulation, lower_hull_subdivision
@@ -292,16 +294,18 @@ def test_support_trials_pass(segment, square):
 
 
 def test_support_trials_compute_one_lower_hull_per_lifting(segment, monkeypatch):
-    calls = []
+    # Every lower hull the suite takes is a lane of one lower_hulls batch.
+    lanes = []
+    original = triangulation.lower_hulls
 
-    def counting(config, lifting):
-        calls.append(lifting)
-        return lower_hull_subdivision(config, lifting)
+    def counting(config, liftings):
+        lanes.extend(liftings)
+        return original(config, liftings)
 
-    monkeypatch.setattr(weights, "lower_hull_subdivision", counting)
-    monkeypatch.setattr(functionals, "lower_hull_subdivision", counting)
+    monkeypatch.setattr(triangulation, "lower_hulls", counting)
+    monkeypatch.setattr(weights, "lower_hulls", counting)
     rep = run_support_trials(segment, count=20, seed=1)
-    assert len(calls) == rep.attempts == 20
+    assert len(lanes) == rep.attempts == 20
 
 
 def test_support_trials_report_chow_and_aubin_failures(segment):
@@ -666,12 +670,78 @@ def test_trial_lanes_at_the_width_bound(name):
         assert max(abs(x) for col in scalar for x in col) <= top
         w = weights._trial_lane_width(config, tri, (gkz, bd, mixed))
         assert 2 * top + 1 < 2 ** (w - 1) and 2 * top + 1 >= 2 ** (w - 9)
-        packed = [weights._pack(col, w) for col in zip(*draws)]
+        packed = [exact.pack_lanes(col, w) for col in zip(*draws)]
         assert [_signed_lanes(v, w, len(draws)) for v in forms(packed)] == scalar
         assert _signed_lanes(2 * top, w, 2) == [2 * top, 0]
         narrow = w - 8
         assert _signed_lanes(2 * top, narrow, 2) != [2 * top, 0]
-        packed = [weights._pack(col, narrow) for col in zip(*draws)]
+        packed = [exact.pack_lanes(col, narrow) for col in zip(*draws)]
         carried |= [_signed_lanes(v, narrow, len(draws)) for v in forms(packed)] != scalar
     assert carried == (name == "double_simplex.json")
 
+
+
+@pytest.mark.parametrize("width", [1, 2, 6, 31, 64, 121, 128])
+def test_draws_are_the_randrange_draws(width):
+    # The same values, and the generator left in the same state, as
+    # randrange's, including width 1, whose draws still consume bits.
+    for seed in range(300):
+        lo = seed % 61 - 30
+        expected, rng = random.Random(seed), random.Random(seed)
+        values = [expected.randrange(lo, lo + width) for _ in range(12)]
+        assert weights._randranges(rng, ((lo, lo + width),), 12) == values
+        assert rng.getrandbits(32) == expected.getrandbits(32)
+
+
+def test_interleaved_draws_are_the_randrange_draws():
+    # The identity suite's draws: a numerator in [-60, 60], then a
+    # denominator in [1, 6], for each value in turn.
+    for seed in range(100):
+        expected, rng = random.Random(seed), random.Random(seed)
+        values = [f(expected) for _ in range(9) for f in (lambda r: r.randrange(-60, 61), lambda r: r.randrange(1, 7))]
+        assert weights._randranges(rng, ((-60, 61), (1, 7)), 9) == values
+        assert rng.getrandbits(32) == expected.getrandbits(32)
+
+
+SUPPORT_FAULTS = ["none", "chow vertices", "hurwitz vector", "dropped entry", "cell volumes"]
+
+
+def _most_induced(analysis, count, seed):
+    """The entry that most of the suite's first ``count`` liftings induce."""
+    rng, n1 = random.Random(seed), len(analysis.config)
+    liftings = [Lifting.normalized([rng.randrange(-30, 1) for _ in range(n1)]) for _ in range(count)]
+    hits = Counter(sub.cells for sub in triangulation.lower_hulls(analysis.config, liftings) if sub.is_triangulation)
+    return analysis.enumeration.by_simplices[hits.most_common(1)[0][0]]
+
+
+@pytest.mark.parametrize("fault", SUPPORT_FAULTS)
+@pytest.mark.parametrize("name", ["double_simplex.json", "octahedron.json", "segment3.json"])
+def test_support_suite_matches_the_one_at_a_time_oracle(name, fault):
+    # The packed suite reruns exactly the liftings that fail, so its report
+    # equals, field for field, that of the suite that checks one lifting at
+    # a time.  A Hurwitz vector moved by +1 at one point pairs below the
+    # minimum wherever that height is negative (a check of d_x >= 0 alone
+    # misses it); a wrong cell volume trips only the Aubin check.
+    analysis = analyze(json.loads((DATA / name).read_text())["vertices"])
+    count, seed = 30, 7
+    entry = _most_induced(analysis, count, seed)
+    tid = entry.id
+    if fault == "chow vertices":
+        shifted = tuple(tuple(x + 1 for x in v) for v in analysis.chow.vertices)
+        analysis = analysis._replace(chow=analysis.chow._replace(vertices=shifted))
+    elif fault == "hurwitz vector":
+        vectors = list(analysis.hurwitz.vectors)
+        vectors[tid] = tuple(x + (i == 1) for i, x in enumerate(vectors[tid]))
+        analysis = analysis._replace(hurwitz=analysis.hurwitz._replace(vectors=tuple(vectors)))
+    elif fault == "dropped entry":
+        entries = analysis.enumeration.entries
+        analysis = analysis._replace(enumeration=Enumeration(analysis.config, entries[:tid] + entries[tid + 1:]))
+    elif fault == "cell volumes":
+        tri = entry.triangulation
+        (cell, vol), *rest = tri.cell_volumes
+        tri.__dict__["cell_volumes"] = ((cell, vol + 1), *rest)
+    report = run_support_trials(analysis, count, seed)
+    assert report == oracles.run_support_trials(analysis, count, seed)
+    assert bool(report.failures) == (fault != "none")
+    if fault == "cell volumes":
+        assert all(f.kind == CHOW and not f.argmin for f in report.failures)
