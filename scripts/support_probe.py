@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Stress the support identities with many random liftings.
 
-For a given polytope file, draws seeded random integral liftings, takes
+For a given polytope file, draws seeded random integral liftings by the
+support suite's rule (heights by ``choices``, one call per lifting), takes
 all their lower hulls in one ``lower_hulls`` call, and runs
 ``support_checks`` on each: those with a simplicial lower hull have their
 Chow and Hurwitz support minima checked against the pairings with the induced
@@ -34,9 +35,8 @@ def main():
     rng = random.Random(args.seed)
     npts = len(analysis.config)
 
-    liftings = [
-        Lifting.normalized([rng.randrange(-args.height_range, 1) for _ in range(npts)]) for _ in range(args.trials)
-    ]
+    heights = range(-args.height_range, 1)
+    liftings = [Lifting.normalized(rng.choices(heights, k=npts)) for _ in range(args.trials)]
     hit = Counter()
     simplicial = failures = 0
     for lam, sub in zip(liftings, lower_hulls(analysis.config, liftings)):

@@ -33,7 +33,12 @@ tables and the vectors.  Only a failed packed equality reruns the trials
 one by one, to name the failing trials with their lhs and rhs.  The
 support suite packs the same way: the liftings with one lower-hull
 triangulation share each pairing, lifting b in lane b, and only a lane
-that may fail is rerun one lifting at a time.
+that may fail is rerun one lifting at a time.  Both suites draw with
+``random.Random(seed).choices``, one ``random()`` per value: a scaled trial
+value from ``_TRIAL_VALUES``, a height from range(-30, 1).  One call for k
+values draws what k calls for one value draw, so a triangulation's trials,
+or a batch of liftings, can be drawn at once.  When every check passes,
+the reports do not depend on the draws.
 """
 
 from __future__ import annotations
@@ -67,29 +72,13 @@ from .vectors import boundary_vector, gkz_vector, hurwitz_vector
 CHOW = "chow"
 HURWITZ = "hurwitz"
 
-# Every trial denominator, a draw in [1, 6], divides the scale, and every
-# value of a scaled trial function, a draw in [-60, 60] times scale / b, is
-# at most _TRIAL_BOUND in size.
+# A trial value is a/b with a in [-60, 60] and b in [1, 6], each (a, b)
+# equally likely; every b divides the scale, so a value of a scaled trial
+# function is a * (scale / b), one of _TRIAL_VALUES, and at most
+# _TRIAL_BOUND in size.
 _TRIAL_SCALE = lcm(*range(1, 7))
 _TRIAL_BOUND = 60 * _TRIAL_SCALE
-
-
-def _randranges(rng: random.Random, ranges: Sequence[tuple[int, int]], rounds: int) -> list[int]:
-    """``rounds`` rounds of one ``rng.randrange(lo, hi)`` per (lo, hi) in
-    ``ranges``, in order, drawn as ``randrange`` draws them: for width
-    m = hi - lo, getrandbits(k) with k = m.bit_length(), redrawn while >= m,
-    plus lo.  The values and the generator's state after them are those of
-    the ``randrange`` calls, without their argument handling."""
-    bits = rng.getrandbits
-    plan = [(lo, hi - lo, (hi - lo).bit_length()) for lo, hi in ranges]
-    out = []
-    for _ in range(rounds):
-        for lo, width, k in plan:
-            r = bits(k)
-            while r >= width:
-                r = bits(k)
-            out.append(lo + r)
-    return out
+_TRIAL_VALUES = tuple(a * (_TRIAL_SCALE // b) for a in range(-60, 61) for b in range(1, 7))
 
 
 class Generator(NamedTuple):
@@ -176,24 +165,9 @@ def build(kind: str, enumeration: Enumeration) -> WeightPolytope:
     return WeightPolytope(kind, len(base), generators, vertices, adim, certificates, by_id)
 
 
-def _check_values(lam: Sequence, length: int) -> None:
-    """Raise as ``pairing`` would on ``lam`` against a vector of ``length``
-    ints: ValueError for another length, TypeError for an entry that is a
-    bool or not an int or Fraction."""
-    if len(lam) != length:
-        raise ValueError(f"length mismatch: {length} vs {len(lam)}")
-    if bool in map(type, lam):
-        raise TypeError("pairing needs int or Fraction entries, not bool")
-    if not all(isinstance(x, (int, Fraction)) for x in lam):
-        raise TypeError("pairing needs int or Fraction entries")
-
-
 def support_min(poly: WeightPolytope, lam: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Exact minimum of <x, lam> over the polytope and the argmin vertex set.
-    ``lam`` is checked once, as ``pairing`` checks it, and then paired with
-    every vertex in plain products."""
-    _check_values(lam, poly.ambient_dim)
-    values = [sum(map(mul, v, lam)) for v in poly.vertices]
+    """Exact minimum of <x, lam> over the polytope and the argmin vertex set."""
+    values = [pairing(v, lam) for v in poly.vertices]
     best = min(values)
     return best, tuple(v for val, v in zip(values, poly.vertices) if val == best)
 
@@ -352,8 +326,7 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
             for e, x in zip(gkz, hur)
         )
         used = tri.used_points
-        pairs = iter(_randranges(rng, ((-60, 61), (1, 7)), trials * len(used)))
-        values = [a * (_TRIAL_SCALE // b) for a, b in zip(pairs, pairs)]
+        values = rng.choices(_TRIAL_VALUES, k=trials * len(used))
         draws = [values[t * len(used):(t + 1) * len(used)] for t in range(trials)]
         w = _trial_lane_width(config, tri, (gkz, bd, mixed))
         packed = PLFunction(tri, dict(zip(used, (pack_lanes(column, w) for column in zip(*draws)))))
@@ -423,10 +396,9 @@ def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrial
     in its order: Chow support, Hurwitz support, Aubin.
 
     Liftings are drawn in batches of as many as may still be needed, so
-    every lifting drawn is one that drawing and checking them one at a time
-    would draw.  A batch's lower hulls are taken in one ``lower_hulls``
-    call, and the checks of all liftings with one lower-hull triangulation
-    on packed lanes (``_failing_lanes``).  Only a lifting whose
+    no more than one at a time would draw.  A batch's lower hulls are taken
+    in one ``lower_hulls`` call, and the checks of all liftings with one
+    lower-hull triangulation on packed lanes (``_failing_lanes``).  Only a lifting whose
     triangulation is missing from the enumeration, or whose lane may fail,
     is rerun through ``support_checks``, in lifting order, which names its
     failures."""
@@ -439,7 +411,7 @@ def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrial
     while applicable < count and attempts < 200 * count:
         batch = min(count - applicable, 200 * count - attempts)
         attempts += batch
-        draws = _randranges(rng, ((-30, 1),), batch * n1)
+        draws = rng.choices(range(-30, 1), k=batch * n1)
         lams = [Lifting.normalized(draws[b * n1:(b + 1) * n1]) for b in range(batch)]
         subs = lower_hulls(config, lams)
         groups: dict[int, tuple[EnumeratedTriangulation, list[int]]] = {}

@@ -43,7 +43,14 @@ from toricweights.functionals import (
 from toricweights.polytope import Point, PointConfiguration, extreme_point_indices, hull_facets
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
 from toricweights.vectors import boundary_vector
-from toricweights.weights import _TRIAL_SCALE, IdentityFailure, IdentityReport, SupportTrialReport, support_checks
+from toricweights.weights import (
+    _TRIAL_SCALE,
+    _TRIAL_VALUES,
+    IdentityFailure,
+    IdentityReport,
+    SupportTrialReport,
+    support_checks,
+)
 
 
 class OracleTimeout(Exception):
@@ -702,8 +709,9 @@ def certified_vertices(
 def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityReport:
     """``weights.verify_identities`` by the scalar rule, as it stood before
     the trials were packed on integer lanes: one ``PLFunction`` per
-    (triangulation, trial), each with its own integrals and pairings, from
-    the same seeded draws in the same order."""
+    (triangulation, trial), each with its own integrals and pairings, its
+    values drawn by one ``choices`` call per trial, which draws what the
+    suite's one call per triangulation draws, in the same order."""
     config = analysis.config
     n = config.dim
     deg = analysis.degrees
@@ -736,8 +744,7 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
             check(tid, None, "affine pairing T-independence", affine_values, affine_reference)
         mixed = tuple(n * deg.hurwitz * e - (n + 1) * deg.chow * x for e, x in zip(gkz, hur))
         for trial in range(trials):
-            values = {i: rng.randrange(-60, 61) * (_TRIAL_SCALE // rng.randrange(1, 7)) for i in tri.used_points}
-            g = PLFunction(tri, values)
+            g = PLFunction(tri, dict(zip(tri.used_points, rng.choices(_TRIAL_VALUES, k=len(tri.used_points)))))
             volume = volume_total(g)
             boundary = boundary_total(g)
             check(tid, trial, "volume pairing", char_pairing(gkz, g), volume)
@@ -748,8 +755,9 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
 
 def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrialReport:
     """``weights.run_support_trials`` one lifting at a time, as it stood
-    before the liftings were batched: each drawn by ``randrange``, its
-    lower hull taken by the scalar side tests, and run through
+    before the liftings were batched: each drawn by its own ``choices``
+    call, which draws what the suite's one call per batch draws, its lower
+    hull taken by the scalar side tests, and run through
     ``support_checks``, which takes both support minima."""
     rng = random.Random(seed)
     n1 = len(analysis.config)
@@ -757,7 +765,7 @@ def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrial
     failures = []
     while applicable < count and attempts < 200 * count:
         attempts += 1
-        lam = Lifting.normalized([rng.randrange(-30, 1) for _ in range(n1)])
+        lam = Lifting.normalized(rng.choices(range(-30, 1), k=n1))
         checks = support_checks(analysis, lam, lower_hull_by_side_tests(analysis.config, lam))
         if checks is None:
             continue

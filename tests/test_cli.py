@@ -286,6 +286,19 @@ def test_machine_output_is_byte_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("name", ["double_simplex.json", "octahedron.json"])
+def test_passing_verify_output_does_not_depend_on_the_seed(capsys, name):
+    # The seed picks which trial functions and liftings run; when every
+    # check passes, the report says the same whichever they were.
+    docs = []
+    for seed in (0, 1, 12345):
+        code, doc = run_machine(capsys, "verify", "--input", str(DATA / name), "--seed", str(seed))
+        assert code == EXIT_PASS
+        assert doc.pop("seed") == seed
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_machine_output_is_hash_seed_independent():
     # Byte-identical output across processes with different PYTHONHASHSEED:
     # no set-iteration order may leak into reports.  The child finds the

@@ -12,10 +12,14 @@ from toricweights.exact import (
     det,
     integer_row,
     kernel_vector,
+    lane_ones,
+    lane_width,
     lattice_index,
+    pack_lanes,
     pivot,
     primitive,
     rank,
+    set_lanes,
     solve_linear,
 )
 from toricweights.lp import nonnegative_feasible
@@ -278,3 +282,35 @@ def test_exact_routines_reject_floats(call):
     # 3602879701896397/72057594037927936, and nonnegative_feasible took it.
     with pytest.raises(TypeError, match="floats"):
         call()
+
+
+@pytest.mark.parametrize("w", [8, 16, 24, 72])
+def test_lane_width_is_the_least_byte_multiple_above_the_span(w):
+    assert lane_width(2 ** (w - 1) - 1) == w
+    assert lane_width(2 ** (w - 1)) == w + 8
+
+
+@pytest.mark.parametrize("w", [8, 16, 72])
+def test_pack_lanes_round_trips_the_extreme_entries(w):
+    # Read back lane by lane: each signed w-bit lane is one entry, lowest
+    # first, from the most negative entry to the most positive one.
+    half = 1 << (w - 1)
+    column = [-half, half - 1, 0, -1, half - 1, -half, 1]
+    packed = pack_lanes(column, w)
+    assert packed == sum(x << w * k for k, x in enumerate(column))
+    lanes = []
+    for _ in column:
+        lanes.append((packed + half) % (1 << w) - half)
+        packed = (packed - lanes[-1]) >> w
+    assert (lanes, packed) == (column, 0)
+    assert lane_ones(w, len(column)) == sum(1 << w * k for k in range(len(column)))
+    with pytest.raises(OverflowError):
+        pack_lanes([half], w)
+
+
+@pytest.mark.parametrize("w", [8, 24])
+def test_set_lanes_reads_one_top_bit_per_chosen_lane(w):
+    chosen = [0, 2, 3, 9]
+    mask = sum(1 << (w * k + w - 1) for k in chosen)
+    assert set_lanes(mask, w) == chosen
+    assert set_lanes(0, w) == []
