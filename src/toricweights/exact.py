@@ -226,40 +226,55 @@ def affine_dependence(points: Sequence[Sequence]) -> Optional[tuple[int, ...]]:
     return tuple(ints)
 
 
-# --- Integer lanes -----------------------------------------------------------
-#
-# A batch of integer vectors is carried as one vector of Python ints: entry
-# j packs sum_k v_k[j] * 2^(w*k), vector k in the signed w-bit lane k.  Every
-# integer linear form then takes all of them in one pass, and a result whose
-# lanes each lie in [-2^(w-1), 2^(w-1)) determines them, since digits in that
-# range are unique.  Adding 2^(w-1) (or 2^(w-1) - 1) to every lane of such a
-# result sets the top bit of the lanes that are >= 0 (or > 0).
+class Lanes:
+    """``count`` signed integers side by side in one Python int, each in a
+    w-bit lane, w the least multiple of 8 with ``span`` < 2^(w-1).
 
+    A packed int holds x_k in lane k as sum_k x_k * 2^(w*k), so every
+    integer linear form of packed ints acts lane by lane: one big-int pass
+    evaluates it on all ``count`` lanes.  A lane x with |x| < 2^(w-1) reads
+    back without a borrow from its neighbour: x + 2^(w-1) and
+    x + 2^(w-1) - 1 both lie in [0, 2^w), and their top bits are set exactly
+    when x >= 0 and when x > 0.  So every packed entry, and every lane of a
+    value given to ``signs``, must be at most ``span`` in size; each caller
+    derives its span from its data.
+    ``ones`` holds 1 in every lane and ``tops`` the top bit of every lane.
+    """
 
-def lane_width(span: int) -> int:
-    """The least multiple of 8 with span < 2^(w-1)."""
-    return 8 * (span.bit_length() // 8 + 1)
+    def __init__(self, span: int, count: int):
+        self.width = w = 8 * (span.bit_length() // 8 + 1)
+        self._half = 1 << (w - 1)
+        self.ones = ((1 << w * count) - 1) // ((1 << w) - 1)
+        self.tops = self._half * self.ones
+        self._above = self.tops - self.ones
 
+    def pack(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        """The columns of ``rows``, row k in lane k, built byte-wise from the
+        entries biased by 2^(w-1); an entry outside [-2^(w-1), 2^(w-1))
+        raises ``OverflowError``."""
+        half, size, bias = self._half, self.width // 8, self.tops
+        return [
+            int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in column), "little") - bias
+            for column in zip(*rows)
+        ]
 
-def lane_ones(w: int, count: int) -> int:
-    """1 in each of ``count`` w-bit lanes."""
-    return ((1 << w * count) - 1) // ((1 << w) - 1)
+    def signs(self, value: int) -> tuple[int, int]:
+        """(positive, zero): the top bits of the lanes of ``value`` that are
+        > 0 and of those that are = 0."""
+        tops = self.tops
+        positive = (value + self._above) & tops
+        return positive, ((value + tops) & tops) ^ positive
 
+    def top(self, k: int) -> int:
+        """The top bit of lane k."""
+        return self._half << self.width * k
 
-def pack_lanes(column: Sequence[int], w: int) -> int:
-    """sum_k column[k] * 2^(w*k), built byte-wise from the entries biased by
-    2^(w-1), each of which must then lie in [0, 2^w)."""
-    half = 1 << (w - 1)
-    packed = b"".join((x + half).to_bytes(w // 8, "little") for x in column)
-    return int.from_bytes(packed, "little") - half * lane_ones(w, len(column))
-
-
-def set_lanes(mask: int, w: int) -> list[int]:
-    """The lanes, lowest first, of the set bits of ``mask``, which holds at
-    most one set bit per w-bit lane."""
-    lanes = []
-    while mask:
-        low = mask & -mask
-        lanes.append((low.bit_length() - 1) // w)
-        mask ^= low
-    return lanes
+    def indices(self, mask: int) -> list[int]:
+        """The lanes, lowest first, whose top bits are set in ``mask``, which
+        holds no other bits."""
+        lanes = []
+        while mask:
+            low = mask & -mask
+            lanes.append((low.bit_length() - 1) // self.width)
+            mask ^= low
+        return lanes

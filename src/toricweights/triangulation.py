@@ -16,7 +16,7 @@ from math import gcd
 from operator import mul
 from typing import Collection, Iterable, KeysView, NamedTuple, Optional, Sequence
 
-from .exact import integer_row, lane_ones, lane_width, pack_lanes, set_lanes
+from .exact import Lanes, integer_row
 from .lp import LinearSystem, feasible_strict, nonnegative_feasible
 from .polytope import PointConfiguration, extreme_point_indices, placing_cells
 
@@ -162,13 +162,12 @@ def lower_hulls(config: PointConfiguration, liftings: Sequence[Lifting | Sequenc
     points are sigma plus the points on the plane.  The side tests are the
     configuration's ``lower_hull_tests``, built once and shared by every
     lifting.  Point i carries the heights of all liftings as one packed int,
-    lifting b in the signed w-bit lane b (``exact.pack_lanes``), so each
-    (sigma, k) test is one packed dot product, whose lane b is the side of k
-    under lifting b; two bias-adds read off the lanes where it is > 0 and
-    where it is 0.  Every side is at most top*norm in size (top: the largest
-    |height|; norm: ``config.lower_hull_norm``, the largest l1 norm of a
-    test row), and w is the least multiple of 8 with 2*top*norm + 1 <
-    2^(w-1).
+    lifting b in lane b of ``Lanes``, so each (sigma, k) test is one packed
+    dot product, whose lane b is the side of k under lifting b, and its
+    ``signs`` are the lanes where it is > 0 and where it is 0.  The span is
+    2*top*norm + 1 (top: the largest |height|; norm:
+    ``config.lower_hull_norm``, the largest l1 norm of a test row): every
+    side is at most top*norm in size.
 
     Cell vertex sets are the extreme points of each facet; points lying on
     a facet without being vertices of it are not part of the cell.  A facet
@@ -184,25 +183,21 @@ def lower_hulls(config: PointConfiguration, liftings: Sequence[Lifting | Sequenc
     if not lifts:
         return []
     top = max(-min(lam.heights) for lam in lifts)
-    w = lane_width(2 * top * config.lower_hull_norm + 1)
-    half, ones = 1 << (w - 1), lane_ones(w, len(lifts))
-    tops, above = half * ones, (half - 1) * ones
-    packed = [pack_lanes(column, w) for column in zip(*(lam.heights for lam in lifts))]
+    lanes = Lanes(2 * top * config.lower_hull_norm + 1, len(lifts))
+    packed = lanes.pack([lam.heights for lam in lifts])
     facets: list[dict[tuple[int, ...], Optional[tuple[int, ...]]]] = [{} for _ in lifts]
     for sigma, side_tests in config.lower_hull_tests:
-        alive, zeros = tops, []
+        alive, zeros = lanes.tops, []
         for k, heights_at, row in side_tests:
-            side = sum(map(mul, row, heights_at(packed)))
-            below = (side + above) & tops
+            below, on = lanes.signs(sum(map(mul, row, heights_at(packed))))
             alive ^= alive & below
             if not alive:
                 break
-            on = ((side + tops) & tops) ^ below
             if on:
                 zeros.append((k, on, row))
         else:
-            for lane in set_lanes(alive, w):
-                bit = half << w * lane
+            for lane in lanes.indices(alive):
+                bit = lanes.top(lane)
                 on = [(k, row) for k, mask, row in zeros if mask & bit]
                 facets[lane][tuple(sorted(sigma + tuple(k for k, _ in on)))] = on[0][1] if len(on) == 1 else None
     return [_subdivision(config, lam.heights, on) for lam, on in zip(lifts, facets)]
@@ -554,32 +549,30 @@ def enumerate_regular(
                 incoming.setdefault(flip.simplices, []).append((key, flip))
         return out
 
-    queue = deque([(seed.simplices, cert.witness, expand(seed.simplices, seed, []))])
+    queue = deque([(seed.simplices, expand(seed.simplices, seed, []))])
     while queue:
         if len(found) > caps.max_triangulations:
             raise EnumerationCapExceeded("max triangulation cap", len(found), len(rejected), lps, len(walked))
         if caps.time_budget is not None and time.monotonic() - start > caps.time_budget:
             raise EnumerationCapExceeded("time budget", len(found), len(rejected), lps, len(walked))
-        parent, witness, parent_flips = queue.popleft()
+        parent, parent_flips = queue.popleft()
         for flip in parent_flips:
             key = flip.simplices
             if key in found or key in rejected:
                 continue
             nb = Triangulation(config, key)
             into = incoming.pop(key)
-            carried = carry_witness(witness, flip.row, nb.system)
-            if carried is None:
-                for other, back in sorted(into, key=lambda entry: _circuit_order(entry[1].removed, entry[1].inserted)):
-                    if other != parent:
-                        carried = carry_witness(found[other][1].witness, back.row, nb.system)
-                        if carried is not None:
-                            break
+            carried = None
+            for other, back in sorted(into, key=lambda e: (e[0] != parent, _circuit_order(e[1].removed, e[1].inserted))):
+                carried = carry_witness(found[other][1].witness, back.row, nb.system)
+                if carried is not None:
+                    break
             lps += carried is None
             cert = is_regular(nb) if carried is None else RegularityCertificate(carried)
             if cert.regular:
                 found[key] = (nb, cert)
                 walked.extend((other, key, back.row) for other, back in into)
-                queue.append((key, cert.witness, expand(key, nb, into)))
+                queue.append((key, expand(key, nb, into)))
             else:
                 rejected.add(key)
     ids = {key: i for i, key in enumerate(sorted(found))}

@@ -26,19 +26,18 @@ values are integers, so both sides of every identity are ints, the totals
 read off the triangulation's volume tables.  Every identity is linear in g,
 so it holds for L*g exactly when it holds for g; a failure is reported
 divided by L, in the units of g.  Linearity also lets one function carry
-all trials of a triangulation, each in its own w-bit integer lane, so one
-big-int equality per identity decides them all; w is the least multiple of
-8 with 2*bound + 1 < 2^(w-1), for a bound on every lane read off the volume
-tables and the vectors.  Only a failed packed equality reruns the trials
-one by one, to name the failing trials with their lhs and rhs.  The
-support suite packs the same way: the liftings with one lower-hull
-triangulation share each pairing, lifting b in lane b, and only a lane
-that may fail is rerun one lifting at a time.  Both suites draw with
-``random.Random(seed).choices``, one ``random()`` per value: a scaled trial
-value from ``_TRIAL_VALUES``, a height from range(-30, 1).  One call for k
-values draws what k calls for one value draw, so a triangulation's trials,
-or a batch of liftings, can be drawn at once.  When every check passes,
-the reports do not depend on the draws.
+all trials of a triangulation, trial t in lane t of ``exact.Lanes``, so
+one big-int equality per identity decides them all; the span comes from a
+bound on every side read off the volume tables and the vectors.  Only a
+failed packed equality reruns the trials one by one, to name the failing
+trials with their lhs and rhs.  The support suite packs the same way: the
+liftings with one lower-hull triangulation share each pairing, lifting b in
+lane b, and only a lane that may fail is rerun one lifting at a time.  Both
+suites draw with ``random.Random(seed).choices``, one ``random()`` per
+value: a scaled trial value from ``_TRIAL_VALUES``, a height from
+range(-30, 1).  One call for k values draws what k calls for one value
+draw, so a triangulation's trials, or a batch of liftings, can be drawn at
+once.  When every check passes, the reports do not depend on the draws.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import lane_ones, lane_width, pack_lanes, rank, set_lanes
+from .exact import Lanes, rank
 from .functionals import (
     PLFunction,
     boundary_total,
@@ -112,29 +111,23 @@ def certified_vertices(
     a vertex).  Vectors that none pins (a tie, or a non-vertex) go to the
     exact LP test against the others; a vertex it finds has certificate None.
 
-    The pairings of one lam with all vectors are taken at once on w-bit
-    integer lanes: column j packs sum_k vectors[k][j] * 2^(w*k), so
-    sum_j lam_j * column_j holds <vectors[k], lam> in field k, and adding
-    2^(w-1) - 1 - <vectors[i], lam> to each field sets its top bit exactly
-    when <vectors[k], lam> is larger.  Pairings are at most top*norm in size
-    (top: the largest |height| of a candidate; norm: the largest l1 norm of a
-    vector), and w is the least multiple of 8 with 2*top*norm + 1 < 2^(w-1)
-    and norm < 2^(w-1).  So every field, and every entry plus 2^(w-1) as it
-    is packed byte-wise, lies in [0, 2^w): no field borrows from its neighbour.
+    The pairings of one lam with all vectors are taken at once on
+    ``Lanes``, vector k in lane k, with span max(2*top*norm + 1, norm)
+    (top: the largest |height| of a candidate; norm: the largest l1 norm of
+    a vector; every entry is at most norm, and every difference of two
+    pairings at most 2*top*norm, in size).
     """
     dims = {len(v) for v in vectors} | {len(lam.heights) for cands in candidates for lam in cands}
     if len(candidates) != len(vectors) or len(dims) > 1:
         raise ValueError("certified_vertices needs one candidate list per vector, all of one length")
     norm = max((sum(map(abs, v)) for v in vectors), default=0)
     top = max((-min(lam.heights) for cands in candidates for lam in cands), default=0)
-    w = lane_width(max(2 * top * norm + 1, norm))
-    half, ones = 1 << (w - 1), lane_ones(w, len(vectors))
-    tops = half * ones
-    columns = [pack_lanes(col, w) for col in zip(*vectors)]
+    lanes = Lanes(max(2 * top * norm + 1, norm), len(vectors))
+    columns = lanes.pack(vectors)
 
     def pins(i: int, lam: Sequence[int]) -> bool:
-        lanes = sum(map(mul, lam, columns)) + (half - 1 - sum(map(mul, vectors[i], lam))) * ones
-        return lanes & tops == tops ^ (half << w * i)
+        positive, _ = lanes.signs(sum(map(mul, lam, columns)) - sum(map(mul, vectors[i], lam)) * lanes.ones)
+        return positive == lanes.tops ^ lanes.top(i)
 
     certs = [next((lam for lam in cands if pins(i, lam.heights)), None) for i, cands in enumerate(candidates)]
     decided = set(extreme_point_indices(vectors, [i for i, c in enumerate(certs) if c is None]))
@@ -251,20 +244,20 @@ class IdentityReport(NamedTuple):
         return not self.failures
 
 
-def _trial_lane_width(config, tri, vectors: Sequence[Sequence[int]]) -> int:
-    """The least multiple of 8 with 2*bound + 1 < 2^(w-1), where bound is
-    _TRIAL_BOUND times the largest coefficient sum of a form the identities
-    compare on ``tri``: ``volume_total`` and ``boundary_total`` (the cell
-    and wall volume tables), ``donaldson_total`` of the two, and the
-    pairings with ``vectors`` (their l1 norms).  Every side then lies in
-    [-bound, bound] in each lane, so two sides agree lane by lane exactly
-    when their packed ints are equal."""
+def _trial_span(config, tri, vectors: Sequence[Sequence[int]]) -> int:
+    """The trial lanes' span 2*bound + 1, where bound is _TRIAL_BOUND times
+    the largest coefficient sum of a form the identities compare on
+    ``tri``: ``volume_total`` and ``boundary_total`` (the cell and wall
+    volume tables), ``donaldson_total`` of the two, and the pairings with
+    ``vectors`` (their l1 norms).  Every side then lies in [-bound, bound]
+    in each lane, so two sides agree lane by lane exactly when their packed
+    ints are equal."""
     n = config.dim
     cells = sum(len(cell) * abs(vol) for cell, vol in tri.cell_volumes)
     walls = sum(len(wall) * abs(vol) for wall, vol in tri.massive_wall_volumes)
     donaldson = (n + 1) * abs(config.volume) * walls + n * abs(config.boundary_volume) * cells
     coefficients = max(cells, walls, donaldson, *(sum(map(abs, v)) for v in vectors))
-    return lane_width(2 * _TRIAL_BOUND * coefficients + 1)
+    return 2 * _TRIAL_BOUND * coefficients + 1
 
 
 def _identities(config, g: PLFunction, gkz, bd, mixed) -> tuple[tuple[str, object, object], ...]:
@@ -285,10 +278,10 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     ones the polytopes were built from (their ``vectors``).
 
     All trials of one triangulation are checked at once: its used point i
-    carries the packed int sum_t draws[t][i] * 2^(w*t), w from
-    ``_trial_lane_width``, and each identity, linear in g, is one big-int
-    equality.  Only when one fails are the trials rerun one by one, to name
-    each failing trial with its lhs and rhs."""
+    carries draws[t][i] in lane t of ``Lanes`` with span ``_trial_span``,
+    and each identity, linear in g, is one big-int equality.  Only when one
+    fails are the trials rerun one by one, to name each failing trial with
+    its lhs and rhs."""
     config = analysis.config
     n = config.dim
     deg = analysis.degrees
@@ -328,8 +321,8 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
         used = tri.used_points
         values = rng.choices(_TRIAL_VALUES, k=trials * len(used))
         draws = [values[t * len(used):(t + 1) * len(used)] for t in range(trials)]
-        w = _trial_lane_width(config, tri, (gkz, bd, mixed))
-        packed = PLFunction(tri, dict(zip(used, (pack_lanes(column, w) for column in zip(*draws)))))
+        lanes = Lanes(_trial_span(config, tri, (gkz, bd, mixed)), trials)
+        packed = PLFunction(tri, dict(zip(used, lanes.pack(draws))))
         checks += 3 * trials
         if all(lhs == rhs for _, lhs, rhs in _identities(config, packed, gkz, bd, mixed)):
             continue
@@ -359,35 +352,31 @@ def _failing_lanes(analysis, entry: EnumeratedTriangulation, heights: Sequence[S
     is ``entry``'s, at which a support or Aubin check may fail: all of
     them when the packed Aubin equality fails, else those where some vertex
     x of a polytope has d_x = <x - v_T, lam> < 0 or none has d_x = 0, v_T
-    the entry's vector.  Lifting b is lane b of the packed heights; every
-    d_x and Aubin side is at most top*norm in size (top: the largest
-    |height|; norm: the largest of the cell table's coefficient sum, the l1
-    norm of gkz_T and those of every x - v_T), and w is the least multiple
-    of 8 with 2*top*norm + 1 < 2^(w-1)."""
+    the entry's vector.  Lifting b is lane b of ``Lanes`` with span
+    2*top*norm + 1, top the largest |height| and norm the largest of the
+    cell table's coefficient sum, the l1 norm of gkz_T and those of every
+    x - v_T: every d_x and Aubin side is at most top*norm in size."""
     tri, tid = entry.triangulation, entry.id
     gkz = analysis.chow.vectors[tid]
     pairs = ((analysis.chow.vertices, gkz), (analysis.hurwitz.vertices, analysis.hurwitz.vectors[tid]))
     cells = sum(len(cell) * abs(vol) for cell, vol in tri.cell_volumes)
     norm = max(cells, sum(map(abs, gkz)), *(sum(abs(a - b) for a, b in zip(x, v)) for xs, v in pairs for x in xs))
     top = max(-min(h) for h in heights)
-    w = lane_width(2 * top * norm + 1)
-    half, ones = 1 << (w - 1), lane_ones(w, len(heights))
-    tops, above = half * ones, (half - 1) * ones
-    packed = [pack_lanes(column, w) for column in zip(*heights)]
+    lanes = Lanes(2 * top * norm + 1, len(heights))
+    packed = lanes.pack(heights)
     envelope = PLFunction(tri, {i: packed[i] for i in tri.used_points})
     if volume_total(envelope) != sum(map(mul, gkz, packed)):
         return list(range(len(heights)))
-    failing = 0
+    passing = lanes.tops
     for vertices, v in pairs:
         at_v = sum(map(mul, v, packed))
-        negative, zero = 0, 0
+        nonnegative, zero = lanes.tops, 0
         for x in vertices:
-            d = sum(map(mul, x, packed)) - at_v
-            nonnegative = (d + tops) & tops
-            negative |= tops ^ nonnegative
-            zero |= nonnegative ^ ((d + above) & tops)
-        failing |= negative | (tops ^ zero)
-    return set_lanes(failing, w)
+            positive, at_zero = lanes.signs(sum(map(mul, x, packed)) - at_v)
+            nonnegative &= positive | at_zero
+            zero |= at_zero
+        passing &= nonnegative & zero
+    return lanes.indices(lanes.tops ^ passing)
 
 
 def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrialReport:

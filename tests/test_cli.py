@@ -115,7 +115,7 @@ def test_negative_limits_rejected(capsys, flag, value):
 def test_verify_with_no_trials_packs_nothing(capsys, monkeypatch):
     # The sums and affine checks still run: 3 per triangulation and 13
     # T-independence checks over the 14 triangulations.
-    monkeypatch.setattr(weights, "_trial_lane_width", lambda *a: pytest.fail("trials were packed"))
+    monkeypatch.setattr(weights, "_trial_span", lambda *a: pytest.fail("trials were packed"))
     monkeypatch.setattr(weights, "volume_total", lambda g: pytest.fail("a trial function was integrated"))
     code, doc = run_machine(capsys, "verify", "--input", str(DATA / "double_simplex.json"), "--trials", "0")
     assert code == EXIT_PASS and doc["all_pass"]

@@ -7,19 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toricweights.exact import (
+    Lanes,
     affine_combination,
     affine_dependence,
     det,
     integer_row,
     kernel_vector,
-    lane_ones,
-    lane_width,
     lattice_index,
-    pack_lanes,
     pivot,
     primitive,
     rank,
-    set_lanes,
     solve_linear,
 )
 from toricweights.lp import nonnegative_feasible
@@ -286,8 +283,8 @@ def test_exact_routines_reject_floats(call):
 
 @pytest.mark.parametrize("w", [8, 16, 24, 72])
 def test_lane_width_is_the_least_byte_multiple_above_the_span(w):
-    assert lane_width(2 ** (w - 1) - 1) == w
-    assert lane_width(2 ** (w - 1)) == w + 8
+    assert Lanes(2 ** (w - 1) - 1, 3).width == w
+    assert Lanes(2 ** (w - 1), 3).width == w + 8
 
 
 @pytest.mark.parametrize("w", [8, 16, 72])
@@ -296,21 +293,55 @@ def test_pack_lanes_round_trips_the_extreme_entries(w):
     # first, from the most negative entry to the most positive one.
     half = 1 << (w - 1)
     column = [-half, half - 1, 0, -1, half - 1, -half, 1]
-    packed = pack_lanes(column, w)
+    lanes = Lanes(half - 1, len(column))
+    assert lanes.width == w
+    (packed,) = lanes.pack([[x] for x in column])
     assert packed == sum(x << w * k for k, x in enumerate(column))
-    lanes = []
+    read = []
     for _ in column:
-        lanes.append((packed + half) % (1 << w) - half)
-        packed = (packed - lanes[-1]) >> w
-    assert (lanes, packed) == (column, 0)
-    assert lane_ones(w, len(column)) == sum(1 << w * k for k in range(len(column)))
-    with pytest.raises(OverflowError):
-        pack_lanes([half], w)
+        read.append((packed + half) % (1 << w) - half)
+        packed = (packed - read[-1]) >> w
+    assert (read, packed) == (column, 0)
+    assert lanes.ones == sum(1 << w * k for k in range(len(column)))
+    assert lanes.tops == sum(lanes.top(k) for k in range(len(column))) == half * lanes.ones
+    for entry in (half, -half - 1):
+        with pytest.raises(OverflowError):
+            lanes.pack([[0]] * 6 + [[entry]])
 
 
 @pytest.mark.parametrize("w", [8, 24])
 def test_set_lanes_reads_one_top_bit_per_chosen_lane(w):
-    chosen = [0, 2, 3, 9]
+    lanes = Lanes(2 ** (w - 1) - 1, 12)
+    chosen = [0, 2, 3, 9, 11]
     mask = sum(1 << (w * k + w - 1) for k in chosen)
-    assert set_lanes(mask, w) == chosen
-    assert set_lanes(0, w) == []
+    assert mask == sum(map(lanes.top, chosen))
+    assert lanes.indices(mask) == chosen
+    assert lanes.indices(lanes.tops) == list(range(12))
+    assert lanes.indices(0) == []
+
+
+@pytest.mark.parametrize("w", [8, 16, 72])
+def test_lanes_signs_at_the_span(w):
+    # The extreme lanes +-(2^(w-1) - 1) and the lanes around 0: packed,
+    # summed from two packed columns, and negated.
+    span = 2 ** (w - 1) - 1
+    column = [-span, -1, 0, 1, span, 0, -span]
+    lanes = Lanes(span, len(column))
+    positive, zero = (1 << 4 * w - 1) | (1 << 5 * w - 1), (1 << 3 * w - 1) | (1 << 6 * w - 1)
+    negative = (1 << w - 1) | (1 << 2 * w - 1) | (1 << 7 * w - 1)
+    (packed,) = lanes.pack([[x] for x in column])
+    assert lanes.signs(packed) == (positive, zero)
+    high, low = lanes.pack([[max(x, 0), min(x, 0)] for x in column])
+    assert lanes.signs(high + low) == (positive, zero)
+    assert lanes.signs(-packed) == (negative, zero)
+
+
+@given(st.integers(1, 2**100), st.data())
+def test_lanes_signs_match_the_scalar_signs(span, data):
+    count = data.draw(st.integers(1, 12))
+    values = data.draw(st.lists(st.integers(-span, span), min_size=count, max_size=count))
+    lanes = Lanes(span, count)
+    value = sum(x << lanes.width * k for k, x in enumerate(values))
+    positive, zero = lanes.signs(value)
+    assert lanes.indices(positive) == [k for k, x in enumerate(values) if x > 0]
+    assert lanes.indices(zero) == [k for k, x in enumerate(values) if x == 0]

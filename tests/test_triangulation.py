@@ -1140,11 +1140,11 @@ def test_lower_hulls_at_the_lane_width_bound(vertices, monkeypatch):
             for sign in (1, -1):
                 low = {i for i, c in zip(ids, row) if sign * c > 0}
                 batch.append([-top * (i in low) for i in range(len(cfg))])
-    widths = []
-    original = triangulation.lane_width
-    monkeypatch.setattr(triangulation, "lane_width", lambda span: widths.append(original(span)) or widths[-1])
+    made = []
+    original = triangulation.Lanes
+    monkeypatch.setattr(triangulation, "Lanes", lambda span, count: made.append(original(span, count)) or made[-1])
     subs = triangulation.lower_hulls(cfg, batch)
-    assert widths == [88]
+    assert [lanes.width for lanes in made] == [88]
     assert subs == [oracles.lower_hull_by_side_tests(cfg, heights) for heights in batch]
     assert [sub.cells for sub in subs[:len(enum)]] == [entry.triangulation.simplices for entry in enum]
 

@@ -93,7 +93,7 @@ def test_support_min_equals_min_over_generators(double_simplex):
         assert value == gen_min
 
 
-def test_support_min_checks_lam_once_per_call(segment):
+def test_support_min_rejects_bad_lam_through_pairing(segment):
     # Every vertex is paired with lam through pairing, so a lam of the wrong
     # length, a bool or a float raises pairing's error on the first one.
     for lam, error, message in [
@@ -661,15 +661,15 @@ def test_trial_lanes_at_the_width_bound(name):
         weight = (n + 1) * config.volume * walls + n * config.boundary_volume * cells
         top = bound * max(cells, walls, weight, *(sum(map(abs, v)) for v in (gkz, bd, mixed)))
         assert max(abs(x) for col in scalar for x in col) <= top
-        w = weights._trial_lane_width(config, tri, (gkz, bd, mixed))
+        lanes = exact.Lanes(weights._trial_span(config, tri, (gkz, bd, mixed)), len(draws))
+        w = lanes.width
         assert 2 * top + 1 < 2 ** (w - 1) and 2 * top + 1 >= 2 ** (w - 9)
-        packed = [exact.pack_lanes(col, w) for col in zip(*draws)]
-        assert [_signed_lanes(v, w, len(draws)) for v in forms(packed)] == scalar
+        assert [_signed_lanes(v, w, len(draws)) for v in forms(lanes.pack(draws))] == scalar
         assert _signed_lanes(2 * top, w, 2) == [2 * top, 0]
-        narrow = w - 8
-        assert _signed_lanes(2 * top, narrow, 2) != [2 * top, 0]
-        packed = [exact.pack_lanes(col, narrow) for col in zip(*draws)]
-        carried |= [_signed_lanes(v, narrow, len(draws)) for v in forms(packed)] != scalar
+        narrow = exact.Lanes(2 ** (w - 9) - 1, len(draws))
+        assert narrow.width == w - 8
+        assert _signed_lanes(2 * top, narrow.width, 2) != [2 * top, 0]
+        carried |= [_signed_lanes(v, narrow.width, len(draws)) for v in forms(narrow.pack(draws))] != scalar
     assert carried == (name == "double_simplex.json")
 
 
