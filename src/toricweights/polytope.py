@@ -10,7 +10,7 @@ is n! times the Euclidean one.  A single point has volume 1.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -228,25 +228,78 @@ class LatticePolytope:
         return set(on_all) == {v, w}
 
 
-class PointConfiguration:
-    """The lattice points of a polytope, in lexicographic order.
+def _volume(points: tuple[Point, ...], ids: tuple[int, ...]) -> int:
+    """``config._volume(ids)``: ``normalized_volume`` of the points at ``ids``."""
+    key = tuple(sorted(ids))
+    if not key or key[0] < 0 or key[-1] >= len(points) or len(set(key)) != len(key):
+        raise ValueError(f"simplex {ids} needs distinct point indices in range({len(points)})")
+    try:
+        return lattice_index([[x - b for x, b in zip(points[i], points[key[0]])] for i in key[1:]])
+    except ValueError:
+        raise ValueError(f"simplex {key} has affinely dependent vertices") from None
 
-    All index-based operations elsewhere in the package refer to this order.
-    It owns the exact facts about its points, each computed once and
-    memoised: dependences, cone rows and their circuit sides, simplex
-    volumes, and the polytope's ``volume`` and ``boundary_volume`` (summed
-    over placings).
-    """
+
+def _dependence(points: tuple[Point, ...], ids: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """``config.dependence(ids)``: the affine dependence of the points at the
+    sorted indices ``ids``, aligned with ``ids`` as ``exact.affine_dependence``
+    gives it, or None when they are affinely independent."""
+    return affine_dependence([points[i] for i in ids])
+
+
+def _cone_row(dependence: Callable, size: int, cell: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """``config.cone_row(cell, k)``: the row a, indexed like the points, with
+    a·h < 0 exactly when the heights h lift point ``k`` strictly above their
+    affine interpolation on ``cell``: the primitive affine dependence of
+    ``cell`` and ``k``, signed negative at k (a positive multiple of k's
+    barycentric coordinates on the cell minus 1 at k), and 0 elsewhere.  The
+    cell may be lower-dimensional, with k in its affine hull but not in the
+    cell, as in a placing of a facet."""
+    if k in cell:
+        raise ValueError(f"point {k} is a vertex of the cell {cell}")
+    ids = tuple(sorted(cell + (k,)))
+    dep = dependence(ids)
+    at_k = 0 if dep is None else dep[ids.index(k)]
+    if at_k == 0:
+        raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
+    entries = [0] * size
+    for i, c in zip(ids, dep):
+        entries[i] = -c if at_k > 0 else c
+    return tuple(entries)
+
+
+def _circuit_sides(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``config.circuit_sides(row)``: where the cone row ``row`` is negative
+    and where it is positive, the two parts of the circuit it was read from."""
+    negative = tuple(i for i, c in enumerate(row) if c < 0)
+    return negative, tuple(i for i, c in enumerate(row) if c > 0)
+
+
+def _lies_in_facet(points: tuple[Point, ...], facets: Sequence[Facet], ids: tuple[int, ...]) -> bool:
+    """``config._lies_in_facet(ids)``: whether the points at ``ids`` lie on one facet."""
+    return any(all(f.value(points[i]) == 0 for i in ids) for f in facets)
+
+
+class PointConfiguration:
+    """The lattice points of a polytope, in lexicographic order, the order
+    that every point index elsewhere in the package refers to.
+
+    It owns the exact facts about its points, each computed once.  Keyed
+    facts are ``functools.cache`` wrappers that ``__init__`` makes per
+    instance over module functions (``_cone_row`` for ``cone_row``), bound
+    to the data they read, not to the instance, so no cycle or class-level
+    cache keeps it alive; a refused key is not cached and raises again, and a
+    pickled copy starts them empty.  Argument-free facts are
+    ``cached_property``s."""
 
     def __init__(self, polytope: LatticePolytope, points: Sequence[Point]):
         self.polytope = polytope
         self.points: tuple[Point, ...] = tuple(tuple(p) for p in points)
         self.index: dict[Point, int] = {p: i for i, p in enumerate(self.points)}
-        self._volumes: dict[tuple[int, ...], int] = {}
-        self._dependences: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-        self._cone_rows: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        self._sides: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._in_facet: dict[tuple[int, ...], bool] = {}
+        self._volume = cache(partial(_volume, self.points))
+        self.dependence = cache(partial(_dependence, self.points))
+        self.cone_row = cache(partial(_cone_row, self.dependence, len(self.points)))
+        self.circuit_sides = cache(_circuit_sides)
+        self._lies_in_facet = cache(partial(_lies_in_facet, self.points, polytope.facets))
 
     @property
     def dim(self) -> int:
@@ -261,28 +314,17 @@ class PointConfiguration:
     def __hash__(self):
         return hash(self.points)
 
+    def __reduce__(self):
+        return type(self), (self.polytope, self.points)
+
     def __repr__(self):
         return f"PointConfiguration({len(self.points)} points, dim {self.dim})"
 
     def normalized_volume(self, indices: Sequence[int]) -> int:
         """Lattice-normalized volume of the simplex on the given points, taken
-        in the affine lattice of its span; 1 for a single point.  Raises on
-        affinely dependent vertices."""
-        if type(indices) is tuple and (vol := self._volumes.get(indices)) is not None:
-            return vol  # memoised keys are sorted, without repeats
-        key = tuple(sorted(indices))
-        if len(set(key)) != len(key):
-            raise ValueError("repeated vertex in simplex")
-        vol = self._volumes.get(key)
-        if vol is None:
-            base = self.points[key[0]]
-            edges = [[self.points[i][j] - base[j] for j in range(self.dim)] for i in key[1:]]
-            try:
-                vol = lattice_index(edges)
-            except ValueError:
-                raise ValueError(f"simplex {key} has affinely dependent vertices") from None
-            self._volumes[key] = vol
-        return vol
+        in the affine lattice of its span; 1 for a single point.  ``ValueError``
+        on no, repeated or out-of-range indices and on dependent vertices."""
+        return self._volume(tuple(indices))
 
     @cached_property
     def volume(self) -> int:
@@ -303,65 +345,13 @@ class PointConfiguration:
             raise ValueError(f"the configuration misses the polytope vertex {vertices[ids.index(None)]}")
         return sum(map(self.normalized_volume, placing_cells(self, ids)))
 
-    def _lies_in_facet(self, ids: tuple[int, ...]) -> bool:
-        """Whether the points at the sorted indices ``ids`` all lie on one
-        facet of the polytope; memoised, with no independence check."""
-        if ids not in self._in_facet:
-            pts = [self.points[i] for i in ids]
-            self._in_facet[ids] = any(all(f.value(p) == 0 for p in pts) for f in self.polytope.facets)
-        return self._in_facet[ids]
-
-    def dependence(self, ids: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """The affine dependence of the points at the sorted indices ``ids``
-        (coefficients aligned with ``ids``, as ``exact.affine_dependence``
-        gives them), or None when they are affinely independent.  Memoised:
-        dependences are a property of the configuration, shared by every
-        triangulation's regularity inequalities and flip circuits."""
-        if ids not in self._dependences:
-            self._dependences[ids] = affine_dependence([self.points[i] for i in ids])
-        return self._dependences[ids]
-
-    def cone_row(self, cell: tuple[int, ...], k: int) -> tuple[int, ...]:
-        """The row a, indexed like the points, with a·h < 0 exactly when the
-        heights h lift point ``k`` strictly above their affine interpolation
-        on ``cell``: the primitive affine dependence of ``cell`` and ``k``,
-        signed negative at k (a positive multiple of k's barycentric
-        coordinates on the cell minus 1 at k), and 0 elsewhere.  The cell
-        may be lower-dimensional, with k in its affine hull, as in a placing
-        of a facet.  Memoised by ``(cell, k)``, like ``dependence``: the cone
-        systems of every triangulation holding ``cell``, their flips, the
-        lower-hull side tests and the placings read the same row."""
-        row = self._cone_rows.get((cell, k))
-        if row is None:
-            ids = tuple(sorted(cell + (k,)))
-            dep = self.dependence(ids)
-            at_k = 0 if dep is None else dep[ids.index(k)]
-            if at_k == 0:
-                raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
-            entries = [0] * len(self)
-            for i, c in zip(ids, dep):
-                entries[i] = -c if at_k > 0 else c
-            row = self._cone_rows[cell, k] = tuple(entries)
-        return row
-
-    def circuit_sides(self, row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The indices where the cone row ``row`` is negative and where it is
-        positive: the two parts of the circuit it was read from.  Memoised
-        by row, since many cells and triangulations share one circuit."""
-        sides = self._sides.get(row)
-        if sides is None:
-            negative = tuple(i for i, c in enumerate(row) if c < 0)
-            sides = self._sides[row] = (negative, tuple(i for i, c in enumerate(row) if c > 0))
-        return sides
-
     @cached_property
     def lower_hull_tests(self) -> tuple[tuple[tuple[int, ...], tuple[SideTest, ...]], ...]:
         """(sigma, side tests) for each affinely independent (n+1)-subset
         sigma, in lexicographic order.  The side test of each other point k
         is (k, getter of the heights at sigma + k, the entries of
-        ``cone_row(sigma, k)`` on sigma + k), in the order of k.  Built on
-        first use from the memoised dependences, for every lifting's lower
-        hull."""
+        ``cone_row(sigma, k)`` on sigma + k), in the order of k, for every
+        lifting's lower hull."""
         table = []
         for sigma in combinations(range(len(self)), self.dim + 1):
             if self.dependence(sigma) is not None:

@@ -473,6 +473,7 @@ class EnumeratedTriangulation(NamedTuple):
 
 
 Edge = tuple[int, int, tuple[int, ...]]
+Finder = tuple[tuple[tuple[int, ...], ...], Simplices, Flip]
 
 
 class Enumeration:
@@ -519,13 +520,13 @@ def enumerate_regular(
     incoming index, and a kept triangulation skips the circuits filed
     there, whose flips lead back to triangulations already found.  A
     neighbour's witness is carried across a flip wall (``carry_witness``):
-    first from the triangulation it was reached from, then from each other
-    found triangulation in its incoming index, in the neighbour's circuit
-    order, and only when every carry misses does the exact LP
-    (``is_regular``) decide, as it does for the seed.  A rejected key
-    computes no flips.  Entries are sorted by canonical form, so ids, like
-    the canonical forms and the edges, do not depend on the seed ``order``;
-    witness heights do.
+    first from the triangulation it was reached from, the first filed in
+    its incoming index, then, sorted only after that miss, from each other
+    one filed there, in circuit order.  Only when every carry misses does
+    the exact LP (``is_regular``) decide, as it does for the seed.  A
+    rejected key computes no flips.  Entries are sorted by canonical form,
+    so ids, like the canonical forms and the edges, do not depend on the
+    seed ``order``; witness heights do.
     """
     caps = caps or EnumerationCaps()
     start = time.monotonic()
@@ -537,42 +538,45 @@ def enumerate_regular(
         seed.simplices: (seed, cert)
     }
     rejected: set[Simplices] = set()
-    # Flips already computed into each key not yet built: (found key, flip).
-    incoming: dict[Simplices, list[tuple[Simplices, Flip]]] = {}
+    # Flips already computed into each key not yet built, filed in keep
+    # order as (circuit order, found key, flip).
+    incoming: dict[Simplices, list[Finder]] = {}
     walked: list[tuple[Simplices, Simplices, tuple[int, ...]]] = []
     lps = 1
 
-    def expand(key: Simplices, tri: Triangulation, into: list[tuple[Simplices, Flip]]) -> list[Flip]:
-        out = flips(tri, {(f.inserted, f.removed) for _, f in into})
+    def expand(key: Simplices, tri: Triangulation, into: list[Finder]) -> list[Flip]:
+        out = flips(tri, {(f.inserted, f.removed) for _, _, f in into})
         for flip in out:
             if flip.simplices not in rejected:
-                incoming.setdefault(flip.simplices, []).append((key, flip))
+                order = _circuit_order(flip.removed, flip.inserted)
+                incoming.setdefault(flip.simplices, []).append((order, key, flip))
         return out
 
-    queue = deque([(seed.simplices, expand(seed.simplices, seed, []))])
+    queue = deque([expand(seed.simplices, seed, [])])
     while queue:
         if len(found) > caps.max_triangulations:
             raise EnumerationCapExceeded("max triangulation cap", len(found), len(rejected), lps, len(walked))
         if caps.time_budget is not None and time.monotonic() - start > caps.time_budget:
             raise EnumerationCapExceeded("time budget", len(found), len(rejected), lps, len(walked))
-        parent, parent_flips = queue.popleft()
-        for flip in parent_flips:
+        for flip in queue.popleft():
             key = flip.simplices
             if key in found or key in rejected:
                 continue
             nb = Triangulation(config, key)
             into = incoming.pop(key)
-            carried = None
-            for other, back in sorted(into, key=lambda e: (e[0] != parent, _circuit_order(e[1].removed, e[1].inserted))):
-                carried = carry_witness(found[other][1].witness, back.row, nb.system)
-                if carried is not None:
-                    break
+            _, parent, back = into[0]
+            carried = carry_witness(found[parent][1].witness, back.row, nb.system)
+            if carried is None:
+                for _, other, back in sorted(into[1:]):
+                    carried = carry_witness(found[other][1].witness, back.row, nb.system)
+                    if carried is not None:
+                        break
             lps += carried is None
             cert = is_regular(nb) if carried is None else RegularityCertificate(carried)
             if cert.regular:
                 found[key] = (nb, cert)
-                walked.extend((other, key, back.row) for other, back in into)
-                queue.append((key, expand(key, nb, into)))
+                walked.extend((other, key, back.row) for _, other, back in into)
+                queue.append(expand(key, nb, into))
             else:
                 rejected.add(key)
     ids = {key: i for i, key in enumerate(sorted(found))}

@@ -181,11 +181,11 @@ class SupportCheck(NamedTuple):
 
 
 def support_checks(
-    analysis, lam: Lifting, sub: Optional[Subdivision] = None
+    analysis, lam: Lifting | Sequence[int], sub: Optional[Subdivision] = None
 ) -> Optional[tuple[SupportCheck, SupportCheck, SupportCheck]]:
-    """The Chow and Hurwitz support checks and the Aubin check at ``lam``,
-    or None when its lower hull is not simplicial.  ``sub`` is that lower
-    hull when the caller has already taken it.
+    """The Chow and Hurwitz support checks and the Aubin check at ``lam``
+    (``Lifting.normalized`` unless a ``Lifting``), or None when its lower
+    hull is not simplicial.  ``sub`` is that hull if already taken.
 
     A simplicial lower hull is the regular triangulation T_lam, which is
     looked up in the enumeration by its canonical cells, and its vectors in
@@ -201,6 +201,8 @@ def support_checks(
     exactly when the Chow support check does, unless ``gkz_vector`` and
     ``volume_total`` disagree; it is kept as a check of that agreement.
     """
+    if not isinstance(lam, Lifting):
+        lam = Lifting.normalized(lam)
     if sub is None:
         sub = lower_hull_subdivision(analysis.config, lam)
     if not sub.is_triangulation:
@@ -282,6 +284,8 @@ def verify_identities(analysis, trials: int = 20, seed: int = 0) -> IdentityRepo
     and each identity, linear in g, is one big-int equality.  Only when one
     fails are the trials rerun one by one, to name each failing trial with
     its lhs and rhs."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     config = analysis.config
     n = config.dim
     deg = analysis.degrees
@@ -391,6 +395,8 @@ def run_support_trials(analysis, count: int = 20, seed: int = 0) -> SupportTrial
     triangulation is missing from the enumeration, or whose lane may fail,
     is rerun through ``support_checks``, in lifting order, which names its
     failures."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     config = analysis.config
     by_simplices = analysis.enumeration.by_simplices
     rng = random.Random(seed)

@@ -67,6 +67,10 @@ print(json.dumps({
     "float row": message(LinearSystem, ((0.5,),), 1, error=TypeError),
     "ragged vectors": message(weights.certified_vertices, [(0, 1), (1,)], [[], []], error=ValueError),
     "short lifting": message(triangulation.lower_hulls, config, [(0,) * len(config), (0, -1)], error=ValueError),
+    "volume index": message(config.normalized_volume, (-1, 0), error=ValueError),
+    "cone row of a vertex": message(config.cone_row, (0,), 0, error=ValueError),
+    "negative trials": message(weights.verify_identities, analysis, -1, error=ValueError),
+    "negative count": message(weights.run_support_trials, analysis, -1, error=ValueError),
     "identity failures": [[f.triangulation_id, f.trial, f.name] for f in faulty.failures],
 }))
 """
@@ -92,6 +96,10 @@ def test_validation_raises_under_optimize():
     assert result["float row"] == "LinearSystem needs int entries"
     assert result["ragged vectors"] == "certified_vertices needs one candidate list per vector, all of one length"
     assert result["short lifting"] == "lifting length must match the configuration"
+    assert result["volume index"] == "simplex (-1, 0) needs distinct point indices in range(6)"
+    assert result["cone row of a vertex"] == "point 0 is a vertex of the cell (0,)"
+    assert result["negative trials"] == "trials must be nonnegative, got -1"
+    assert result["negative count"] == "count must be nonnegative, got -1"
     assert result["identity failures"] == [
         [3, None, "gkz sum"],
         [3, None, "affine pairing T-independence"],

@@ -1,3 +1,6 @@
+import gc
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ import oracles
 from toricweights import polytope
 from toricweights.exact import det, lattice_index, primitive
 from toricweights.functionals import PLFunction
+from toricweights.pipeline import analyze
 from toricweights.polytope import (
     LatticePolytope,
     extreme_point_indices,
@@ -18,6 +22,7 @@ from toricweights.polytope import (
 )
 from toricweights.triangulation import Triangulation
 from toricweights.vectors import boundary_vector
+from toricweights.weights import run_support_trials, verify_identities
 
 
 def facet_set(q):
@@ -183,6 +188,79 @@ def test_normalized_volume_rejects_dependent():
     cfg = config_of(DOUBLE_SIMPLEX)
     with pytest.raises(ValueError):
         cfg.normalized_volume([cfg.index[(0, 0)], cfg.index[(0, 1)], cfg.index[(0, 2)]])
+
+
+def test_normalized_volume_rejects_indices_outside_the_configuration():
+    # On [0, 2], (-1, 0) gave 2 and (-2, 0) gave 1 by wrapping around, and
+    # () and (5,) raised IndexError.  A refused key is not memoised, so it
+    # raises on every call.
+    cfg = config_of(SEGMENT2)
+    for ids in [(-1, 0), (-2, 0), (), (5,), (1, 1), [0, 3]]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"distinct point indices in range\(3\)"):
+                cfg.normalized_volume(ids)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="affinely dependent"):
+            cfg.normalized_volume((0, 1, 2))
+    assert cfg.normalized_volume((0, 2)) == cfg.normalized_volume([2, 0]) == 2
+
+
+def test_cone_row_rejects_a_point_of_the_cell():
+    # cone_row((0,), 0) gave (1, 0, 0), a row that does not sum to 0.
+    cfg = config_of(SEGMENT2)
+    for cell, k in [((0,), 0), ((0, 2), 2)]:
+        with pytest.raises(ValueError, match=f"point {k} is a vertex of the cell"):
+            cfg.cone_row(cell, k)
+    assert cfg.cone_row((0, 2), 1) == (1, -2, 1)
+
+
+def test_keyed_facts_computed_once_per_key(monkeypatch):
+    # Over analyze and both verify suites on the double simplex, each keyed
+    # fact of the configuration is computed once per key: one lattice_index
+    # call per distinct simplex, one facet scan per boundary wall and one
+    # split per cone row.  A configuration binds the module functions when
+    # it is built, so patching them first sees only its cache misses.
+    indices, volumes, scans, splits = [], [], [], []
+    lattice = polytope.lattice_index
+    monkeypatch.setattr(polytope, "lattice_index", lambda edges: indices.append(edges) or lattice(edges))
+    for name, seen in [("_volume", volumes), ("_lies_in_facet", scans), ("_circuit_sides", splits)]:
+        fact = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name, lambda *args, fact=fact, seen=seen: seen.append(args[-1]) or fact(*args))
+    analysis = analyze(DOUBLE_SIMPLEX)
+    assert verify_identities(analysis, trials=5, seed=3).passed
+    assert run_support_trials(analysis, count=20, seed=3).passed
+    tris = [entry.triangulation for entry in analysis.enumeration]
+    assert len(indices) == len(volumes) == len({tuple(sorted(ids)) for ids in volumes}) > len(tris)
+    assert sorted(scans) == sorted({wall for tri in tris for wall in tri.massive_walls})
+    assert sorted(splits) == sorted({row for tri in tris for row in tri.system.constraints})
+
+
+def test_a_dropped_configuration_is_freed_without_the_cycle_collector():
+    # The memo wrappers hold the data they read, not the configuration, so
+    # dropping its last reference frees it and its memos at once, and a
+    # wrapper read from a temporary configuration still answers.
+    cfg = config_of(SQUARE)
+    assert cfg.cone_row((0, 1, 2), 3) == cfg.cone_row((0, 1, 2), 3)
+    assert cfg.normalized_volume((0, 1, 2)) == 1
+    ref = weakref.ref(cfg)
+    gc.disable()
+    try:
+        del cfg
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert config_of(SEGMENT2).cone_row((0, 2), 1) == (1, -2, 1)
+    assert config_of(SEGMENT2).dependence((0, 1, 2)) == (1, -2, 1)
+
+
+def test_a_configuration_pickles_with_empty_memos():
+    # The memo wrappers do not pickle, so a configuration pickles as its
+    # polytope and points and the copy computes its facts afresh.
+    cfg = config_of(SQUARE)
+    row = cfg.cone_row((0, 1, 2), 3)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and copy.cone_row.cache_info().currsize == 0
+    assert copy.cone_row((0, 1, 2), 3) == row and copy.volume == cfg.volume == 2
 
 
 @pytest.mark.parametrize(

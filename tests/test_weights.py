@@ -147,6 +147,24 @@ def test_support_checks_read_the_enumerated_triangulation(segment):
         assert {chk.triangulation_id for chk in support_checks(segment, Lifting(lam))} == {tid}
 
 
+def test_support_checks_normalize_a_height_sequence(segment):
+    # [0, -1, 0] raised AttributeError: 'list' object has no attribute 'heights'.
+    expected = support_checks(segment, Lifting((0, -1, 0)))
+    assert support_checks(segment, [0, -1, 0]) == support_checks(segment, (3, 2, 3)) == expected
+    assert support_checks(segment, [0, -1, -2])[0].lifting == Lifting((0, -1, -2))
+
+
+def test_suites_reject_negative_trial_counts(segment):
+    # verify_identities(a, trials=-1) returned IdentityReport(trials=-1, ...)
+    # and run_support_trials(a, count=-1) SupportTrialReport(requested=-1, ...).
+    with pytest.raises(ValueError, match="trials must be nonnegative, got -1"):
+        verify_identities(segment, trials=-1)
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        run_support_trials(segment, count=-1)
+    assert verify_identities(segment, trials=0).passed
+    assert run_support_trials(segment, count=0).requested == 0
+
+
 def test_witness_cones_give_vertex_argmins(square, double_simplex):
     # For the Chow polytope the witness of T pins eta_T as unique argmin; for
     # the Hurwitz polytope every vertex is pinned by at least one source
