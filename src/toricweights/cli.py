@@ -1,20 +1,29 @@
 """Command-line front end.
 
-Subcommands: check, triangulations, vectors, polytope, verify.  Each takes
---input, a JSON document {"vertices": [[int, ...], ...]} whose dimension is
-the vector length, and --format.  check also takes --skip-delzant-check; the
-others --max-triangulations and --time-budget; vectors and polytope --kind;
-only verify --seed and --trials.  Machine-format output is deterministic for
-identical arguments: sorted keys, rationals rendered as "p/q" strings.
-Exit codes: 0 pass, 1 verification failure, 2 input error, 3 cap exceeded.
+Subcommands: check, triangulations, vectors, polytope, verify.  ``OPTIONS``
+is the one table of the options each command takes, as (flag, type,
+default, choices) rows: every command takes --input, a JSON document
+{"vertices": [[int, ...], ...]} whose dimension is the vector length, and
+--format; check also --skip-delzant-check (type bool: a flag that takes no
+value); the others --max-triangulations and --time-budget; vectors and
+polytope --kind; only verify --seed and --trials.  ``parse_args`` reads argv
+against that table in the usual long-option forms: ``--name value``,
+``--name=value`` and unique prefixes of a name; the last of repeated options
+wins, negative numbers are values, and -h/--help prints the usage and the
+options.  It returns a namespace holding the command and one attribute per
+option.  A usage error prints the usage and the reason to stderr and raises
+SystemExit(2).  Machine-format output is deterministic for identical
+arguments: sorted keys, rationals rendered as "p/q" strings.  Exit codes:
+0 pass, 1 verification failure, 2 input or usage error, 3 cap exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .functionals import degrees
@@ -59,7 +68,7 @@ def load_vertices(path: str) -> list[list[int]]:
     return vertices
 
 
-def _common(args: argparse.Namespace) -> dict:
+def _common(args: SimpleNamespace) -> dict:
     """The command, its input, and the seed, trials and caps where it takes them."""
     given = vars(args)
     report = {key: given[key] for key in ("command", "input", "seed", "trials") if key in given}
@@ -68,7 +77,7 @@ def _common(args: argparse.Namespace) -> dict:
     return report
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_check(args: SimpleNamespace) -> tuple[dict, int]:
     vertices = load_vertices(args.input)
     try:
         q = LatticePolytope.from_vertices(vertices)
@@ -95,7 +104,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def _analyze(args: argparse.Namespace) -> Analysis:
+def _analyze(args: SimpleNamespace) -> Analysis:
     vertices = load_vertices(args.input)
     try:
         return analyze(vertices, caps=EnumerationCaps(args.max_triangulations, args.time_budget))
@@ -117,7 +126,7 @@ def _certificates(poly) -> list:
     return [None if c is None else c.heights for c in poly.certificates]
 
 
-def cmd_triangulations(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_triangulations(args: SimpleNamespace) -> tuple[dict, int]:
     analysis = _analyze(args)
     report = _common(args) | {
         "count": len(analysis.enumeration),
@@ -127,7 +136,7 @@ def cmd_triangulations(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def cmd_vectors(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_vectors(args: SimpleNamespace) -> tuple[dict, int]:
     analysis = _analyze(args)
     # The polytopes hold each entry's GKZ and Hurwitz vector, by id.
     built = {"gkz": analysis.chow.vectors, "hurwitz": analysis.hurwitz.vectors}.get(args.kind)
@@ -143,7 +152,7 @@ def cmd_vectors(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def cmd_polytope(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_polytope(args: SimpleNamespace) -> tuple[dict, int]:
     analysis = _analyze(args)
     poly = analysis.chow if args.kind == "chow" else analysis.hurwitz
     report = _common(args) | {
@@ -161,7 +170,7 @@ def cmd_polytope(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
     analysis = _analyze(args)
     identities = verify_identities(analysis, trials=args.trials, seed=args.seed)
     supports = run_support_trials(analysis, count=args.trials, seed=args.seed)
@@ -232,30 +241,132 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="toricweights", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="polytope JSON file")
-        if name == "verify":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--trials", type=int, default=20)
-        if name != "check":
-            p.add_argument("--max-triangulations", type=int, default=EnumerationCaps().max_triangulations)
-            p.add_argument("--time-budget", type=float, default=None, help="enumeration budget in seconds")
-        p.add_argument("--format", choices=("human", "machine"), default="human")
-        if name == "check":
-            p.add_argument("--skip-delzant-check", action="store_true")
-        if name == "vectors":
-            p.add_argument("--kind", choices=("gkz", "boundary", "hurwitz"), default="gkz")
-        if name == "polytope":
-            p.add_argument("--kind", choices=("chow", "hurwitz"), default="chow")
-    return parser
+PROG = "toricweights"
+REQUIRED = ...  # the default of an option that must be given
+_INPUT = ("--input", str, REQUIRED, None)
+_CAPS = (
+    ("--max-triangulations", int, EnumerationCaps().max_triangulations, None),
+    ("--time-budget", float, None, None),  # seconds
+)
+_FORMAT = ("--format", str, "human", ("human", "machine"))
+# Each command's options, in usage order, as (flag, type, default, choices).
+OPTIONS = {
+    "check": (_INPUT, _FORMAT, ("--skip-delzant-check", bool, False, None)),
+    "triangulations": (_INPUT, *_CAPS, _FORMAT),
+    "vectors": (_INPUT, *_CAPS, _FORMAT, ("--kind", str, "gkz", ("gkz", "boundary", "hurwitz"))),
+    "polytope": (_INPUT, *_CAPS, _FORMAT, ("--kind", str, "chow", ("chow", "hurwitz"))),
+    "verify": (_INPUT, ("--seed", int, 0, None), ("--trials", int, 20, None), *_CAPS, _FORMAT),
+}
+_HELP = ("-h/--help", bool, False, None)
+_TOP = {"-h": _HELP, "--help": _HELP}
+
+
+def _spelling(flag: str, kind: type, default, choices) -> str:
+    if kind is not bool:
+        flag += " {" + ",".join(choices) + "}" if choices else " " + flag[2:].upper().replace("-", "_")
+    return flag if default is REQUIRED else f"[{flag}]"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(OPTIONS)}}} ..."
+    return " ".join([f"usage: {PROG} {command} [-h]", *(_spelling(*row) for row in OPTIONS[command])])
+
+
+def _exit(command: Optional[str], error: Optional[str] = None):
+    """Print the usage and the options and exit 0, or, given an error, print
+    the usage and the error to stderr and exit 2."""
+    if error is not None:
+        prog = f"{PROG} {command}" if command else PROG
+        print(f"{_usage(command)}\n{prog}: error: {error}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    if command is None:
+        rows = ["commands:", *(_usage(name).removeprefix("usage: ") for name in OPTIONS)]
+    else:
+        rows = ["options:", "-h, --help", *(f"{flag}: {'required' if default is REQUIRED else f'default {default}'}"
+                                            for flag, _, default, _ in OPTIONS[command])]
+    print(_usage(command), "", rows[0], *("  " + row for row in rows[1:]), sep="\n")
+    raise SystemExit(0)
+
+
+def _option(arg: str, table: dict, command: Optional[str]):
+    """How ``arg`` reads against ``table`` (flag -> row): None for a value,
+    else (row, explicit value or None), with row None for an unknown option."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in table:
+        return table[arg], None
+    name, eq, value = arg.partition("=")
+    if eq and name in table:
+        return table[name], value
+    if arg.startswith("--") and arg != "--":
+        matches = [flag for flag in table if flag.startswith(name)]
+        if len(matches) > 1:
+            _exit(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return table[matches[0]], value if eq else None
+    if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:  # a negative number is a value
+        return None
+    return None, None
+
+
+def _read(args: list, table: dict, command: Optional[str], values: dict) -> list:
+    """Read ``args`` into ``values`` (flag -> value); returns the unknown
+    options and stray values."""
+    reads = [_option(arg, table, command) for arg in args]  # an ambiguous prefix is refused first
+    extras, i = [], 0
+    while i < len(args):
+        read, i = reads[i], i + 1
+        if read is None or read[0] is None:
+            extras.append(args[i - 1])
+            continue
+        row, value = read
+        flag, kind, _, choices = row
+        if kind is bool:
+            if value is not None:
+                _exit(command, f"argument {flag}: ignored explicit argument {value!r}")
+            if row is _HELP:
+                _exit(command)
+            values[flag] = True
+            continue
+        if value is None:
+            if i == len(args) or reads[i] is not None:
+                _exit(command, f"argument {flag}: expected one argument")
+            value, i = args[i], i + 1
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            _exit(command, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+        if choices and value not in choices:
+            _exit(command, f"argument {flag}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+    return extras
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command and its options read from ``argv`` against ``OPTIONS``:
+    a namespace with the command and one attribute per option."""
+    argv = list(argv)
+    at = next((i for i, arg in enumerate(argv) if _option(arg, _TOP, None) is None), None)
+    extras = _read(argv[:at], _TOP, None, {})
+    if at is None:
+        _exit(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in OPTIONS:
+        _exit(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, OPTIONS))})")
+    values = {flag: default for flag, _, default, _ in OPTIONS[command]}
+    extras += _read(argv[at + 1:], _TOP | {row[0]: row for row in OPTIONS[command]}, command, values)
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _exit(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         for name in ("trials", "max_triangulations", "time_budget"):
             if not (getattr(args, name, None) or 0) >= 0:  # negative or NaN; None is no budget or option

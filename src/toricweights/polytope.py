@@ -260,7 +260,7 @@ def _cone_row(dependence: Callable, size: int, cell: tuple[int, ...], k: int) ->
     dep = dependence(ids)
     at_k = 0 if dep is None else dep[ids.index(k)]
     if at_k == 0:
-        raise RuntimeError(f"point {k} has no barycentric coordinates on the cell {cell}")
+        raise ValueError(f"point {k} has no barycentric coordinates on the cell {cell}")
     entries = [0] * size
     for i, c in zip(ids, dep):
         entries[i] = -c if at_k > 0 else c

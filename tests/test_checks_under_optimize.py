@@ -1,6 +1,7 @@
-"""Internal consistency checks raise RuntimeError and constructor checks
-raise ValueError, so they survive ``python -O`` (which strips ``assert``);
-the identity suite reports its failures there too."""
+"""Internal consistency checks raise RuntimeError, constructor checks and
+refused keys raise ValueError, and CLI usage errors raise SystemExit(2), so
+they survive ``python -O`` (which strips ``assert``); the identity suite
+reports its failures there too."""
 
 import ast
 import json
@@ -16,6 +17,7 @@ import json
 from fractions import Fraction
 
 from toricweights import lp, triangulation, weights
+from toricweights.cli import main
 from toricweights.pipeline import analyze
 from toricweights.lp import LinearSystem
 from toricweights.polytope import LatticePolytope, lattice_points
@@ -53,7 +55,7 @@ triangulation.gcd = lambda *heights: -1  # a sign error in the normalisation
 lp._feasible = lambda rows, dens, nvars: [Fraction(1)] + [Fraction(0)] * (nvars - 1)  # (1, 0) breaks x - y < 0
 print(json.dumps({
     "debug": __debug__,
-    "cone_system": message(triangulation.cone_system, broken),
+    "cone_system": message(triangulation.cone_system, broken, error=ValueError),
     "repeated cell": message(Triangulation, square, [(0, 1, 2), (0, 1, 2)], error=ValueError),
     "same side": message(Triangulation, strip, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], error=ValueError),
     "try_flip": message(triangulation._try_flip, (), (), (0,)),
@@ -69,6 +71,8 @@ print(json.dumps({
     "short lifting": message(triangulation.lower_hulls, config, [(0,) * len(config), (0, -1)], error=ValueError),
     "volume index": message(config.normalized_volume, (-1, 0), error=ValueError),
     "cone row of a vertex": message(config.cone_row, (0,), 0, error=ValueError),
+    "cone row on a dependent cell": message(config.cone_row, (0, 1, 2), 3, error=ValueError),
+    "usage error": message(main, ["verify", "--input", "x", "--trials", "x"], error=SystemExit),
     "negative trials": message(weights.verify_identities, analysis, -1, error=ValueError),
     "negative count": message(weights.run_support_trials, analysis, -1, error=ValueError),
     "identity failures": [[f.triangulation_id, f.trial, f.name] for f in faulty.failures],
@@ -84,6 +88,7 @@ def test_validation_raises_under_optimize():
     )
     result = json.loads(proc.stdout)
     assert result.pop("debug") is False
+    assert result["cone_system"] == "point 3 has no barycentric coordinates on the cell (0, 1, 2)"
     assert result["repeated cell"] == "cell (0, 1, 2) is repeated"
     assert result["same side"] == "cells (0, 1, 2) and (0, 1, 3) lie on the same side of their wall (0, 1)"
     assert result["feasible_strict"] == "simplex returned an invalid witness"
@@ -98,6 +103,8 @@ def test_validation_raises_under_optimize():
     assert result["short lifting"] == "lifting length must match the configuration"
     assert result["volume index"] == "simplex (-1, 0) needs distinct point indices in range(6)"
     assert result["cone row of a vertex"] == "point 0 is a vertex of the cell (0,)"
+    assert result["cone row on a dependent cell"] == "point 3 has no barycentric coordinates on the cell (0, 1, 2)"
+    assert result["usage error"] == "2"  # SystemExit(2): the parser's checks are not asserts
     assert result["negative trials"] == "trials must be nonnegative, got -1"
     assert result["negative count"] == "count must be nonnegative, got -1"
     assert result["identity failures"] == [

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import re
@@ -142,6 +141,75 @@ def test_options_a_command_does_not_read_are_refused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+SEGMENT = "--input data/segment2.json"
+
+
+@pytest.mark.parametrize("argv,phrase", [
+    ("", "the following arguments are required: command"),
+    ("foo", "invalid choice: 'foo'"),
+    ("verify", "required: --input"),
+    ("verify --input", "expected one argument"),
+    ("verify --input --format machine", "expected one argument"),
+    (f"verify {SEGMENT} --trials x", "invalid int value: 'x'"),
+    (f"verify {SEGMENT} --seed 1.5", "invalid int value: '1.5'"),
+    (f"verify {SEGMENT} --time-budget x", "invalid float value: 'x'"),
+    (f"verify {SEGMENT} --format x", "invalid choice: 'x'"),
+    (f"vectors {SEGMENT} --kind chow", "invalid choice: 'chow'"),
+    (f"verify {SEGMENT} --t 3", "ambiguous option: --t"),
+    (f"verify {SEGMENT} --trials x --t 3", "ambiguous option: --t"),
+    (f"check {SEGMENT} --skip-delzant-check=1", "ignored explicit argument '1'"),
+    (f"check {SEGMENT} stray", "unrecognized arguments: stray"),
+    (f"--bogus verify {SEGMENT}", "unrecognized arguments: --bogus"),
+    (f"verify {SEGMENT} --time-budget -1e3", "expected one argument"),
+])
+def test_usage_errors_exit_2_with_usage_and_reason(capsys, monkeypatch, argv, phrase):
+    monkeypatch.chdir(DATA.parent)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and phrase in captured.err
+
+
+def test_prefixes_and_equals_forms_parse_like_the_spelled_out_options(capsys, monkeypatch):
+    # sha256 of `verify --input data/segment2.json --format machine --trials 3`;
+    # a repeated option keeps its last value, and -3 is read as a value.
+    monkeypatch.chdir(DATA.parent)
+    digest = "57aeffe46b719f7902f7097f23360810fe3709d49c3c37714a92d8117417a1d9"
+    for argv in [
+        "verify --input data/segment2.json --format machine --trials 3",
+        "verify --inp data/segment2.json --format=machine --tri 3",
+        "verify --input=data/unit_square.json --trials 1 --f human --input data/segment2.json --fo=machine --trials=3",
+    ]:
+        code, out = run(capsys, *argv.split())
+        assert code == EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    assert main(["verify", "--input", "data/segment2.json", "--trials", "-3"]) == EXIT_INPUT
+    assert "--trials must be nonnegative, got -3" in capsys.readouterr().err
+
+
+def readme_options() -> dict[str, list[str]]:
+    """Each command's options as README's CLI section lists them."""
+    readme = (DATA.parent / "README.md").read_text()
+    return {
+        name: sorted(re.findall(r"--[a-z-]+", options))
+        for name, options in re.findall(r"^- `(\w+)`: (`--.*)$", readme, re.M)
+    }
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_names_every_option_and_exits_0(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: toricweights")
+    names = list(readme_options()) if command is None else readme_options()[command]
+    assert names and all(name in out for name in names)
+
+
 # Top-level keys of each command's machine output: besides its command, its
 # input and its warnings, each echoes only the options it reads.
 COMMON = ["command", "input", "warnings"]
@@ -166,17 +234,8 @@ def test_machine_output_keys(capsys, command):
 
 
 def test_readme_lists_the_options_of_each_command():
-    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    parsed = {
-        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
-        for name, p in subparsers.choices.items()
-    }
-    readme = (DATA.parent / "README.md").read_text()
-    listed = {
-        name: sorted(re.findall(r"--[a-z-]+", options))
-        for name, options in re.findall(r"^- `(\w+)`: (`--.*)$", readme, re.M)
-    }
-    assert listed == parsed
+    parsed = {name: sorted(row[0] for row in rows) for name, rows in cli.OPTIONS.items()}
+    assert readme_options() == parsed
     assert sum(map(len, parsed.values())) == 23
 
 

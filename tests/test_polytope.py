@@ -214,6 +214,16 @@ def test_cone_row_rejects_a_point_of_the_cell():
     assert cfg.cone_row((0, 2), 1) == (1, -2, 1)
 
 
+def test_cone_row_rejects_a_dependent_cell():
+    # On 2Δ² the points 0, 1, 2 are collinear, so point 3 has no barycentric
+    # coordinates on that cell; this raised RuntimeError, unlike every other
+    # refused key.
+    cfg = config_of(DOUBLE_SIMPLEX)
+    assert cfg.points[:4] == ((0, 0), (0, 1), (0, 2), (1, 0))
+    with pytest.raises(ValueError, match=r"^point 3 has no barycentric coordinates on the cell \(0, 1, 2\)$"):
+        cfg.cone_row((0, 1, 2), 3)
+
+
 def test_keyed_facts_computed_once_per_key(monkeypatch):
     # Over analyze and both verify suites on the double simplex, each keyed
     # fact of the configuration is computed once per key: one lattice_index
