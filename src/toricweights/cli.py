@@ -4,17 +4,18 @@ Subcommands: check, triangulations, vectors, polytope, verify.  ``OPTIONS``
 is the one table of the options each command takes, as (flag, type,
 default, choices) rows: every command takes --input, a JSON document
 {"vertices": [[int, ...], ...]} whose dimension is the vector length, and
---format; check also --skip-delzant-check (type bool: a flag that takes no
-value); the others --max-triangulations and --time-budget; vectors and
-polytope --kind; only verify --seed and --trials.  ``parse_args`` reads argv
-against that table in the usual long-option forms: ``--name value``,
-``--name=value`` and unique prefixes of a name; the last of repeated options
-wins, negative numbers are values, and -h/--help prints the usage and the
-options.  It returns a namespace holding the command and one attribute per
-option.  A usage error prints the usage and the reason to stderr and raises
-SystemExit(2).  Machine-format output is deterministic for identical
-arguments: sorted keys, rationals rendered as "p/q" strings.  Exit codes:
-0 pass, 1 verification failure, 2 input or usage error, 3 cap exceeded.
+--format; check no other, as it always reports the Delzant verdict; the
+others --max-triangulations and --time-budget; vectors and polytope --kind;
+only verify --seed and --trials.  ``parse_args`` reads argv against that
+table in the usual long-option forms: ``--name value``, ``--name=value`` and
+unique prefixes of a name; the last of repeated options wins, negative
+numbers are values, and -h/--help, a flag of type bool that takes no value,
+prints the usage and the options.  It returns a namespace holding the
+command and one attribute per option.  A usage error prints the usage and
+the reason to stderr and raises SystemExit(2).  Machine-format output is
+deterministic for identical arguments: sorted keys, rationals rendered as
+"p/q" strings.  Exit codes: 0 pass, 1 verification failure, 2 input or
+usage error, 3 cap exceeded.
 """
 
 from __future__ import annotations
@@ -85,21 +86,20 @@ def cmd_check(args: SimpleNamespace) -> tuple[dict, int]:
         raise InputError(f"{args.input}: {e}") from None
     config = lattice_points(q)
     deg = degrees(config)
-    delzant = None if args.skip_delzant_check else q.delzant
     report = _common(args) | {
         "polytope": {
             "dim": q.dim,
             "vertices": q.vertices,
             "facets": [f._asdict() for f in q.facets],
         },
-        "delzant": None if delzant is None else delzant.ok,
-        "delzant_report": None if delzant is None else [r._asdict() for r in delzant.vertices],
+        "delzant": q.delzant.ok,
+        "delzant_report": [r._asdict() for r in q.delzant.vertices],
         "volume": config.volume,
         "boundary_volume": config.boundary_volume,
         "deg_chow": deg.chow,
         "deg_hurwitz": deg.hurwitz,
         "num_lattice_points": len(config),
-        "warnings": polytope_warnings(config, delzant),
+        "warnings": polytope_warnings(config),
     }
     return report, EXIT_PASS
 
@@ -251,7 +251,7 @@ _CAPS = (
 _FORMAT = ("--format", str, "human", ("human", "machine"))
 # Each command's options, in usage order, as (flag, type, default, choices).
 OPTIONS = {
-    "check": (_INPUT, _FORMAT, ("--skip-delzant-check", bool, False, None)),
+    "check": (_INPUT, _FORMAT),
     "triangulations": (_INPUT, *_CAPS, _FORMAT),
     "vectors": (_INPUT, *_CAPS, _FORMAT, ("--kind", str, "gkz", ("gkz", "boundary", "hurwitz"))),
     "polytope": (_INPUT, *_CAPS, _FORMAT, ("--kind", str, "chow", ("chow", "hurwitz"))),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .functionals import Degrees, degrees
-from .polytope import DelzantReport, LatticePolytope, PointConfiguration, lattice_points
+from .polytope import LatticePolytope, PointConfiguration, lattice_points
 from .triangulation import Enumeration, EnumerationCaps, enumerate_regular
 from .weights import CHOW, HURWITZ, WeightPolytope, build
 
@@ -20,15 +20,16 @@ class Analysis(NamedTuple):
 
     @property
     def warnings(self) -> list[str]:
-        return polytope_warnings(self.config, self.polytope.delzant)
+        return polytope_warnings(self.config)
 
 
-def polytope_warnings(config: PointConfiguration, delzant: Optional[DelzantReport]) -> list[str]:
+def polytope_warnings(config: PointConfiguration) -> list[str]:
     """The warnings every command prints about its input: the vertices where
-    ``delzant``, the polytope's Delzant report (None when it was skipped),
-    finds smoothness failing, and a degree (``config.volume``) below 2."""
+    the polytope's Delzant report finds smoothness failing, and a degree
+    (``config.volume``) below 2."""
     out = []
-    if delzant is not None and not delzant.ok:
+    delzant = config.polytope.delzant
+    if not delzant.ok:
         bad = [r.vertex for r in delzant.vertices if not r.ok]
         out.append(f"polytope is not Delzant (smoothness fails at vertices {bad})")
     if config.volume < 2:

@@ -168,7 +168,9 @@ class LatticePolytope:
     def __init__(self, vertices: Sequence[Sequence[int]]):
         pts = sorted({tuple(v) for v in vertices})
         self.vertices: tuple[Point, ...] = tuple(pts[i] for i in extreme_point_indices(pts))
-        self.facets: tuple[Facet, ...] = tuple(Facet(n, c) for n, c, _ in hull_facets(self.vertices))
+        # Each facet's incidences: the indices of the vertices on it.
+        self._on: dict[Facet, tuple[int, ...]] = {Facet(n, c): on for n, c, on in hull_facets(self.vertices)}
+        self.facets: tuple[Facet, ...] = tuple(self._on)
         self.dim: int = len(self.vertices[0])
 
     @classmethod
@@ -200,32 +202,29 @@ class LatticePolytope:
         return all(f.value(point) >= 0 for f in self.facets)
 
     def facet_vertices(self, facet: Facet) -> tuple[Point, ...]:
-        return tuple(v for v in self.vertices if facet.value(v) == 0)
+        """The vertices on ``facet``, one of the polytope's own facets."""
+        return tuple(self.vertices[i] for i in self._on[facet])
 
     @cached_property
     def delzant(self) -> DelzantReport:
         """Smoothness check: at every vertex exactly n edges meet and their
         primitive directions have determinant +-1."""
         reports = []
-        ok = True
-        for v in self.vertices:
-            dirs = []
-            for w in self.vertices:
-                if w != v and self._is_edge(v, w):
-                    dirs.append(primitive(tuple(b - a for a, b in zip(v, w))))
-            d: Optional[int] = None
-            good = len(dirs) == self.dim
-            if good:
-                d = det(dirs)
-                good = d in (1, -1)
-            ok = ok and good
-            reports.append(DelzantVertexReport(v, tuple(sorted(dirs)), d, good))
-        return DelzantReport(ok, tuple(reports))
+        for i, v in enumerate(self.vertices):
+            dirs = [primitive(tuple(b - a for a, b in zip(v, w)))
+                    for j, w in enumerate(self.vertices) if j != i and self._is_edge(i, j)]
+            d = det(dirs) if len(dirs) == self.dim else None
+            reports.append(DelzantVertexReport(v, tuple(sorted(dirs)), d, d in (1, -1)))
+        return DelzantReport(all(r.ok for r in reports), tuple(reports))
 
-    def _is_edge(self, v: Point, w: Point) -> bool:
-        common = [f for f in self.facets if f.value(v) == 0 and f.value(w) == 0]
-        on_all = [u for u in self.vertices if all(f.value(u) == 0 for f in common)]
-        return set(on_all) == {v, w}
+    def _is_edge(self, i: int, j: int) -> bool:
+        """Whether the vertices at ``i`` and ``j`` span an edge: the facets
+        through both meet in those two vertices alone."""
+        on_all = set(range(len(self.vertices)))
+        for on in self._on.values():
+            if i in on and j in on:
+                on_all.intersection_update(on)
+        return on_all == {i, j}
 
 
 def _volume(points: tuple[Point, ...], ids: tuple[int, ...]) -> int:

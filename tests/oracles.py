@@ -6,8 +6,9 @@ found by scanning every simplex, the placing triangulation by one face
 functional per boundary face, the Fraction integrals and Donaldson
 functional that look up each volume, the scalar vertex pins, the identity
 suite that checks one trial function at a time, the support suite that
-checks one lifting at a time, and the massive-wall and vertex-index lookups
-the brute force and the lower hull read.
+checks one lifting at a time, the massive-wall and vertex-index lookups
+the brute force and the lower hull read, and the Delzant report that finds
+edges by evaluating facets.
 
 Enumerates ALL triangulations (regular or not) by recursive wall filling:
 candidate simplices are every affinely independent (n+1)-subset of the
@@ -30,7 +31,7 @@ from math import factorial
 from operator import mul
 from typing import Optional, Sequence
 
-from toricweights.exact import affine_combination, integer_row, rank, solve_linear
+from toricweights.exact import affine_combination, det, integer_row, primitive, rank, solve_linear
 from toricweights.lp import LinearSystem
 from toricweights.functionals import (
     PLFunction,
@@ -40,7 +41,15 @@ from toricweights.functionals import (
     pairing,
     volume_total,
 )
-from toricweights.polytope import Point, PointConfiguration, extreme_point_indices, hull_facets
+from toricweights.polytope import (
+    DelzantReport,
+    DelzantVertexReport,
+    LatticePolytope,
+    Point,
+    PointConfiguration,
+    extreme_point_indices,
+    hull_facets,
+)
 from toricweights.triangulation import Lifting, Subdivision, Triangulation, canonical_simplices
 from toricweights.vectors import boundary_vector
 from toricweights.weights import (
@@ -125,6 +134,26 @@ def is_massive(config: PointConfiguration, indices: Sequence[int]) -> bool:
 
 def vertex_indices(config: PointConfiguration) -> tuple[int, ...]:
     return tuple(config.index[v] for v in config.polytope.vertices)
+
+
+def is_edge(q: LatticePolytope, v: Point, w: Point) -> bool:
+    """Whether the vertices v and w of q span an edge: the vertices on every
+    facet through both, by ``Facet.value``, are v and w alone."""
+    common = [f for f in q.facets if f.value(v) == 0 and f.value(w) == 0]
+    on_all = [u for u in q.vertices if all(f.value(u) == 0 for f in common)]
+    return set(on_all) == {v, w}
+
+
+def delzant(q: LatticePolytope) -> DelzantReport:
+    """``q.delzant`` with the edges found by ``is_edge``: the determinant
+    is taken on the edge directions in vertex order, and reported with them
+    sorted."""
+    reports = []
+    for v in q.vertices:
+        dirs = [primitive(tuple(b - a for a, b in zip(v, w))) for w in q.vertices if w != v and is_edge(q, v, w)]
+        d = det(dirs) if len(dirs) == q.dim else None
+        reports.append(DelzantVertexReport(v, tuple(sorted(dirs)), d, d in (1, -1)))
+    return DelzantReport(all(r.ok for r in reports), tuple(reports))
 
 
 def all_triangulations(config: PointConfiguration, time_budget: float | None = None) -> set:

@@ -49,29 +49,12 @@ def test_check_unit_simplex_degree_warning(capsys):
     assert any("degree" in w for w in doc["warnings"])
 
 
-def test_check_skip_delzant(capsys):
-    code, doc = run_machine(
-        capsys, "check", "--input", str(DATA / "non_delzant_triangle.json"), "--skip-delzant-check"
-    )
-    assert code == EXIT_PASS
-    assert doc["delzant"] is None
-    assert doc["warnings"] == []
-
-
-def test_skip_delzant_check_belongs_to_check(capsys, monkeypatch):
-    # sha256 of `check --input data/non_delzant_triangle.json
-    # --skip-delzant-check --format machine`, re-recorded when `check`
-    # stopped echoing the seed, trials and caps it never read; the other
-    # subcommands refuse the flag.
-    monkeypatch.chdir(DATA.parent)
-    code, out = run(capsys, "check", "--input", "data/non_delzant_triangle.json", "--skip-delzant-check",
-                    "--format", "machine")
-    assert code == EXIT_PASS
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5c760077acd81fb0389234bf7d07ac545a0b7d3064ed87e5b30afa96bb1c7ac9"
-    )
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_no_command_takes_skip_delzant_check(capsys, command):
+    # `check` took the flag and printed a null Delzant verdict and no
+    # warnings; every command now computes the report.
     with pytest.raises(SystemExit) as exc:
-        main(["triangulations", "--input", "data/non_delzant_triangle.json", "--skip-delzant-check"])
+        main([command, "--input", str(DATA / "non_delzant_triangle.json"), "--skip-delzant-check"])
     assert exc.value.code == EXIT_INPUT
     assert "unrecognized arguments: --skip-delzant-check" in capsys.readouterr().err
 
@@ -157,7 +140,7 @@ SEGMENT = "--input data/segment2.json"
     (f"vectors {SEGMENT} --kind chow", "invalid choice: 'chow'"),
     (f"verify {SEGMENT} --t 3", "ambiguous option: --t"),
     (f"verify {SEGMENT} --trials x --t 3", "ambiguous option: --t"),
-    (f"check {SEGMENT} --skip-delzant-check=1", "ignored explicit argument '1'"),
+    (f"verify {SEGMENT} --help=1", "ignored explicit argument '1'"),
     (f"check {SEGMENT} stray", "unrecognized arguments: stray"),
     (f"--bogus verify {SEGMENT}", "unrecognized arguments: --bogus"),
     (f"verify {SEGMENT} --time-budget -1e3", "expected one argument"),
@@ -236,7 +219,7 @@ def test_machine_output_keys(capsys, command):
 def test_readme_lists_the_options_of_each_command():
     parsed = {name: sorted(row[0] for row in rows) for name, rows in cli.OPTIONS.items()}
     assert readme_options() == parsed
-    assert sum(map(len, parsed.values())) == 23
+    assert sum(map(len, parsed.values())) == 22
 
 
 def test_missing_file(capsys):

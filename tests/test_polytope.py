@@ -1,19 +1,23 @@
 import gc
+import json
 import pickle
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import CUBE, DOUBLE_SIMPLEX, NON_DELZANT, SEGMENT2, SQUARE, UNIT_SIMPLEX, config_of
+from conftest import CUBE, DOUBLE_SIMPLEX, HEXAGON, NON_DELZANT, SEGMENT2, SQUARE, UNIT_SIMPLEX, config_of
 import oracles
+from test_triangulation import POLYGONS, POLYTOPES_3D
 from toricweights import polytope
 from toricweights.exact import det, lattice_index, primitive
 from toricweights.functionals import PLFunction
 from toricweights.pipeline import analyze
 from toricweights.polytope import (
+    Facet,
     LatticePolytope,
     extreme_point_indices,
     hull_facets,
@@ -161,6 +165,53 @@ def test_non_delzant_triangle_report():
     bad = {r.vertex: r for r in rep.vertices if not r.ok}
     assert set(bad) == {(0, 1)}
     assert abs(bad[(0, 1)].determinant) == 2
+
+
+DATA = Path(__file__).parent.parent / "data"
+DATA_FILES = sorted(DATA.glob("*.json"))
+
+
+def assert_delzant_matches_the_facet_value_oracle(vertices):
+    try:
+        q = LatticePolytope.from_vertices(vertices)
+    except ValueError:  # not full-dimensional
+        reject()
+    assert q.delzant == oracles.delzant(q)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [json.loads(p.read_text())["vertices"] for p in DATA_FILES] + [HEXAGON],
+    ids=[p.stem for p in DATA_FILES] + ["hexagon"],
+)
+def test_delzant_matches_the_facet_value_oracle(vertices):
+    assert_delzant_matches_the_facet_value_oracle(vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(POLYGONS)
+def test_delzant_matches_the_facet_value_oracle_on_random_polygons(vertices):
+    assert_delzant_matches_the_facet_value_oracle(vertices)
+
+
+@settings(max_examples=40, deadline=None)
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+@given(POLYTOPES_3D)
+def test_delzant_matches_the_facet_value_oracle_on_random_3d_polytopes(vertices):
+    assert_delzant_matches_the_facet_value_oracle(vertices)
+
+
+@pytest.mark.parametrize("vertices", [NON_DELZANT, CUBE, HEXAGON], ids=["non_delzant", "cube", "hexagon"])
+def test_delzant_and_facet_vertices_read_the_hull_incidences(monkeypatch, vertices):
+    # Edges were found by evaluating every facet at every vertex, per pair.
+    q = LatticePolytope.from_vertices(vertices)
+    calls = []
+    original = Facet.value
+    monkeypatch.setattr(Facet, "value", lambda f, p: calls.append(p) or original(f, p))
+    q.delzant
+    for f in q.facets:
+        assert q.facet_vertices(f) == tuple(v for v in q.vertices if original(f, v) == 0)
+    assert calls == []
 
 
 def test_normalized_volume_standard_simplex():
